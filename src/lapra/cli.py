@@ -103,6 +103,18 @@ def _maybe(path: str | None, writer) -> None:
         writer(path)
 
 
+def _write_staged_csv(path: str, stages: list[tuple[str, str]]) -> None:
+    """Concatenate per-stage CSV texts under one header with a leading stage column."""
+    lines = []
+    for stage, text in stages:
+        header, *rows = text.splitlines()
+        if not lines:
+            lines.append("stage," + header)
+        lines += [f"{stage},{row}" for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _trace_dicts(trace: RunTrace) -> list[dict]:
     return [
         {
@@ -373,6 +385,9 @@ def cmd_pipeline(args) -> int:
     if args.save_poses is not None:
         empty = MeasurementGraph(g.d, g.n, [])
         write_g2o(args.save_poses, empty, poses=(R, M))
+    stages = (("rotation", rot_trace), ("translation", tr_trace))
+    _maybe(args.trace, lambda path: _write_staged_csv(path, [(s, t.to_csv()) for s, t in stages]))
+    _maybe(args.ledger, lambda path: _write_staged_csv(path, [(s, t.ledger.to_csv()) for s, t in stages]))
     _write_report(report, args.report)
     return 0
 

@@ -18,6 +18,8 @@ __all__ = [
     "vee",
     "exp_map",
     "log_map",
+    "exp_map_batch",
+    "log_map_batch",
     "geodesic_dist",
     "chordal_sq",
     "project_to_rotation",
@@ -154,6 +156,83 @@ def log_map(R: np.ndarray) -> np.ndarray:
     return theta * u
 
 
+def _hat_batch(V: np.ndarray) -> np.ndarray:
+    """hat applied row by row: (k, p) tangent vectors to (k, d, d) matrices."""
+    k, p = V.shape
+    if p == 1:
+        K = np.zeros((k, 2, 2))
+        K[:, 0, 1] = -V[:, 0]
+        K[:, 1, 0] = V[:, 0]
+        return K
+    K = np.zeros((k, 3, 3))
+    K[:, 0, 1] = -V[:, 2]
+    K[:, 0, 2] = V[:, 1]
+    K[:, 1, 0] = V[:, 2]
+    K[:, 1, 2] = -V[:, 0]
+    K[:, 2, 0] = -V[:, 1]
+    K[:, 2, 1] = V[:, 0]
+    return K
+
+
+def _raise_near_pi(theta: np.ndarray) -> None:
+    bad = np.flatnonzero(np.abs(theta) > np.pi - _PI_GUARD)
+    if bad.size:
+        raise NumericalError(f"rotation angle {theta[bad[0]]:.9f} too close to pi for log_map")
+
+
+def exp_map_batch(V: np.ndarray) -> np.ndarray:
+    """exp_map of every row of a (k, p) array, returned as a (k, d, d) stack.
+
+    Takes the same branches as exp_map, row by row.
+    """
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] not in (1, 3):
+        raise ValueError(f"expected shape (k, 1) or (k, 3), got {V.shape}")
+    if V.shape[1] == 1:
+        c, s = np.cos(V[:, 0]), np.sin(V[:, 0])
+        return np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+    theta = np.sqrt(np.einsum("ki,ki->k", V, V))
+    K = _hat_batch(V)
+    KK = K @ K
+    small = theta < 1e-8
+    t = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(t) / t)
+    b = np.where(small, 0.5, (1.0 - np.cos(t)) / t**2)
+    return np.eye(3) + a[:, None, None] * K + b[:, None, None] * KK
+
+
+def log_map_batch(R: np.ndarray) -> np.ndarray:
+    """log_map of every matrix in a (k, d, d) stack, returned as (k, p) rows.
+
+    Takes the same branches as log_map; the rare rows beyond the near-pi
+    switch go through log_map itself. Raises NumericalError if any angle
+    is within 1e-6 of pi.
+    """
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 3 or R.shape[1:] not in ((2, 2), (3, 3)):
+        raise ValueError(f"expected shape (k, 2, 2) or (k, 3, 3), got {R.shape}")
+    if R.shape[1] == 2:
+        theta = np.arctan2(R[:, 1, 0], R[:, 0, 0])
+        _raise_near_pi(theta)
+        return theta[:, None]
+
+    A = (R - np.swapaxes(R, 1, 2)) / 2.0
+    w = np.stack([A[:, 2, 1], A[:, 0, 2], A[:, 1, 0]], axis=1)  # sin(theta) * axis
+    cos_theta = (np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0
+    sin_theta = np.sqrt(np.einsum("ki,ki->k", w, w))
+    theta = np.arctan2(sin_theta, cos_theta)
+    _raise_near_pi(theta)
+
+    small = theta < 1e-4
+    t2 = theta * theta
+    series = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+    scale = np.where(small, series, theta / np.where(small, 1.0, sin_theta))
+    V = scale[:, None] * w
+    for k in np.flatnonzero(theta >= _NEAR_PI_SWITCH):
+        V[k] = log_map(R[k])
+    return V
+
+
 def geodesic_dist(R1: np.ndarray, R2: np.ndarray) -> float:
     """Rotation angle of R1^T R2, i.e. the geodesic distance on the group."""
     return float(np.linalg.norm(log_map(np.asarray(R1).T @ np.asarray(R2))))
@@ -235,7 +314,7 @@ class RotationState:
         Cheap to call every iteration: blocks within 1e-12 of orthonormal
         are left untouched.
         """
-        eye = np.eye(self.d)
-        for i, R in enumerate(self.mats):
-            if np.linalg.norm(R.T @ R - eye) > _ORTHO_DRIFT_TOL:
-                self.mats[i] = project_to_rotation(R)
+        G = np.swapaxes(self.mats, 1, 2) @ self.mats - np.eye(self.d)
+        drift = np.sqrt(np.einsum("kij,kij->k", G, G))
+        for i in np.flatnonzero(drift > _ORTHO_DRIFT_TOL):
+            self.mats[i] = project_to_rotation(self.mats[i])

@@ -67,13 +67,10 @@ def rotation_rmse(R_a, R_b) -> RotationRMSE:
     D[-1, -1] = np.sign(np.linalg.det(U @ Vt))
     S = U @ D @ Vt
 
-    frob_sq = 0.0
-    ang_sq = 0.0
-    for i in range(n):
-        E = S @ A[i] @ B[i].T
-        frob_sq += np.sum((S @ A[i] - B[i]) ** 2)
-        cos = (np.trace(E) - (d - 2)) / 2.0
-        ang_sq += math.acos(min(1.0, max(-1.0, cos))) ** 2
+    SA = S @ A
+    frob_sq = np.sum((SA - B) ** 2)
+    cos = (np.trace(SA @ np.swapaxes(B, 1, 2), axis1=1, axis2=2) - (d - 2)) / 2.0
+    ang_sq = np.sum(np.arccos(np.clip(cos, -1.0, 1.0)) ** 2)
     return RotationRMSE(
         degrees=math.degrees(math.sqrt(ang_sq / n)),
         frobenius=math.sqrt(frob_sq / n),

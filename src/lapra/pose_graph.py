@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .manifold import RotationState, exp_map, log_map, random_rotation, tangent_dim
 
 __all__ = [
     "GraphError",
     "Edge",
+    "EdgeArrays",
     "MeasurementGraph",
+    "edge_arrays",
+    "scatter_edge_rows",
     "Partition",
     "SyntheticSpec",
     "load_g2o",
@@ -73,42 +79,93 @@ class MeasurementGraph:
         return adj
 
     def validate(self, rot_tol: float = 1e-9) -> None:
-        """Check index ranges, rotation validity, duplicates and connectivity."""
-        seen = set()
-        eye = np.eye(self.d)
-        for k, e in enumerate(self.edges):
-            if e.i == e.j:
-                raise GraphError(f"edge {k} is a self loop at vertex {e.i}")
-            if not (0 <= e.i < self.n and 0 <= e.j < self.n):
-                raise GraphError(f"edge {k} touches a vertex outside 0..{self.n - 1}")
-            key = (min(e.i, e.j), max(e.i, e.j))
-            if key in seen:
-                raise GraphError(f"duplicate measurement between {key[0]} and {key[1]}")
-            seen.add(key)
-            R = e.R_tilde
-            if R.shape != (self.d, self.d):
-                raise GraphError(f"edge {k} rotation has shape {R.shape}")
-            if np.linalg.norm(R.T @ R - eye) > rot_tol or np.linalg.det(R) < 0:
-                raise GraphError(f"edge {k} rotation is not orthonormal within {rot_tol}")
-            if e.kappa <= 0 or e.tau <= 0:
-                raise GraphError(f"edge {k} has non-positive weight")
-        if self.edges and not self.is_connected():
+        """Check index ranges, rotation validity, duplicates and connectivity.
+
+        Errors name the first offending edge, and for that edge the first
+        failing check in the order: self loop, index range, duplicate,
+        rotation shape, orthonormality, weights.
+        """
+        m = len(self.edges)
+        if m == 0:
+            return
+        I = np.array([e.i for e in self.edges])
+        J = np.array([e.j for e in self.edges])
+        lo, hi = np.minimum(I, J), np.maximum(I, J)
+        _, first, inverse = np.unique(np.stack([lo, hi], axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        good_shape = np.array([e.R_tilde.shape == (self.d, self.d) for e in self.edges])
+        not_rotation = np.zeros(m, dtype=bool)
+        if good_shape.any():
+            R = np.stack([e.R_tilde for e, ok in zip(self.edges, good_shape) if ok])
+            G = np.swapaxes(R, 1, 2) @ R - np.eye(self.d)
+            not_rotation[good_shape] = (np.sqrt(np.einsum("kij,kij->k", G, G)) > rot_tol) | (
+                np.linalg.det(R) < 0
+            )
+        weights = np.array([(e.kappa, e.tau) for e in self.edges], dtype=float)
+        checks = [
+            (I == J, lambda k: f"edge {k} is a self loop at vertex {I[k]}"),
+            ((I < 0) | (I >= self.n) | (J < 0) | (J >= self.n),
+             lambda k: f"edge {k} touches a vertex outside 0..{self.n - 1}"),
+            (first[inverse.ravel()] != np.arange(m),
+             lambda k: f"duplicate measurement between {lo[k]} and {hi[k]}"),
+            (~good_shape, lambda k: f"edge {k} rotation has shape {self.edges[k].R_tilde.shape}"),
+            (not_rotation, lambda k: f"edge {k} rotation is not orthonormal within {rot_tol}"),
+            ((weights <= 0).any(axis=1), lambda k: f"edge {k} has non-positive weight"),
+        ]
+        failed = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+        if failed.size:
+            k = failed[0]
+            message = next(msg for mask, msg in checks if mask[k])
+            raise GraphError(message(k))
+        if not self.is_connected():
             raise GraphError("measurement graph is not connected")
 
     def is_connected(self) -> bool:
         if self.n == 0:
             return False
-        adj = self.adjacency()
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return bool(seen.all())
+        I = np.array([e.i for e in self.edges], dtype=int)
+        J = np.array([e.j for e in self.edges], dtype=int)
+        adj = coo_matrix((np.ones(I.size), (I, J)), shape=(self.n, self.n))
+        return connected_components(adj, directed=False, return_labels=False) == 1
+
+
+class EdgeArrays(NamedTuple):
+    """The edges of a MeasurementGraph as arrays, one row per edge in list order."""
+
+    I: np.ndarray  # (m,) first endpoints
+    J: np.ndarray  # (m,) second endpoints
+    R_tilde: np.ndarray  # (m, d, d)
+    t_tilde: np.ndarray  # (m, d)
+    kappa: np.ndarray  # (m,)
+    tau: np.ndarray  # (m,)
+
+
+def edge_arrays(g: MeasurementGraph) -> EdgeArrays:
+    """Pack the edge list into arrays for the batched per-edge kernels.
+
+    This copies: later changes to the Edge objects are not seen, so pack
+    again after editing a graph.
+    """
+    m, d = len(g.edges), g.d
+    return EdgeArrays(
+        I=np.array([e.i for e in g.edges], dtype=np.intp),
+        J=np.array([e.j for e in g.edges], dtype=np.intp),
+        R_tilde=np.array([e.R_tilde for e in g.edges], dtype=float).reshape(m, d, d),
+        t_tilde=np.array([e.t_tilde for e in g.edges], dtype=float).reshape(m, d),
+        kappa=np.array([e.kappa for e in g.edges], dtype=float),
+        tau=np.array([e.tau for e in g.edges], dtype=float),
+    )
+
+
+def scatter_edge_rows(n: int, I: np.ndarray, J: np.ndarray, X_i: np.ndarray, X_j: np.ndarray) -> np.ndarray:
+    """Sum row k of X_i into row I[k] and of X_j into row J[k] of an (n, c) array.
+
+    Rows are added in edge order, i before j within an edge, which is
+    the order a loop over the edges would add them.
+    """
+    idx = np.stack([I, J], axis=1).ravel()
+    vals = np.stack([X_i, X_j], axis=1).reshape(idx.size, X_i.shape[1])
+    return np.stack([np.bincount(idx, weights=vals[:, c], minlength=n) for c in range(vals.shape[1])], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from .laplacians import (
     laplacian,
     solve_grounded,
 )
-from .manifold import NumericalError, RotationState, exp_map, hat, log_map
+from .manifold import NumericalError, RotationState, exp_map_batch, hat, log_map, log_map_batch
 from .metrics import gamma_factor
-from .pose_graph import MeasurementGraph, Partition
+from .pose_graph import EdgeArrays, MeasurementGraph, Partition, edge_arrays, scatter_edge_rows
 
 __all__ = [
     "Distance",
@@ -74,9 +74,9 @@ GEODESIC = Distance(
 
 CHORDAL = Distance(
     name="chordal",
-    rho=lambda t: 2.0 - 2.0 * math.cos(t),
-    rho_dot=lambda t: 2.0 * math.sin(t),
-    rho_ddot=lambda t: 2.0 * math.cos(t),
+    rho=lambda t: 2.0 - 2.0 * np.cos(t),
+    rho_dot=lambda t: 2.0 * np.sin(t),
+    rho_ddot=lambda t: 2.0 * np.cos(t),
     laplacian_scale=2.0,
     hessian_limit_scale=2.0,
 )
@@ -142,6 +142,25 @@ def _residual(R_i, R_j, R_tilde) -> np.ndarray:
     return log_map(R_tilde.T @ R_i.T @ R_j)
 
 
+def _edge_gradients(R_i, R_j, R_tilde, kind: Distance):
+    """Costs and tangent-space gradients of m edges at once.
+
+    Takes (m, d, d) stacks and returns (rho(theta), g_i, g_j) with shapes
+    (m,), (m, p) and (m, p). Gradient rows vanish where the residual
+    angle is below 1e-8.
+    """
+    V = log_map_batch(np.swapaxes(R_tilde, 1, 2) @ np.swapaxes(R_i, 1, 2) @ R_j)
+    theta = np.sqrt(np.einsum("ki,ki->k", V, V))
+    moving = theta >= _ZERO_RESIDUAL
+    t = np.where(moving, theta, 1.0)
+    U = V / t[:, None]
+    rd = np.where(moving, kind.rho_dot(t), 0.0)[:, None]
+    if V.shape[1] == 1:
+        return kind.rho(theta), -rd * U, rd * U
+    U = U[:, :, None]
+    return kind.rho(theta), -rd * (R_i @ R_tilde @ U)[:, :, 0], rd * (R_j @ U)[:, :, 0]
+
+
 def edge_gradient(R_i, R_j, R_tilde, kind: Distance) -> tuple[np.ndarray, np.ndarray]:
     """Tangent-space gradient of the edge cost at (R_i, R_j).
 
@@ -149,16 +168,9 @@ def edge_gradient(R_i, R_j, R_tilde, kind: Distance) -> tuple[np.ndarray, np.nda
     blocks (g_i, g_j); both vanish at zero residual. The residual angle
     must stay below pi, where the distance is not differentiable.
     """
-    v = _residual(R_i, R_j, R_tilde)
-    theta = np.linalg.norm(v)
-    p = v.shape[0]
-    if theta < _ZERO_RESIDUAL:
-        return np.zeros(p), np.zeros(p)
-    u = v / theta
-    rd = kind.rho_dot(theta)
-    if p == 1:
-        return -rd * u, rd * u
-    return -rd * (R_i @ R_tilde @ u), rd * (R_j @ u)
+    one_edge = [np.asarray(M, dtype=float)[None] for M in (R_i, R_j, R_tilde)]
+    _, g_i, g_j = _edge_gradients(*one_edge, kind)
+    return g_i[0], g_j[0]
 
 
 def edge_hessian(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
@@ -199,24 +211,16 @@ def edge_hessian(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _gradient_and_cost(g: MeasurementGraph, R: RotationState, kind: Distance) -> tuple[np.ndarray, float]:
-    B = np.zeros((g.n, g.p))
-    total = 0.0
-    for e in g.edges:
-        v = _residual(R.mats[e.i], R.mats[e.j], e.R_tilde)
-        theta = float(np.linalg.norm(v))
-        total += e.kappa * kind.rho(theta)
-        if theta < _ZERO_RESIDUAL:
-            continue
-        u = v / theta
-        rd = kind.rho_dot(theta)
-        if g.p == 1:
-            gi, gj = -rd * u, rd * u
-        else:
-            gi, gj = -rd * (R.mats[e.i] @ e.R_tilde @ u), rd * (R.mats[e.j] @ u)
-        B[e.i] -= e.kappa * gi
-        B[e.j] -= e.kappa * gj
-    return B, total
+def _gradient_and_cost(
+    g: MeasurementGraph, R: RotationState, kind: Distance, edges: EdgeArrays | None = None
+) -> tuple[np.ndarray, float]:
+    """Gradient right-hand side B and total cost; edges is edge_arrays(g), packed here if omitted."""
+    if edges is None:
+        edges = edge_arrays(g)
+    rho, g_i, g_j = _edge_gradients(R.mats[edges.I], R.mats[edges.J], edges.R_tilde, kind)
+    k = edges.kappa[:, None]
+    B = scatter_edge_rows(g.n, edges.I, edges.J, -(k * g_i), -(k * g_j))
+    return B, float(np.sum(edges.kappa * rho))
 
 
 def cost(g: MeasurementGraph, R: RotationState, kind: Distance) -> float:
@@ -242,9 +246,7 @@ def laplacian_weights(g: MeasurementGraph, kind: Distance) -> WeightedGraph:
 
 
 def _apply_update(R: RotationState, V: np.ndarray) -> RotationState:
-    out = R.copy()
-    for i in range(R.n):
-        out.mats[i] = exp_map(V[i]) @ out.mats[i]
+    out = RotationState(exp_map_batch(V) @ R.mats)
     out.renormalize()
     return out
 
@@ -315,11 +317,12 @@ def collaborative_solve(
     )
 
     grad_sep_counts = separator_rows_by_owner(g, partition)
+    edges = edge_arrays(g)
 
     R = R0.copy()
     trace = RunTrace(ledger=ledger)
     for k in range(config.max_iters + 1):
-        B, cost_k = _gradient_and_cost(g, R, kind)
+        B, cost_k = _gradient_and_cost(g, R, kind, edges)
         grad_norm = float(np.linalg.norm(B))
         trace.rows.append(TraceRow(k, grad_norm, cost_k, ledger.total_bytes()))
         if grad_norm <= config.grad_tol:

@@ -15,7 +15,7 @@ import numpy as np
 from . import decomposition as dd
 from .laplacians import DEFAULT_OVERSAMPLING, WeightedGraph, laplacian, solve_grounded
 from .manifold import RotationState
-from .pose_graph import MeasurementGraph, Partition
+from .pose_graph import EdgeArrays, MeasurementGraph, Partition, edge_arrays, scatter_edge_rows
 from .rotation import RunTrace, SolverConfig, TraceRow, separator_rows_by_owner
 
 __all__ = [
@@ -34,27 +34,34 @@ def translation_weights(g: MeasurementGraph) -> WeightedGraph:
     )
 
 
-def assemble_translation_rhs(g: MeasurementGraph, R_hat: RotationState) -> np.ndarray:
+def _rotated_measurements(R_hat: RotationState, edges: EdgeArrays) -> np.ndarray:
+    """R_hat_i t_tilde for every edge, as (m, d) rows."""
+    return (R_hat.mats[edges.I] @ edges.t_tilde[:, :, None])[:, :, 0]
+
+
+def assemble_translation_rhs(
+    g: MeasurementGraph, R_hat: RotationState, edges: EdgeArrays | None = None
+) -> np.ndarray:
     """Right-hand side of the translation normal equations, one row per vertex.
 
     Each measurement pushes tau * (R_hat_i t_tilde) onto its head vertex
-    and pulls it from its tail, so column sums vanish.
+    and pulls it from its tail, so column sums vanish. edges is
+    edge_arrays(g), packed here if omitted.
     """
-    B = np.zeros((g.n, g.d))
-    for e in g.edges:
-        w = e.tau * (R_hat.mats[e.i] @ e.t_tilde)
-        B[e.j] += w
-        B[e.i] -= w
-    return B
+    if edges is None:
+        edges = edge_arrays(g)
+    W = edges.tau[:, None] * _rotated_measurements(R_hat, edges)
+    return scatter_edge_rows(g.n, edges.J, edges.I, W, -W)
 
 
-def translation_cost(g: MeasurementGraph, R_hat: RotationState, t: np.ndarray) -> float:
-    """Weighted squared consistency error of translations t (n x d)."""
-    total = 0.0
-    for e in g.edges:
-        r = t[e.j] - t[e.i] - R_hat.mats[e.i] @ e.t_tilde
-        total += 0.5 * e.tau * float(r @ r)
-    return total
+def translation_cost(
+    g: MeasurementGraph, R_hat: RotationState, t: np.ndarray, edges: EdgeArrays | None = None
+) -> float:
+    """Weighted squared consistency error of translations t (n x d); edges as above."""
+    if edges is None:
+        edges = edge_arrays(g)
+    r = t[edges.J] - t[edges.I] - _rotated_measurements(R_hat, edges)
+    return float(np.sum(0.5 * edges.tau * np.einsum("ki,ki->k", r, r)))
 
 
 def exact_translation_solve(g: MeasurementGraph, R_hat: RotationState) -> np.ndarray:
@@ -100,7 +107,8 @@ def collaborative_translation_solve(
         oversampling=oversampling,
         threads=threads,
     )
-    B = assemble_translation_rhs(g, R_hat)
+    edges = edge_arrays(g)
+    B = assemble_translation_rhs(g, R_hat, edges)
 
     grad_sep_counts = separator_rows_by_owner(g, partition)
 
@@ -110,7 +118,7 @@ def collaborative_translation_solve(
     for k in range(config.max_iters + 1):
         E = B - L @ M
         resid = float(np.linalg.norm(E))
-        trace.rows.append(TraceRow(k, resid, translation_cost(g, R_hat, M), ledger.total_bytes()))
+        trace.rows.append(TraceRow(k, resid, translation_cost(g, R_hat, M, edges), ledger.total_bytes()))
         if keep_iterates:
             iterates.append(M.copy())
         if resid <= config.grad_tol:

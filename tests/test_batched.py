@@ -1,0 +1,273 @@
+"""Batched per-edge kernels against the per-edge loops they replaced.
+
+The references below are the loop forms of the gradient, retraction,
+translation and RMSE code, built on the scalar exp_map and log_map. The
+batched code sums in another order in places, so results must agree to
+1e-12 relative rather than bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lapra.manifold import (
+    NumericalError,
+    RotationState,
+    exp_map,
+    exp_map_batch,
+    log_map,
+    log_map_batch,
+    project_to_rotation,
+    random_rotation,
+)
+from lapra.metrics import rotation_rmse
+from lapra.pose_graph import Edge, GraphError, MeasurementGraph, edge_arrays
+from lapra.rotation import CHORDAL, GEODESIC, _apply_update, _gradient_and_cost, edge_gradient
+from lapra.translation import assemble_translation_rhs, translation_cost
+
+REL = 1e-12
+
+
+def _close(a, b, rel=REL):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.abs(a - b).max(initial=0.0) <= rel * max(1.0, np.abs(b).max(initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# Loop references
+
+
+def _ref_gradient_and_cost(g, R, kind):
+    B = np.zeros((g.n, g.p))
+    total = 0.0
+    for e in g.edges:
+        v = log_map(e.R_tilde.T @ R.mats[e.i].T @ R.mats[e.j])
+        theta = float(np.linalg.norm(v))
+        total += e.kappa * kind.rho(theta)
+        if theta < 1e-8:
+            continue
+        u = v / theta
+        rd = kind.rho_dot(theta)
+        if g.p == 1:
+            gi, gj = -rd * u, rd * u
+        else:
+            gi, gj = -rd * (R.mats[e.i] @ e.R_tilde @ u), rd * (R.mats[e.j] @ u)
+        B[e.i] -= e.kappa * gi
+        B[e.j] -= e.kappa * gj
+    return B, total
+
+
+def _ref_renormalize(mats):
+    eye = np.eye(mats.shape[1])
+    for i, R in enumerate(mats):
+        if np.linalg.norm(R.T @ R - eye) > 1e-12:
+            mats[i] = project_to_rotation(R)
+
+
+def _ref_apply_update(R, V):
+    mats = R.mats.copy()
+    for i in range(R.n):
+        mats[i] = exp_map(V[i]) @ mats[i]
+    _ref_renormalize(mats)
+    return mats
+
+
+def _ref_translation_rhs(g, R_hat):
+    B = np.zeros((g.n, g.d))
+    for e in g.edges:
+        w = e.tau * (R_hat.mats[e.i] @ e.t_tilde)
+        B[e.j] += w
+        B[e.i] -= w
+    return B
+
+
+def _ref_translation_cost(g, R_hat, t):
+    total = 0.0
+    for e in g.edges:
+        r = t[e.j] - t[e.i] - R_hat.mats[e.i] @ e.t_tilde
+        total += 0.5 * e.tau * float(r @ r)
+    return total
+
+
+def _ref_rotation_rmse(A, B, S):
+    d = A.shape[1]
+    frob_sq = ang_sq = 0.0
+    for Ai, Bi in zip(A, B):
+        frob_sq += np.sum((S @ Ai - Bi) ** 2)
+        cos = (np.trace(S @ Ai @ Bi.T) - (d - 2)) / 2.0
+        ang_sq += math.acos(min(1.0, max(-1.0, cos))) ** 2
+    return math.degrees(math.sqrt(ang_sq / len(A))), math.sqrt(frob_sq / len(A))
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+
+
+def _tangent(rng, p, angle):
+    v = rng.standard_normal(p)
+    return angle * v / np.linalg.norm(v)
+
+
+# residual angles covering every branch: zero, below 1e-8, the log series
+# below 1e-4, generic, and beyond the 2.9 rad near-pi switch
+_ANGLES = (0.0, 3e-9, 5e-5, 0.3, 1.7, 2.95, 3.1)
+
+
+def _random_problem(d, seed, n=14, extra=12):
+    """Connected graph whose edge residuals at the returned rotations span every branch."""
+    rng = np.random.default_rng(seed)
+    p = d * (d - 1) // 2
+    R = RotationState(np.stack([random_rotation(d, rng) for _ in range(n)]))
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}  # random spanning tree
+    while len(pairs) < n - 1 + extra:
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        if (i, j) not in pairs and (j, i) not in pairs:
+            pairs.add((i, j))
+    edges = []
+    for k, (i, j) in enumerate(sorted(pairs)):
+        angle = _ANGLES[k % len(_ANGLES)]
+        noise = exp_map(_tangent(rng, p, angle)) if angle > 0 else np.eye(d)
+        R_tilde = R.mats[i].T @ R.mats[j] @ noise.T
+        edges.append(Edge(i, j, R_tilde, rng.standard_normal(d),
+                          kappa=float(rng.uniform(0.5, 2.0)), tau=float(rng.uniform(0.5, 2.0))))
+    g = MeasurementGraph(d=d, n=n, edges=edges)
+    g.validate()
+    return g, R
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", [GEODESIC, CHORDAL], ids=lambda k: k.name)
+@pytest.mark.parametrize("seed", range(4))
+def test_gradient_and_cost_match_edge_loop(d, kind, seed):
+    g, R = _random_problem(d, seed)
+    B_ref, cost_ref = _ref_gradient_and_cost(g, R, kind)
+    B, cost = _gradient_and_cost(g, R, kind)
+    _close(B, B_ref)
+    _close(cost, cost_ref)
+    # the packed arrays passed in give the same result as packing inside
+    B_packed, cost_packed = _gradient_and_cost(g, R, kind, edge_arrays(g))
+    assert np.array_equal(B_packed, B) and cost_packed == cost
+
+
+def test_problem_covers_every_residual_branch():
+    for d in (2, 3):
+        g, R = _random_problem(d, 0)
+        E = edge_arrays(g)
+        V = log_map_batch(np.swapaxes(E.R_tilde, 1, 2) @ np.swapaxes(R.mats[E.I], 1, 2) @ R.mats[E.J])
+        theta = np.linalg.norm(V, axis=1)
+        assert (theta < 1e-8).sum() >= 2
+        assert ((theta > 1e-8) & (theta < 1e-4)).any()
+        assert (theta >= 2.9).sum() >= 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_edge_gradient_is_the_single_edge_case(d):
+    g, R = _random_problem(d, 5)
+    for kind in (GEODESIC, CHORDAL):
+        for e in g.edges:
+            one = MeasurementGraph(d=d, n=g.n, edges=[e])
+            gi, gj = edge_gradient(R.mats[e.i], R.mats[e.j], e.R_tilde, kind)
+            B, _ = _gradient_and_cost(one, R, kind)
+            assert np.array_equal(B[e.i], -e.kappa * gi) and np.array_equal(B[e.j], -e.kappa * gj)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_exp_map_batch_matches_scalar_rows(p):
+    rng = np.random.default_rng(11)
+    V = np.stack([_tangent(rng, p, a) for a in (*_ANGLES, 1e-12, 0.0, 6.0)])
+    Rs = exp_map_batch(V)
+    assert Rs.shape == (len(V), p if p == 3 else 2, p if p == 3 else 2)
+    for v, R in zip(V, Rs):
+        _close(R, exp_map(v), rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_log_map_batch_matches_scalar_rows(d):
+    rng = np.random.default_rng(12)
+    p = d * (d - 1) // 2
+    Rs = np.stack([np.eye(d)] + [exp_map(_tangent(rng, p, a)) for a in (*_ANGLES, 1e-10, math.pi - 1e-5)])
+    V = log_map_batch(Rs)
+    assert V.shape == (len(Rs), p)
+    for R, v in zip(Rs, V):
+        _close(v, log_map(R))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_log_map_batch_raises_near_pi(d):
+    p = d * (d - 1) // 2
+    near = exp_map(np.full(p, (math.pi - 1e-7) / math.sqrt(p)))
+    with pytest.raises(NumericalError):
+        log_map(near)
+    with pytest.raises(NumericalError):
+        log_map_batch(np.stack([np.eye(d), near, np.eye(d)]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_apply_update_matches_loop(d):
+    rng = np.random.default_rng(13)
+    p = d * (d - 1) // 2
+    R = RotationState(np.stack([random_rotation(d, rng) for _ in range(20)]))
+    V = rng.standard_normal((20, p))
+    _close(_apply_update(R, V).mats, _ref_apply_update(R, V))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_apply_update_projects_exactly_the_drifted_blocks(d):
+    rng = np.random.default_rng(14)
+    n = 12
+    R = RotationState(np.stack([random_rotation(d, rng) for _ in range(n)]))
+    drifted = [1, 4, 5, 10]
+    for i in drifted:
+        R.mats[i] += 1e-9 * rng.standard_normal((d, d))
+    R.mats[7] += 1e-15 * rng.standard_normal((d, d))  # drift below the 1e-12 threshold
+    out = _apply_update(R, np.zeros((n, d * (d - 1) // 2)))  # exp(0) @ R == R exactly
+    changed = [i for i in range(n) if not np.array_equal(out.mats[i], R.mats[i])]
+    assert changed == drifted
+    for i in drifted:
+        assert np.array_equal(out.mats[i], project_to_rotation(R.mats[i]))
+    assert np.array_equal(out.mats, _ref_apply_update(R, np.zeros((n, d * (d - 1) // 2))))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_translation_rhs_and_cost_match_edge_loop(d, seed):
+    g, R = _random_problem(d, seed)
+    t = np.random.default_rng(seed).standard_normal((g.n, d))
+    _close(assemble_translation_rhs(g, R), _ref_translation_rhs(g, R))
+    _close(translation_cost(g, R, t), _ref_translation_cost(g, R, t))
+    E = edge_arrays(g)
+    assert translation_cost(g, R, t, E) == translation_cost(g, R, t)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rotation_rmse_matches_vertex_loop(d):
+    rng = np.random.default_rng(15)
+    p = d * (d - 1) // 2
+    A = np.stack([random_rotation(d, rng) for _ in range(30)])
+    B = np.stack([exp_map(_tangent(rng, p, 0.2)) @ a for a in A])
+    err = rotation_rmse(A, B)
+    deg, frob = _ref_rotation_rmse(A, B, err.alignment)
+    _close(err.degrees, deg)
+    _close(err.frobenius, frob)
+
+
+def test_validate_names_the_first_offending_edge():
+    R, t = np.eye(3), np.zeros(3)
+    edges = [Edge(0, 1, R, t), Edge(1, 2, R, t), Edge(2, 3, 2.0 * R, t), Edge(3, 3, R, t)]
+    with pytest.raises(GraphError, match="edge 2 rotation is not orthonormal"):
+        MeasurementGraph(3, 4, edges).validate()
+    edges[1] = Edge(1, 2, R, t, tau=-1.0)
+    with pytest.raises(GraphError, match="edge 1 has non-positive weight"):
+        MeasurementGraph(3, 4, edges).validate()
+    edges[1] = Edge(1, 0, R, t)
+    with pytest.raises(GraphError, match="duplicate measurement between 0 and 1"):
+        MeasurementGraph(3, 4, edges).validate()
+    edges[1] = Edge(1, 2, np.eye(2), t, kappa=0.0)
+    with pytest.raises(GraphError, match=r"edge 1 rotation has shape \(2, 2\)"):
+        MeasurementGraph(3, 4, edges).validate()

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -182,6 +183,27 @@ def test_pipeline_zero_noise_recovers_reference(tmp_path):
     assert final["translation_converged"] is True
     _, saved = load_g2o(str(poses))
     assert saved is not None and saved[0].n == 64
+
+
+def test_pipeline_writes_staged_trace_and_ledger(tmp_path):
+    graph, _ = _synth(tmp_path, side=3)
+    report, trace, ledger = (tmp_path / f for f in ("pipe.json", "trace.csv", "ledger.csv"))
+    rc = main(["pipeline", "--input", graph, "--robots", "2", "--seed", "0", "--report", str(report),
+               "--trace", str(trace), "--ledger", str(ledger)])
+    assert rc == 0
+    final = _report(report)["final"]
+    with open(trace) as fh:
+        trace_rows = list(csv.DictReader(fh))
+    with open(ledger) as fh:
+        ledger_rows = list(csv.DictReader(fh))
+    assert list(trace_rows[0]) == ["stage", "iter", "grad_norm", "cost", "cum_upload_bytes"]
+    assert list(ledger_rows[0]) == ["stage", "round", "robot", "kind", "scalars", "bytes"]
+    for stage in ("rotation", "translation"):
+        rows = [r for r in trace_rows if r["stage"] == stage]
+        assert len(rows) == final[f"{stage}_iterations"] + 1
+        assert [int(r["iter"]) for r in rows] == list(range(len(rows)))
+    assert {r["stage"] for r in ledger_rows} == {"rotation", "translation"}
+    assert sum(int(r["bytes"]) for r in ledger_rows) == final["total_upload_bytes"]
 
 
 def test_newton_method(tmp_path):
