@@ -6,168 +6,35 @@ with a central server. Each solver iteration works on a fixed graph
 Laplacian surrogate of the cost Hessian; the reduced separator system is
 compressed once by effective-resistance sampling and reused, and every
 robot-to-server upload is metered.
+
+The package exports what the quick start needs; everything else is
+imported from its submodule (lapra.rotation, lapra.decomposition, ...).
 """
 
-from .manifold import (
-    NumericalError,
-    RotationState,
-    chordal_sq,
-    exp_map,
-    geodesic_dist,
-    hat,
-    log_map,
-    project_to_rotation,
-    random_rotation,
-    tangent_dim,
-    vee,
-)
+from .manifold import NumericalError
 from .pose_graph import (
-    Edge,
     GraphError,
-    MeasurementGraph,
-    Partition,
     SyntheticSpec,
     generate_grid,
-    grid_positions,
-    load_g2o,
     partition_contiguous,
     spanning_tree_init,
-    write_g2o,
 )
-from .laplacians import (
-    DEFAULT_OVERSAMPLING,
-    EpsilonReport,
-    WeightedGraph,
-    check_epsilon,
-    effective_resistances,
-    graph_from_laplacian,
-    heuristic_sparsify,
-    laplacian,
-    schur_complement,
-    solve_grounded,
-    sparsify,
-    upper_triangle_nnz,
-)
-from .decomposition import (
-    BYTES_PER_SCALAR,
-    SCHUR_MODES,
-    CommsLedger,
-    LedgerEvent,
-    RobotBlock,
-    ServerState,
-    build_blocks,
-    sparsified_schur,
-)
-from .rotation import (
-    CHORDAL,
-    GEODESIC,
-    Distance,
-    HessianReport,
-    RunTrace,
-    SolverConfig,
-    TraceRow,
-    assemble_full_hessian,
-    assemble_gradient_rhs,
-    centralized_step,
-    collaborative_solve,
-    cost,
-    distance_by_name,
-    edge_gradient,
-    edge_hessian,
-    exact_newton_step,
-    hessian_report,
-    laplacian_weights,
-)
-from .translation import (
-    assemble_translation_rhs,
-    collaborative_translation_solve,
-    exact_translation_solve,
-    translation_cost,
-    translation_weights,
-)
-from .metrics import (
-    RateEstimate,
-    RotationRMSE,
-    c_epsilon,
-    gamma_factor,
-    rate_estimate,
-    rotation_rmse,
-    translation_rmse,
-)
+from .rotation import SolverConfig, collaborative_solve
+from .translation import collaborative_translation_solve
+from .metrics import c_epsilon, rotation_rmse
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BYTES_PER_SCALAR",
-    "CHORDAL",
-    "CommsLedger",
-    "DEFAULT_OVERSAMPLING",
-    "Distance",
-    "Edge",
-    "EpsilonReport",
-    "GEODESIC",
     "GraphError",
-    "HessianReport",
-    "LedgerEvent",
-    "MeasurementGraph",
     "NumericalError",
-    "Partition",
-    "RateEstimate",
-    "RobotBlock",
-    "RotationRMSE",
-    "RotationState",
-    "RunTrace",
-    "SCHUR_MODES",
-    "ServerState",
     "SolverConfig",
     "SyntheticSpec",
-    "TraceRow",
-    "WeightedGraph",
-    "assemble_full_hessian",
-    "assemble_gradient_rhs",
-    "assemble_translation_rhs",
-    "build_blocks",
     "c_epsilon",
-    "centralized_step",
-    "check_epsilon",
-    "chordal_sq",
     "collaborative_solve",
     "collaborative_translation_solve",
-    "cost",
-    "distance_by_name",
-    "edge_gradient",
-    "edge_hessian",
-    "effective_resistances",
-    "exact_newton_step",
-    "exact_translation_solve",
-    "exp_map",
-    "gamma_factor",
     "generate_grid",
-    "geodesic_dist",
-    "graph_from_laplacian",
-    "grid_positions",
-    "hat",
-    "hessian_report",
-    "heuristic_sparsify",
-    "laplacian",
-    "laplacian_weights",
-    "load_g2o",
-    "log_map",
     "partition_contiguous",
-    "project_to_rotation",
-    "random_rotation",
-    "rate_estimate",
     "rotation_rmse",
-    "schur_complement",
-    "solve_grounded",
     "spanning_tree_init",
-    "sparsified_schur",
-    "sparsify",
-    "tangent_dim",
-    "translation_cost",
-    "translation_rmse",
-    "translation_weights",
-    "upper_triangle_nnz",
-    "vee",
-    "write_g2o",
 ]

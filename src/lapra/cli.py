@@ -21,9 +21,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .decomposition import CommsLedger
 from .laplacians import DEFAULT_OVERSAMPLING
-from .manifold import NumericalError, RotationState
+from .manifold import NumericalError
 from .metrics import rotation_rmse, translation_rmse
 from .pose_graph import (
     GraphError,
@@ -39,12 +38,11 @@ from .pose_graph import (
 from .rotation import (
     RunTrace,
     SolverConfig,
-    TraceRow,
-    _gradient_and_cost,
+    centralized_solve,
     collaborative_solve,
     distance_by_name,
-    exact_newton_step,
     hessian_report,
+    newton_solve,
 )
 from .translation import collaborative_translation_solve, translation_cost
 
@@ -127,27 +125,6 @@ def _trace_dicts(trace: RunTrace) -> list[dict]:
     ]
 
 
-def _newton_solve(g, partition, R0, config: SolverConfig):
-    """Exact Newton loop with per-iteration Hessian Schur uploads metered."""
-    kind = distance_by_name(config.distance)
-    ledger = CommsLedger()
-    trace = RunTrace(ledger=ledger)
-    R = R0.copy()
-    for k in range(config.max_iters + 1):
-        B, cost_k = _gradient_and_cost(g, R, kind)
-        grad_norm = float(np.linalg.norm(B))
-        trace.rows.append(TraceRow(k, grad_norm, cost_k, ledger.total_bytes()))
-        if grad_norm <= config.grad_tol:
-            trace.converged = True
-            break
-        if k == config.max_iters:
-            break
-        round_idx = ledger.begin_round()
-        R = exact_newton_step(g, R, kind, partition=partition, ledger=ledger, round_idx=round_idx)
-        trace.iterations = k + 1
-    return R, trace
-
-
 # ---------------------------------------------------------------------------
 # synth
 
@@ -171,10 +148,14 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # solve-rotation
 
-def _rotation_run(g, args):
+def _split_args(g, args):
+    """The partition, seed and thread count every solve stage of one command shares."""
     seed = _resolve_seed(args.seed)
     threads = _resolve_threads(args.threads)
-    partition = partition_contiguous(g, args.robots)
+    return partition_contiguous(g, args.robots), seed, threads
+
+
+def _rotation_run(g, args, partition, seed, threads):
     config = SolverConfig(
         epsilon=args.epsilon,
         distance=args.distance,
@@ -185,7 +166,7 @@ def _rotation_run(g, args):
     R0 = spanning_tree_init(g)
     t0 = time.perf_counter()
     if args.method == "newton":
-        R, trace = _newton_solve(g, partition, R0, config)
+        R, trace = newton_solve(g, partition, R0, config)
     else:
         R, trace = collaborative_solve(
             g,
@@ -214,7 +195,7 @@ def _rotation_run(g, args):
 
 def cmd_solve_rotation(args) -> int:
     g, _ = _load_graph(args.input)
-    R, trace, config_echo, wall = _rotation_run(g, args)
+    R, trace, config_echo, wall = _rotation_run(g, args, *_split_args(g, args))
     final = {
         "converged": trace.converged,
         "iterations": trace.iterations,
@@ -250,9 +231,7 @@ def cmd_solve_translation(args) -> int:
         raise GraphError("no rotation estimates: pass --rotations or a g2o file with vertices")
     if R_hat.n != g.n:
         raise GraphError(f"rotation count {R_hat.n} does not match graph size {g.n}")
-    seed = _resolve_seed(args.seed)
-    threads = _resolve_threads(args.threads)
-    partition = partition_contiguous(g, args.robots)
+    partition, seed, threads = _split_args(g, args)
     config = SolverConfig(
         epsilon=args.epsilon,
         grad_tol=args.resid_tol,
@@ -307,9 +286,8 @@ def cmd_solve_translation(args) -> int:
 # validate-hessian
 
 def cmd_validate_hessian(args) -> int:
-    from .rotation import assemble_gradient_rhs, centralized_step
-
     kind = distance_by_name(args.distance)
+    warm_up = SolverConfig(distance=args.distance, grad_tol=1e-8, max_iters=40)
     base_seed = _resolve_seed(args.seed)
     lines = ["sigma_deg,seed,delta,lambda2,lambda_max,kappa,gamma"]
     for sigma_deg in args.sigma_deg:
@@ -322,11 +300,7 @@ def cmd_validate_hessian(args) -> int:
                 seed=base_seed + k,
             )
             g, _ = generate_grid(spec)
-            R = spanning_tree_init(g)
-            for _ in range(40):
-                if np.linalg.norm(assemble_gradient_rhs(g, R, kind)) <= 1e-8:
-                    break
-                R = centralized_step(g, R, kind)
+            R, _ = centralized_solve(g, spanning_tree_init(g), warm_up)
             rep = hessian_report(g, R, kind, epsilon=args.epsilon)
             lines.append(
                 f"{sigma_deg},{base_seed + k},{rep.delta_empirical!r},{rep.lambda2!r},"
@@ -346,18 +320,17 @@ def cmd_validate_hessian(args) -> int:
 
 def cmd_pipeline(args) -> int:
     g, _ = _load_graph(args.input)
-    R, rot_trace, config_echo, rot_wall = _rotation_run(g, args)
+    partition, seed, threads = _split_args(g, args)
+    R, rot_trace, config_echo, rot_wall = _rotation_run(g, args, partition, seed, threads)
     t_config = SolverConfig(
         epsilon=args.epsilon,
         grad_tol=args.resid_tol,
         max_iters=args.max_iters,
-        seed=_resolve_seed(args.seed),
+        seed=seed,
     )
-    partition = partition_contiguous(g, args.robots)
     t0 = time.perf_counter()
     M, tr_trace = collaborative_translation_solve(
-        g, partition, R, t_config,
-        oversampling=args.oversampling, threads=_resolve_threads(args.threads),
+        g, partition, R, t_config, oversampling=args.oversampling, threads=threads
     )
     tr_wall = time.perf_counter() - t0
     final = {

@@ -29,8 +29,6 @@ __all__ = [
     "heuristic_sparsify",
     "solve_grounded",
     "upper_triangle_nnz",
-    "save_triplets",
-    "load_triplets",
     "DEFAULT_OVERSAMPLING",
     "EpsilonReport",
 ]
@@ -366,23 +364,3 @@ def upper_triangle_nnz(A: sp.spmatrix) -> int:
     A.eliminate_zeros()
     return int(sp.triu(A, k=0).nnz)
 
-
-def save_triplets(path: str, A: sp.spmatrix) -> None:
-    """Plain-text triplet dump: a header line "n m", then "row col value"."""
-    C = sp.coo_matrix(A)
-    with open(path, "w") as fh:
-        fh.write(f"{C.shape[0]} {C.nnz}\n")
-        for r, c, v in zip(C.row, C.col, C.data):
-            fh.write(f"{r} {c} {format(float(v), '.17g')}\n")
-
-
-def load_triplets(path: str) -> sp.csr_matrix:
-    with open(path) as fh:
-        n, m = (int(s) for s in fh.readline().split())
-        rows, cols, vals = [], [], []
-        for _ in range(m):
-            r, c, v = fh.readline().split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))

@@ -402,9 +402,6 @@ class Partition:
     interiors: list[np.ndarray]
     separators: np.ndarray
 
-    def robot_vertices(self, a: int) -> np.ndarray:
-        return np.flatnonzero(self.owner == a)
-
     @classmethod
     def from_owner(cls, owner: np.ndarray, pairs) -> "Partition":
         """Build the separator bookkeeping for a given ownership map.

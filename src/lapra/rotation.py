@@ -42,9 +42,13 @@ __all__ = [
     "cost",
     "assemble_gradient_rhs",
     "laplacian_weights",
+    "iterate",
+    "split_setup",
     "centralized_step",
+    "centralized_solve",
     "collaborative_solve",
     "exact_newton_step",
+    "newton_solve",
     "assemble_full_hessian",
     "hessian_report",
     "HessianReport",
@@ -130,6 +134,47 @@ class RunTrace:
             with open(path, "w") as fh:
                 fh.write(text)
         return text
+
+
+def iterate(
+    x0,
+    measure,
+    step,
+    config: SolverConfig,
+    ledger: dd.CommsLedger,
+    upload_rows: np.ndarray | None = None,
+    keep_iterates: bool = False,
+) -> tuple[object, RunTrace]:
+    """The outer loop every solver shares: measure, then stop or step.
+
+    measure(x) returns (residual, cost) and adds a trace row. The loop
+    stops once the residual norm is at most config.grad_tol (converged)
+    or after config.max_iters steps; non-convergence is reported in the
+    trace, not raised. Each step opens a ledger round, meters robot a's
+    upload of upload_rows[a] residual rows as "partial_grad" (nothing if
+    upload_rows is None), then takes x = step(x, residual, round_idx).
+    keep_iterates=True keeps a copy of the iterate behind every row.
+    """
+    x = x0
+    trace = RunTrace(ledger=ledger, iterates=[] if keep_iterates else None)
+    for k in range(config.max_iters + 1):
+        residual, cost_k = measure(x)
+        norm = float(np.linalg.norm(residual))
+        trace.rows.append(TraceRow(k, norm, cost_k, ledger.total_bytes()))
+        if keep_iterates:
+            trace.iterates.append(x.copy())
+        if norm <= config.grad_tol:
+            trace.converged = True
+            break
+        if k == config.max_iters:
+            break
+        round_idx = ledger.begin_round()
+        if upload_rows is not None:
+            for a, rows in enumerate(upload_rows):
+                ledger.record(round_idx, a, "partial_grad", int(rows) * residual.shape[1])
+        x = step(x, residual, round_idx)
+        trace.iterations = k + 1
+    return x, trace
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +316,21 @@ def separator_rows_by_owner(g: MeasurementGraph, partition: Partition) -> np.nda
 # ---------------------------------------------------------------------------
 # Solvers
 
+def split_setup(L, partition: Partition, config: SolverConfig, schur_mode: str,
+                oversampling: float, threads: int):
+    """Split L across the robots and upload each one's compressed separator block.
+
+    Returns (blocks, server, ledger); the uploads are round 0 of the
+    ledger, and sampling draws from a generator seeded with config.seed.
+    """
+    blocks, server = dd.build_blocks(L, partition)
+    ledger = dd.CommsLedger()
+    rng = np.random.default_rng(config.seed)
+    dd.sparsified_schur(blocks, server, config.epsilon, rng, ledger=ledger, mode=schur_mode,
+                        oversampling=oversampling, threads=threads)
+    return blocks, server, ledger
+
+
 def centralized_step(g: MeasurementGraph, R: RotationState, kind: Distance) -> RotationState:
     """One exact surrogate step: solve the weighted Laplacian system and retract.
 
@@ -281,6 +341,22 @@ def centralized_step(g: MeasurementGraph, R: RotationState, kind: Distance) -> R
     B = assemble_gradient_rhs(g, R, kind)
     V = solve_grounded(L, B)
     return _apply_update(R, V)
+
+
+def centralized_solve(
+    g: MeasurementGraph, R0: RotationState, config: SolverConfig
+) -> tuple[RotationState, RunTrace]:
+    """Iterate centralized_step until config's stop test; nothing is uploaded."""
+    kind = distance_by_name(config.distance)
+    L = laplacian(laplacian_weights(g, kind))
+    edges = edge_arrays(g)
+    return iterate(
+        R0.copy(),
+        lambda R: _gradient_and_cost(g, R, kind, edges),
+        lambda R, B, _: _apply_update(R, solve_grounded(L, B)),
+        config,
+        dd.CommsLedger(),
+    )
 
 
 def collaborative_solve(
@@ -302,44 +378,19 @@ def collaborative_solve(
     """
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
-    blocks, server = dd.build_blocks(L, partition)
-    ledger = dd.CommsLedger()
-    rng = np.random.default_rng(config.seed)
-    dd.sparsified_schur(
-        blocks,
-        server,
-        config.epsilon,
-        rng,
-        ledger=ledger,
-        mode=schur_mode,
-        oversampling=oversampling,
-        threads=threads,
-    )
-
-    grad_sep_counts = separator_rows_by_owner(g, partition)
+    blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
+    upload_rows = separator_rows_by_owner(g, partition) if partition.separators.size else None
     edges = edge_arrays(g)
 
-    R = R0.copy()
-    trace = RunTrace(ledger=ledger)
-    for k in range(config.max_iters + 1):
-        B, cost_k = _gradient_and_cost(g, R, kind, edges)
-        grad_norm = float(np.linalg.norm(B))
-        trace.rows.append(TraceRow(k, grad_norm, cost_k, ledger.total_bytes()))
-        if grad_norm <= config.grad_tol:
-            trace.converged = True
-            break
-        if k == config.max_iters:
-            break
-        round_idx = ledger.begin_round()
-        if partition.separators.size > 0:
-            for a in range(partition.m):
-                ledger.record(round_idx, a, "partial_grad", int(grad_sep_counts[a]) * g.p)
+    def step(R, B, round_idx):
         V = dd.solve(blocks, server, B, ledger=ledger, round_idx=round_idx)
         if config.project_horizontal:
             V = V - V.mean(axis=0, keepdims=True)
-        R = _apply_update(R, V)
-        trace.iterations = k + 1
-    return R, trace
+        return _apply_update(R, V)
+
+    return iterate(
+        R0.copy(), lambda R: _gradient_and_cost(g, R, kind, edges), step, config, ledger, upload_rows
+    )
 
 
 def exact_newton_step(
@@ -355,7 +406,8 @@ def exact_newton_step(
     Dense solve, intended for small problems and as a baseline. When a
     partition and ledger are given, the per-robot separator-space
     contributions of the true Hessian are formed and their upload sizes
-    metered (kind "schur", one event per robot per call).
+    metered (kind "schur", one event per robot per call). A partition
+    without separators uploads nothing.
     """
     n, p = g.n, g.p
     if n * p > 6000:
@@ -377,13 +429,33 @@ def exact_newton_step(
     v = v - ones_dir @ (ones_dir.T @ v)  # clean round-off along the gauge direction
     V = v.reshape(n, p)
 
-    if partition is not None and ledger is not None:
+    if partition is not None and ledger is not None and partition.separators.size > 0:
         if round_idx is None:
             round_idx = ledger.begin_round()
         for a, S_h in enumerate(_newton_schur_blocks(g, R, kind, partition)):
             nz = int(np.count_nonzero(np.abs(np.triu(S_h)) > 1e-12 * max(1.0, np.abs(S_h).max())))
             ledger.record(round_idx, a, "schur", nz)
     return _apply_update(R, V)
+
+
+def newton_solve(
+    g: MeasurementGraph, partition: Partition, R0: RotationState, config: SolverConfig
+) -> tuple[RotationState, RunTrace]:
+    """Iterate exact_newton_step, metering each step's per-robot Hessian uploads.
+
+    The dense second-order baseline; config.epsilon, seed and
+    project_horizontal do not apply.
+    """
+    kind = distance_by_name(config.distance)
+    ledger = dd.CommsLedger()
+    edges = edge_arrays(g)
+    return iterate(
+        R0.copy(),
+        lambda R: _gradient_and_cost(g, R, kind, edges),
+        lambda R, _, round_idx: exact_newton_step(g, R, kind, partition, ledger, round_idx),
+        config,
+        ledger,
+    )
 
 
 def assemble_full_hessian(g: MeasurementGraph, R: RotationState, kind: Distance) -> np.ndarray:

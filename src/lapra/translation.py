@@ -16,7 +16,7 @@ from . import decomposition as dd
 from .laplacians import DEFAULT_OVERSAMPLING, WeightedGraph, laplacian, solve_grounded
 from .manifold import RotationState
 from .pose_graph import EdgeArrays, MeasurementGraph, Partition, edge_arrays, scatter_edge_rows
-from .rotation import RunTrace, SolverConfig, TraceRow, separator_rows_by_owner
+from .rotation import RunTrace, SolverConfig, iterate, separator_rows_by_owner, split_setup
 
 __all__ = [
     "translation_weights",
@@ -94,45 +94,18 @@ def collaborative_translation_solve(
     estimate (before the zero-mean shift) for offline analysis.
     """
     L = laplacian(translation_weights(g))
-    blocks, server = dd.build_blocks(L, partition)
-    ledger = dd.CommsLedger()
-    rng = np.random.default_rng(config.seed)
-    dd.sparsified_schur(
-        blocks,
-        server,
-        config.epsilon,
-        rng,
-        ledger=ledger,
-        mode=schur_mode,
-        oversampling=oversampling,
-        threads=threads,
-    )
+    blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
     edges = edge_arrays(g)
     B = assemble_translation_rhs(g, R_hat, edges)
+    upload_rows = separator_rows_by_owner(g, partition) if partition.separators.size else None
 
-    grad_sep_counts = separator_rows_by_owner(g, partition)
-
-    M = np.zeros((g.n, g.d))
-    trace = RunTrace(ledger=ledger)
-    iterates: list[np.ndarray] = []
-    for k in range(config.max_iters + 1):
-        E = B - L @ M
-        resid = float(np.linalg.norm(E))
-        trace.rows.append(TraceRow(k, resid, translation_cost(g, R_hat, M, edges), ledger.total_bytes()))
-        if keep_iterates:
-            iterates.append(M.copy())
-        if resid <= config.grad_tol:
-            trace.converged = True
-            break
-        if k == config.max_iters:
-            break
-        round_idx = ledger.begin_round()
-        if partition.separators.size > 0:
-            for a in range(partition.m):
-                ledger.record(round_idx, a, "partial_grad", int(grad_sep_counts[a]) * g.d)
-        D = dd.solve(blocks, server, E, ledger=ledger, round_idx=round_idx)
-        M = M + D
-        trace.iterations = k + 1
-    if keep_iterates:
-        trace.iterates = iterates
+    M, trace = iterate(
+        np.zeros((g.n, g.d)),
+        lambda M: (B - L @ M, translation_cost(g, R_hat, M, edges)),
+        lambda M, E, round_idx: M + dd.solve(blocks, server, E, ledger=ledger, round_idx=round_idx),
+        config,
+        ledger,
+        upload_rows,
+        keep_iterates,
+    )
     return M - M.mean(axis=0, keepdims=True), trace

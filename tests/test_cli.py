@@ -220,6 +220,20 @@ def test_newton_method(tmp_path):
     assert rep["config"]["method"] == "newton"
 
 
+def test_newton_single_robot_uploads_nothing(tmp_path):
+    graph, _ = _synth(tmp_path, side=3)
+    report, ledger = tmp_path / "newton.json", tmp_path / "newton_ledger.csv"
+    rc = main(
+        ["solve-rotation", "--input", graph, "--robots", "1", "--method", "newton",
+         "--report", str(report), "--ledger", str(ledger)]
+    )
+    assert rc == 0
+    final = _report(report)["final"]
+    assert final["converged"] is True
+    assert final["total_upload_bytes"] == 0
+    assert ledger.read_text() == "round,robot,kind,scalars,bytes\n"
+
+
 def test_heuristic_methods_run(tmp_path):
     graph, _ = _synth(tmp_path, side=3)
     for method in ("block-diagonal", "block-tree"):

@@ -10,8 +10,6 @@ from lapra.laplacians import (
     graph_from_laplacian,
     heuristic_sparsify,
     laplacian,
-    load_triplets,
-    save_triplets,
     schur_complement,
     solve_grounded,
     sparsify,
@@ -264,12 +262,3 @@ def test_upper_triangle_nnz():
     g = WeightedGraph.from_edge_list(3, [(0, 1), (1, 2)], [1.0, 1.0])
     assert upper_triangle_nnz(laplacian(g)) == 5  # 3 diagonal + 2 edges
 
-
-def test_triplet_io_roundtrip(tmp_path):
-    rng = np.random.default_rng(15)
-    g = _random_connected(rng, 12)
-    L = laplacian(g)
-    path = tmp_path / "m.txt"
-    save_triplets(str(path), L)
-    L2 = load_triplets(str(path))
-    assert (L != L2).nnz == 0

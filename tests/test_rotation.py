@@ -33,7 +33,9 @@ from lapra.rotation import (
     edge_hessian,
     exact_newton_step,
     hessian_report,
+    iterate,
     laplacian_weights,
+    newton_solve,
     separator_rows_by_owner,
 )
 
@@ -222,7 +224,7 @@ def test_single_robot_collaborative_uploads_nothing():
     part = partition_contiguous(g, 1)
     cfg = SolverConfig(epsilon=0.0, grad_tol=0.0, max_iters=2, project_horizontal=True)
     R1, trace = collaborative_solve(g, part, spanning_tree_init(g), cfg)
-    assert trace.ledger.total_scalars() == 0
+    assert trace.ledger.events == []
     R_ref = spanning_tree_init(g)
     for _ in range(2):
         R_ref = centralized_step(g, R_ref, GEODESIC)
@@ -276,6 +278,64 @@ def test_exact_newton_step_meters_per_robot():
     assert len(ledger.events) == 2
     assert all(ev.kind == "schur" for ev in ledger.events)
     assert ledger.total_scalars() > 0
+
+
+def test_iterate_meters_steps_and_keeps_iterates():
+    ledger = CommsLedger()
+    cfg = SolverConfig(grad_tol=0.2, max_iters=10)
+    x, trace = iterate(
+        np.ones((1, 2)), lambda x: (x, 0.0), lambda x, r, k: x / 2, cfg, ledger,
+        upload_rows=np.array([2, 0]), keep_iterates=True,
+    )
+    assert trace.converged and trace.iterations == 3  # norms sqrt(2) * (1, 1/2, 1/4, 1/8)
+    assert [r.iter for r in trace.rows] == [0, 1, 2, 3]
+    assert [it[0, 0] for it in trace.iterates] == [1.0, 0.5, 0.25, 0.125]
+    assert x[0, 0] == 0.125
+    assert [(e.round, e.robot, e.scalars) for e in ledger.events] == [
+        (k, a, s) for k in (1, 2, 3) for a, s in ((0, 4), (1, 0))
+    ]
+    assert [r.cum_upload_bytes for r in trace.rows] == [0, 32, 64, 96]
+
+
+def test_iterate_without_upload_rows_records_nothing():
+    ledger = CommsLedger()
+    _, trace = iterate(np.ones((3, 1)), lambda x: (x, 0.0), lambda x, r, k: x / 2,
+                       SolverConfig(grad_tol=0.0, max_iters=4), ledger)
+    assert not trace.converged and trace.iterations == 4
+    assert trace.iterates is None
+    assert ledger.events == [] and ledger.current_round == 4
+
+
+def test_collaborative_max_iters_zero_takes_no_step():
+    g, _ = _noisy_grid(side=3, sigma_deg=5.0, seed=16)
+    part = partition_contiguous(g, 3)
+    R0 = spanning_tree_init(g)
+    R, trace = collaborative_solve(g, part, R0, SolverConfig(max_iters=0))
+    assert len(trace.rows) == 1 and trace.iterations == 0 and not trace.converged
+    assert trace.ledger.current_round == 0
+    assert {e.round for e in trace.ledger.events} == {0}
+    assert np.array_equal(R.mats, R0.mats)
+
+
+def test_collaborative_tolerance_met_at_start_converges_without_steps():
+    g, _ = _noisy_grid(side=3, sigma_deg=5.0, seed=17)
+    part = partition_contiguous(g, 3)
+    _, trace = collaborative_solve(g, part, spanning_tree_init(g), SolverConfig(grad_tol=1e9))
+    assert trace.converged and trace.iterations == 0 and len(trace.rows) == 1
+    assert trace.ledger.events
+    assert {(e.round, e.kind) for e in trace.ledger.events} == {(0, "schur")}
+
+
+def test_newton_solve_trace_and_ledger():
+    g, _ = _noisy_grid(side=3, sigma_deg=5.0, seed=18)
+    part = partition_contiguous(g, 3)
+    _, trace = newton_solve(g, part, spanning_tree_init(g), SolverConfig())
+    assert trace.converged
+    assert len(trace.rows) == trace.iterations + 1
+    ups = [r.cum_upload_bytes for r in trace.rows]
+    assert all(b >= a for a, b in zip(ups, ups[1:]))
+    assert ups[-1] == trace.ledger.total_bytes() > 0
+    assert {e.kind for e in trace.ledger.events} == {"schur"}
 
 
 def test_hessian_report_zero_noise_chordal():
