@@ -73,10 +73,8 @@ def _resolve_threads(value: int | None) -> int:
 
 def _load_graph(path: str):
     g, poses = load_g2o(path)
-    if not g.edges:
+    if g.m == 0:
         raise GraphError(f"{path}: file has no measurement edges")
-    if not g.is_connected():
-        raise GraphError(f"{path}: measurement graph is not connected")
     return g, poses
 
 
@@ -139,9 +137,8 @@ def cmd_synth(args) -> int:
     g, truth = generate_grid(spec)
     positions = grid_positions(spec.side, spec.d)
     write_g2o(args.out + ".g2o", g)
-    empty = MeasurementGraph(g.d, g.n, [])
-    write_g2o(args.out + "_truth.g2o", empty, poses=(truth, positions))
-    print(f"wrote {args.out}.g2o ({g.n} vertices, {len(g.edges)} edges) and {args.out}_truth.g2o")
+    write_g2o(args.out + "_truth.g2o", MeasurementGraph(g.d, g.n), poses=(truth, positions))
+    print(f"wrote {args.out}.g2o ({g.n} vertices, {g.m} edges) and {args.out}_truth.g2o")
     return 0
 
 
@@ -149,7 +146,16 @@ def cmd_synth(args) -> int:
 # solve-rotation
 
 def _split_args(g, args):
-    """The partition, seed and thread count every solve stage of one command shares."""
+    """The partition, seed and thread count every solve stage of one command shares.
+
+    Also rejects the solver flags no solve can run with.
+    """
+    if args.max_iters < 0:
+        raise GraphError("--max-iters must be non-negative")
+    if not args.epsilon >= 0:
+        raise GraphError("--epsilon must be non-negative")
+    if not args.oversampling > 0:
+        raise GraphError("--oversampling must be positive")
     seed = _resolve_seed(args.seed)
     threads = _resolve_threads(args.threads)
     return partition_contiguous(g, args.robots), seed, threads
@@ -212,8 +218,7 @@ def cmd_solve_rotation(args) -> int:
     _maybe(args.trace, trace.to_csv)
     _maybe(args.ledger, trace.ledger.to_csv)
     if args.save_rotations is not None:
-        empty = MeasurementGraph(g.d, g.n, [])
-        write_g2o(args.save_rotations, empty, poses=(R, np.zeros((g.n, g.d))))
+        write_g2o(args.save_rotations, MeasurementGraph(g.d, g.n), poses=(R, np.zeros((g.n, g.d))))
     _write_report(report, args.report)
     return 0
 
@@ -276,8 +281,7 @@ def cmd_solve_translation(args) -> int:
     _maybe(args.trace, trace.to_csv)
     _maybe(args.ledger, trace.ledger.to_csv)
     if args.save_positions is not None:
-        empty = MeasurementGraph(g.d, g.n, [])
-        write_g2o(args.save_positions, empty, poses=(R_hat, M))
+        write_g2o(args.save_positions, MeasurementGraph(g.d, g.n), poses=(R_hat, M))
     _write_report(report, args.report)
     return 0
 
@@ -356,8 +360,7 @@ def cmd_pipeline(args) -> int:
         "translation_trace": _trace_dicts(tr_trace),
     }
     if args.save_poses is not None:
-        empty = MeasurementGraph(g.d, g.n, [])
-        write_g2o(args.save_poses, empty, poses=(R, M))
+        write_g2o(args.save_poses, MeasurementGraph(g.d, g.n), poses=(R, M))
     stages = (("rotation", rot_trace), ("translation", tr_trace))
     _maybe(args.trace, lambda path: _write_staged_csv(path, [(s, t.to_csv()) for s, t in stages]))
     _maybe(args.ledger, lambda path: _write_staged_csv(path, [(s, t.ledger.to_csv()) for s, t in stages]))

@@ -49,24 +49,27 @@ class WeightedGraph:
 
     @classmethod
     def from_edge_list(cls, n: int, pairs, weights) -> "WeightedGraph":
-        acc: dict[tuple[int, int], float] = {}
-        for (a, b), w in zip(pairs, weights):
-            if a == b:
-                raise ValueError(f"self loop at vertex {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a},{b}) outside 0..{n - 1}")
-            if w <= 0:
-                raise ValueError(f"edge ({a},{b}) has non-positive weight {w}")
-            key = (min(a, b), max(a, b))
-            acc[key] = acc.get(key, 0.0) + float(w)
-        if acc:
-            keys = sorted(acc)
-            edges = np.array(keys, dtype=int)
-            ws = np.array([acc[k] for k in keys])
-        else:
-            edges = np.zeros((0, 2), dtype=int)
-            ws = np.zeros(0)
-        return cls(n=n, edges=edges, weights=ws)
+        """Merge an (m, 2) pair array with its (m,) weights into sorted unique edges.
+
+        Parallel and reversed pairs merge by summing their weights in
+        input order. Raises ValueError for the first pair that is a self
+        loop, leaves 0..n-1 or has a non-positive weight.
+        """
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        w = np.asarray(weights, dtype=float)
+        a, b = pairs[:, 0], pairs[:, 1]
+        checks = [
+            (a == b, lambda k: f"self loop at vertex {a[k]}"),
+            ((a < 0) | (a >= n) | (b < 0) | (b >= n), lambda k: f"edge ({a[k]},{b[k]}) outside 0..{n - 1}"),
+            (w <= 0, lambda k: f"edge ({a[k]},{b[k]}) has non-positive weight {w[k]}"),
+        ]
+        failed = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+        if failed.size:
+            k = failed[0]
+            raise ValueError(next(msg for mask, msg in checks if mask[k])(k))
+        keys, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        ws = np.bincount(slot, weights=w, minlength=keys.size).astype(float, copy=False)  # int if empty
+        return cls(n=n, edges=np.stack([keys // n, keys % n], axis=1), weights=ws)
 
 
 def laplacian(g: WeightedGraph) -> sp.csr_matrix:

@@ -9,8 +9,8 @@ and seeded synthetic grid problems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -20,10 +20,7 @@ from .manifold import RotationState, exp_map, log_map, random_rotation, tangent_
 
 __all__ = [
     "GraphError",
-    "Edge",
-    "EdgeArrays",
     "MeasurementGraph",
-    "edge_arrays",
     "scatter_edge_rows",
     "Partition",
     "SyntheticSpec",
@@ -43,118 +40,95 @@ class GraphError(ValueError):
     """Malformed input: bad file contents or an invalid graph."""
 
 
-@dataclass
-class Edge:
-    """One relative measurement from vertex i to vertex j.
+@dataclass(eq=False)
+class MeasurementGraph:
+    """Relative measurements between n vertices, one array row per edge.
 
-    R_tilde is the measured rotation of frame j expressed in frame i,
-    t_tilde the measured position of j in frame i. kappa and tau are the
-    rotation and translation confidence weights.
+    Row k measures vertex J[k] from vertex I[k]: R_tilde[k] is the
+    rotation of frame J[k] expressed in frame I[k], t_tilde[k] the
+    position of J[k] in frame I[k], and kappa[k] and tau[k] are the
+    rotation and translation confidence weights. The arrays have shapes
+    (m,), (m,), (m, d, d), (m, d), (m,) and (m,); construction coerces
+    their dtypes and raises GraphError on a shape mismatch. Omitting
+    them gives the edge-free graph.
     """
 
-    i: int
-    j: int
-    R_tilde: np.ndarray
-    t_tilde: np.ndarray
-    kappa: float = 1.0
-    tau: float = 1.0
-
-
-@dataclass
-class MeasurementGraph:
     d: int
     n: int
-    edges: list[Edge] = field(default_factory=list)
+    I: np.ndarray = ()
+    J: np.ndarray = ()
+    R_tilde: np.ndarray = ()
+    t_tilde: np.ndarray = ()
+    kappa: np.ndarray = ()
+    tau: np.ndarray = ()
+
+    def __post_init__(self):
+        for name, dtype, row in self._fields():
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            setattr(self, name, a.reshape((0, *row)) if a.size == 0 else a)
+        self._check_shapes()
+
+    def _fields(self) -> tuple:
+        """(name, dtype, shape of one row) of each edge array."""
+        d = self.d
+        return (("I", np.intp, ()), ("J", np.intp, ()), ("R_tilde", float, (d, d)),
+                ("t_tilde", float, (d,)), ("kappa", float, ()), ("tau", float, ()))
+
+    def _check_shapes(self) -> None:
+        for name, _, row in self._fields():
+            shape, expected = getattr(self, name).shape, (self.m, *row)
+            if shape != expected:
+                raise GraphError(f"{name} has shape {shape}, expected {expected}")
+
+    @property
+    def m(self) -> int:
+        """Number of edges."""
+        return self.I.size
 
     @property
     def p(self) -> int:
         return tangent_dim(self.d)
 
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists (undirected)."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            adj[e.i].append(e.j)
-            adj[e.j].append(e.i)
-        return adj
+    @property
+    def pairs(self) -> np.ndarray:
+        """(m, 2) array of the endpoints (I[k], J[k])."""
+        return np.stack([self.I, self.J], axis=1)
 
     def validate(self, rot_tol: float = 1e-9) -> None:
-        """Check index ranges, rotation validity, duplicates and connectivity.
+        """Check array shapes, index ranges, rotation validity, duplicates and connectivity.
 
-        Errors name the first offending edge, and for that edge the first
-        failing check in the order: self loop, index range, duplicate,
-        rotation shape, orthonormality, weights.
+        A misshapen array is reported first. Otherwise errors name the
+        first offending edge, and for that edge the first failing check in
+        the order: self loop, index range, duplicate, orthonormality,
+        weights.
         """
-        m = len(self.edges)
+        self._check_shapes()
+        m, I, J = self.m, self.I, self.J
         if m == 0:
             return
-        I = np.array([e.i for e in self.edges])
-        J = np.array([e.j for e in self.edges])
         lo, hi = np.minimum(I, J), np.maximum(I, J)
         _, first, inverse = np.unique(np.stack([lo, hi], axis=1), axis=0,
                                       return_index=True, return_inverse=True)
-        good_shape = np.array([e.R_tilde.shape == (self.d, self.d) for e in self.edges])
-        not_rotation = np.zeros(m, dtype=bool)
-        if good_shape.any():
-            R = np.stack([e.R_tilde for e, ok in zip(self.edges, good_shape) if ok])
-            G = np.swapaxes(R, 1, 2) @ R - np.eye(self.d)
-            not_rotation[good_shape] = (np.sqrt(np.einsum("kij,kij->k", G, G)) > rot_tol) | (
-                np.linalg.det(R) < 0
-            )
-        weights = np.array([(e.kappa, e.tau) for e in self.edges], dtype=float)
+        R = self.R_tilde
+        G = np.swapaxes(R, 1, 2) @ R - np.eye(self.d)
+        not_rotation = (np.sqrt(np.einsum("kij,kij->k", G, G)) > rot_tol) | (np.linalg.det(R) < 0)
         checks = [
             (I == J, lambda k: f"edge {k} is a self loop at vertex {I[k]}"),
             ((I < 0) | (I >= self.n) | (J < 0) | (J >= self.n),
              lambda k: f"edge {k} touches a vertex outside 0..{self.n - 1}"),
             (first[inverse.ravel()] != np.arange(m),
              lambda k: f"duplicate measurement between {lo[k]} and {hi[k]}"),
-            (~good_shape, lambda k: f"edge {k} rotation has shape {self.edges[k].R_tilde.shape}"),
             (not_rotation, lambda k: f"edge {k} rotation is not orthonormal within {rot_tol}"),
-            ((weights <= 0).any(axis=1), lambda k: f"edge {k} has non-positive weight"),
+            ((self.kappa <= 0) | (self.tau <= 0), lambda k: f"edge {k} has non-positive weight"),
         ]
         failed = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
         if failed.size:
             k = failed[0]
             message = next(msg for mask, msg in checks if mask[k])
             raise GraphError(message(k))
-        if not self.is_connected():
+        adj = coo_matrix((np.ones(m), (I, J)), shape=(self.n, self.n))
+        if connected_components(adj, directed=False, return_labels=False) != 1:
             raise GraphError("measurement graph is not connected")
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        I = np.array([e.i for e in self.edges], dtype=int)
-        J = np.array([e.j for e in self.edges], dtype=int)
-        adj = coo_matrix((np.ones(I.size), (I, J)), shape=(self.n, self.n))
-        return connected_components(adj, directed=False, return_labels=False) == 1
-
-
-class EdgeArrays(NamedTuple):
-    """The edges of a MeasurementGraph as arrays, one row per edge in list order."""
-
-    I: np.ndarray  # (m,) first endpoints
-    J: np.ndarray  # (m,) second endpoints
-    R_tilde: np.ndarray  # (m, d, d)
-    t_tilde: np.ndarray  # (m, d)
-    kappa: np.ndarray  # (m,)
-    tau: np.ndarray  # (m,)
-
-
-def edge_arrays(g: MeasurementGraph) -> EdgeArrays:
-    """Pack the edge list into arrays for the batched per-edge kernels.
-
-    This copies: later changes to the Edge objects are not seen, so pack
-    again after editing a graph.
-    """
-    m, d = len(g.edges), g.d
-    return EdgeArrays(
-        I=np.array([e.i for e in g.edges], dtype=np.intp),
-        J=np.array([e.j for e in g.edges], dtype=np.intp),
-        R_tilde=np.array([e.R_tilde for e in g.edges], dtype=float).reshape(m, d, d),
-        t_tilde=np.array([e.t_tilde for e in g.edges], dtype=float).reshape(m, d),
-        kappa=np.array([e.kappa for e in g.edges], dtype=float),
-        tau=np.array([e.tau for e in g.edges], dtype=float),
-    )
 
 
 def scatter_edge_rows(n: int, I: np.ndarray, J: np.ndarray, X_i: np.ndarray, X_j: np.ndarray) -> np.ndarray:
@@ -251,7 +225,7 @@ def load_g2o(path: str) -> tuple[MeasurementGraph, tuple[RotationState, np.ndarr
     dimensions, duplicate edges or a disconnected graph.
     """
     vertices: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    raw_edges: list[Edge] = []
+    edges: list[tuple] = []  # (i, j, R_tilde, t_tilde, kappa, tau) per edge record
     dim: int | None = None
 
     def want_dim(d: int, ln: int):
@@ -290,17 +264,9 @@ def load_g2o(path: str) -> tuple[MeasurementGraph, tuple[RotationState, np.ndarr
                     if len(vals) != 3 + 6:
                         raise ValueError("field count")
                     dx, dy, dth = vals[:3]
-                    info = _unpack_upper(vals[3:], 3)
-                    raw_edges.append(
-                        Edge(
-                            i,
-                            j,
-                            exp_map(np.array([dth])),
-                            np.array([dx, dy]),
-                            kappa=_mean_of_equalish(np.diag(info)[2:3]),
-                            tau=_mean_of_equalish(np.diag(info)[:2]),
-                        )
-                    )
+                    info = np.diag(_unpack_upper(vals[3:], 3))
+                    edges.append((i, j, exp_map(np.array([dth])), (dx, dy),
+                                  _mean_of_equalish(info[2:]), _mean_of_equalish(info[:2])))
                 elif tag == "EDGE_SE3:QUAT":
                     want_dim(3, ln)
                     i, j = int(parts[1]), int(parts[2])
@@ -308,17 +274,9 @@ def load_g2o(path: str) -> tuple[MeasurementGraph, tuple[RotationState, np.ndarr
                     if len(vals) != 7 + 21:
                         raise ValueError("field count")
                     dx, dy, dz, qx, qy, qz, qw = vals[:7]
-                    info = _unpack_upper(vals[7:], 6)
-                    raw_edges.append(
-                        Edge(
-                            i,
-                            j,
-                            quat_to_rot(qx, qy, qz, qw),
-                            np.array([dx, dy, dz]),
-                            kappa=_mean_of_equalish(np.diag(info)[3:]),
-                            tau=_mean_of_equalish(np.diag(info)[:3]),
-                        )
-                    )
+                    info = np.diag(_unpack_upper(vals[7:], 6))
+                    edges.append((i, j, quat_to_rot(qx, qy, qz, qw), (dx, dy, dz),
+                                  _mean_of_equalish(info[3:]), _mean_of_equalish(info[:3])))
                 else:
                     raise ValueError(f"unknown record {tag}")
             except GraphError:
@@ -326,16 +284,14 @@ def load_g2o(path: str) -> tuple[MeasurementGraph, tuple[RotationState, np.ndarr
             except Exception as exc:
                 raise GraphError(f"line {ln}: {exc}") from exc
 
-    if not raw_edges and not vertices:
+    if not edges and not vertices:
         raise GraphError("file contains no vertices or edges")
-    ids = set(vertices)
-    for e in raw_edges:
-        ids.add(e.i)
-        ids.add(e.j)
+    columns = list(zip(*edges)) or [()] * 6
+    ids = set(vertices).union(columns[0], columns[1])
     n = max(ids) + 1
     if ids != set(range(n)):
         raise GraphError("vertex ids are not contiguous from 0")
-    g = MeasurementGraph(d=dim, n=n, edges=raw_edges)
+    g = MeasurementGraph(dim, n, *columns)
     g.validate()
     poses = None
     if len(vertices) == n:
@@ -366,20 +322,20 @@ def write_g2o(path: str, g: MeasurementGraph, poses: tuple[RotationState, np.nda
                 q = rot_to_quat(rots.mats[i])
                 fields = [_fmt(v) for v in (*ts[i], *q)]
                 lines.append(f"VERTEX_SE3:QUAT {i} " + " ".join(fields))
-    for e in g.edges:
+    for i, j, R_tilde, t_tilde, kappa, tau in zip(g.I, g.J, g.R_tilde, g.t_tilde, g.kappa, g.tau):
         if g.d == 2:
-            dth = log_map(e.R_tilde)[0]
-            info = [e.tau, 0.0, 0.0, e.tau, 0.0, e.kappa]
-            fields = [_fmt(v) for v in (*e.t_tilde, dth, *info)]
-            lines.append(f"EDGE_SE2 {e.i} {e.j} " + " ".join(fields))
+            dth = log_map(R_tilde)[0]
+            info = [tau, 0.0, 0.0, tau, 0.0, kappa]
+            fields = [_fmt(v) for v in (*t_tilde, dth, *info)]
+            lines.append(f"EDGE_SE2 {i} {j} " + " ".join(fields))
         else:
-            q = rot_to_quat(e.R_tilde)
+            q = rot_to_quat(R_tilde)
             info = np.zeros((6, 6))
-            info[:3, :3] = e.tau * np.eye(3)
-            info[3:, 3:] = e.kappa * np.eye(3)
+            info[:3, :3] = tau * np.eye(3)
+            info[3:, 3:] = kappa * np.eye(3)
             upper = [info[r, c] for r in range(6) for c in range(r, 6)]
-            fields = [_fmt(v) for v in (*e.t_tilde, *q, *upper)]
-            lines.append(f"EDGE_SE3:QUAT {e.i} {e.j} " + " ".join(fields))
+            fields = [_fmt(v) for v in (*t_tilde, *q, *upper)]
+            lines.append(f"EDGE_SE3:QUAT {i} {j} " + " ".join(fields))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -403,19 +359,17 @@ class Partition:
     separators: np.ndarray
 
     @classmethod
-    def from_owner(cls, owner: np.ndarray, pairs) -> "Partition":
+    def from_owner(cls, owner: np.ndarray, pairs: np.ndarray) -> "Partition":
         """Build the separator bookkeeping for a given ownership map.
 
-        pairs is any iterable of (i, j) vertex index pairs; endpoints of
-        pairs crossing robots become separators.
+        pairs is an (m, 2) array of vertex index pairs; endpoints of pairs
+        crossing robots become separators.
         """
         owner = np.asarray(owner, dtype=int)
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         m = int(owner.max()) + 1 if owner.size else 0
         is_sep = np.zeros(owner.size, dtype=bool)
-        for i, j in pairs:
-            if owner[i] != owner[j]:
-                is_sep[i] = True
-                is_sep[j] = True
+        is_sep[pairs[owner[pairs[:, 0]] != owner[pairs[:, 1]]]] = True
         interiors = [np.flatnonzero((owner == a) & ~is_sep) for a in range(m)]
         return cls(
             m=m,
@@ -435,14 +389,9 @@ def partition_contiguous(g: MeasurementGraph, m: int) -> Partition:
     """
     if not (1 <= m <= g.n):
         raise GraphError(f"robot count {m} out of range for n={g.n}")
-    owner = np.empty(g.n, dtype=int)
     q, r = divmod(g.n, m)
-    start = 0
-    for a in range(m):
-        size = q + (1 if a < r else 0)
-        owner[start : start + size] = a
-        start += size
-    return Partition.from_owner(owner, ((e.i, e.j) for e in g.edges))
+    owner = np.repeat(np.arange(m), q + (np.arange(m) < r))
+    return Partition.from_owner(owner, g.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -535,40 +484,33 @@ def generate_grid(spec: SyntheticSpec) -> tuple[MeasurementGraph, RotationState]
         if key in tree_pairs or rng.random() < spec.edge_prob:
             chosen.append((a, b))
 
-    edges = []
-    for (i, j) in chosen:
-        noise = sample_rotation_noise(spec.sigma_rot, rng, d)
-        R_tilde = truth[i].T @ truth[j] @ noise
-        t_tilde = truth[i].T @ (pos[j] - pos[i])
-        edges.append(Edge(i, j, R_tilde, t_tilde, kappa=spec.kappa, tau=spec.tau))
-
-    g = MeasurementGraph(d=d, n=n, edges=edges)
+    I, J = np.array(chosen).T
+    R_tilde = [truth[i].T @ truth[j] @ sample_rotation_noise(spec.sigma_rot, rng, d) for i, j in chosen]
+    t_tilde = [truth[i].T @ (pos[j] - pos[i]) for i, j in chosen]
+    ones = np.ones(len(chosen))
+    g = MeasurementGraph(d, n, I, J, R_tilde, t_tilde, spec.kappa * ones, spec.tau * ones)
     g.validate()
     return g, RotationState(truth)
 
 
 def spanning_tree_init(g: MeasurementGraph) -> RotationState:
     """Initial rotations by chaining measurements along a BFS tree from vertex 0."""
-    by_pair: dict[tuple[int, int], Edge] = {}
-    for e in g.edges:
-        by_pair[(e.i, e.j)] = e
-    adj = g.adjacency()
+    # neighbours in edge order: (w, k, True) when edge k runs from w to v
+    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(g.n)]
+    for k, (i, j) in enumerate(zip(g.I.tolist(), g.J.tolist())):
+        adj[i].append((j, k, False))
+        adj[j].append((i, k, True))
     mats = np.zeros((g.n, g.d, g.d))
     mats[0] = np.eye(g.d)
     seen = np.zeros(g.n, dtype=bool)
     seen[0] = True
-    queue = [0]
+    queue = deque([0])
     while queue:
-        v = queue.pop(0)
-        for w in adj[v]:
+        v = queue.popleft()
+        for w, k, backward in adj[v]:
             if seen[w]:
                 continue
-            e = by_pair.get((v, w))
-            if e is not None:
-                mats[w] = mats[v] @ e.R_tilde
-            else:
-                e = by_pair[(w, v)]
-                mats[w] = mats[v] @ e.R_tilde.T
+            mats[w] = mats[v] @ (g.R_tilde[k].T if backward else g.R_tilde[k])
             seen[w] = True
             queue.append(w)
     if not seen.all():

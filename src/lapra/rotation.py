@@ -27,7 +27,7 @@ from .laplacians import (
 )
 from .manifold import NumericalError, RotationState, exp_map_batch, hat, log_map, log_map_batch
 from .metrics import gamma_factor
-from .pose_graph import EdgeArrays, MeasurementGraph, Partition, edge_arrays, scatter_edge_rows
+from .pose_graph import MeasurementGraph, Partition, scatter_edge_rows
 
 __all__ = [
     "Distance",
@@ -256,16 +256,12 @@ def edge_hessian(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _gradient_and_cost(
-    g: MeasurementGraph, R: RotationState, kind: Distance, edges: EdgeArrays | None = None
-) -> tuple[np.ndarray, float]:
-    """Gradient right-hand side B and total cost; edges is edge_arrays(g), packed here if omitted."""
-    if edges is None:
-        edges = edge_arrays(g)
-    rho, g_i, g_j = _edge_gradients(R.mats[edges.I], R.mats[edges.J], edges.R_tilde, kind)
-    k = edges.kappa[:, None]
-    B = scatter_edge_rows(g.n, edges.I, edges.J, -(k * g_i), -(k * g_j))
-    return B, float(np.sum(edges.kappa * rho))
+def _gradient_and_cost(g: MeasurementGraph, R: RotationState, kind: Distance) -> tuple[np.ndarray, float]:
+    """Gradient right-hand side B and total cost."""
+    rho, g_i, g_j = _edge_gradients(R.mats[g.I], R.mats[g.J], g.R_tilde, kind)
+    k = g.kappa[:, None]
+    B = scatter_edge_rows(g.n, g.I, g.J, -(k * g_i), -(k * g_j))
+    return B, float(np.sum(g.kappa * rho))
 
 
 def cost(g: MeasurementGraph, R: RotationState, kind: Distance) -> float:
@@ -284,10 +280,8 @@ def assemble_gradient_rhs(g: MeasurementGraph, R: RotationState, kind: Distance)
 
 
 def laplacian_weights(g: MeasurementGraph, kind: Distance) -> WeightedGraph:
-    """Edge weights of the surrogate Laplacian: kappa, doubled for the chordal cost."""
-    pairs = [(e.i, e.j) for e in g.edges]
-    w = [kind.laplacian_scale * e.kappa for e in g.edges]
-    return WeightedGraph.from_edge_list(g.n, pairs, w)
+    """Weights of the surrogate Laplacian: kappa per measurement, doubled for the chordal cost."""
+    return WeightedGraph.from_edge_list(g.n, g.pairs, kind.laplacian_scale * g.kappa)
 
 
 def _apply_update(R: RotationState, V: np.ndarray) -> RotationState:
@@ -302,15 +296,11 @@ def separator_rows_by_owner(g: MeasurementGraph, partition: Partition) -> np.nda
     An edge is held by the robot owning its first endpoint; every
     separator endpoint of a held edge needs that robot's partial sum.
     """
-    is_sep = np.zeros(g.n, dtype=bool)
-    is_sep[partition.separators] = True
-    touched: list[set[int]] = [set() for _ in range(partition.m)]
-    for e in g.edges:
-        a = partition.owner[e.i]
-        for v in (e.i, e.j):
-            if is_sep[v]:
-                touched[a].add(v)
-    return np.array([len(t) for t in touched], dtype=int)
+    holder = np.tile(partition.owner[g.I], 2)
+    v = np.concatenate([g.I, g.J])
+    sep = partition.is_separator[v]
+    touched = np.unique(holder[sep] * g.n + v[sep])  # distinct (robot, separator) pairs
+    return np.bincount(touched // g.n, minlength=partition.m)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +339,9 @@ def centralized_solve(
     """Iterate centralized_step until config's stop test; nothing is uploaded."""
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
-    edges = edge_arrays(g)
     return iterate(
         R0.copy(),
-        lambda R: _gradient_and_cost(g, R, kind, edges),
+        lambda R: _gradient_and_cost(g, R, kind),
         lambda R, B, _: _apply_update(R, solve_grounded(L, B)),
         config,
         dd.CommsLedger(),
@@ -380,7 +369,6 @@ def collaborative_solve(
     L = laplacian(laplacian_weights(g, kind))
     blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
     upload_rows = separator_rows_by_owner(g, partition) if partition.separators.size else None
-    edges = edge_arrays(g)
 
     def step(R, B, round_idx):
         V = dd.solve(blocks, server, B, ledger=ledger, round_idx=round_idx)
@@ -389,7 +377,7 @@ def collaborative_solve(
         return _apply_update(R, V)
 
     return iterate(
-        R0.copy(), lambda R: _gradient_and_cost(g, R, kind, edges), step, config, ledger, upload_rows
+        R0.copy(), lambda R: _gradient_and_cost(g, R, kind), step, config, ledger, upload_rows
     )
 
 
@@ -448,10 +436,9 @@ def newton_solve(
     """
     kind = distance_by_name(config.distance)
     ledger = dd.CommsLedger()
-    edges = edge_arrays(g)
     return iterate(
         R0.copy(),
-        lambda R: _gradient_and_cost(g, R, kind, edges),
+        lambda R: _gradient_and_cost(g, R, kind),
         lambda R, _, round_idx: exact_newton_step(g, R, kind, partition, ledger, round_idx),
         config,
         ledger,
@@ -462,9 +449,9 @@ def assemble_full_hessian(g: MeasurementGraph, R: RotationState, kind: Distance)
     """Dense np x np second-derivative matrix of the total cost."""
     n, p = g.n, g.p
     H = np.zeros((n * p, n * p))
-    for e in g.edges:
-        blk = e.kappa * edge_hessian(R.mats[e.i], R.mats[e.j], e.R_tilde, kind)
-        si, sj = e.i * p, e.j * p
+    for i, j, R_tilde, kappa in zip(g.I.tolist(), g.J.tolist(), g.R_tilde, g.kappa):
+        blk = kappa * edge_hessian(R.mats[i], R.mats[j], R_tilde, kind)
+        si, sj = i * p, j * p
         H[si : si + p, si : si + p] += blk[:p, :p]
         H[si : si + p, sj : sj + p] += blk[:p, p:]
         H[sj : sj + p, si : si + p] += blk[p:, :p]
@@ -480,6 +467,9 @@ def _newton_schur_blocks(g, R, kind, partition) -> list[np.ndarray]:
     communication accounting of the second-order baseline.
     """
     p = g.p
+    I, J = g.I.tolist(), g.J.tolist()
+    held = partition.owner[g.I]
+    local = held == partition.owner[g.J]
     C = partition.separators
     pos_in_C = np.full(g.n, -1, dtype=int)
     pos_in_C[C] = np.arange(C.size)
@@ -498,13 +488,12 @@ def _newton_schur_blocks(g, R, kind, partition) -> list[np.ndarray]:
                 return ("f", pos_in_F[v] * p)
             return ("c", pos_in_C[v] * p)
 
-        for e in g.edges:
-            if partition.owner[e.i] != a or partition.owner[e.j] != a:
-                continue
-            blk = e.kappa * edge_hessian(R.mats[e.i], R.mats[e.j], e.R_tilde, kind)
-            for (v, rows) in ((e.i, blk[:p]), (e.j, blk[p:])):
+        for k in np.flatnonzero(local & (held == a)):
+            i, j = I[k], J[k]
+            blk = g.kappa[k] * edge_hessian(R.mats[i], R.mats[j], g.R_tilde[k], kind)
+            for (v, rows) in ((i, blk[:p]), (j, blk[p:])):
                 kv, ov = slot(v)
-                for (w, cols) in ((e.i, rows[:, :p]), (e.j, rows[:, p:])):
+                for (w, cols) in ((i, rows[:, :p]), (j, rows[:, p:])):
                     kw, ow = slot(w)
                     if kv == "f" and kw == "f":
                         Hff[ov : ov + p, ow : ow + p] += cols

@@ -15,7 +15,7 @@ import numpy as np
 from . import decomposition as dd
 from .laplacians import DEFAULT_OVERSAMPLING, WeightedGraph, laplacian, solve_grounded
 from .manifold import RotationState
-from .pose_graph import EdgeArrays, MeasurementGraph, Partition, edge_arrays, scatter_edge_rows
+from .pose_graph import MeasurementGraph, Partition, scatter_edge_rows
 from .rotation import RunTrace, SolverConfig, iterate, separator_rows_by_owner, split_setup
 
 __all__ = [
@@ -28,40 +28,29 @@ __all__ = [
 
 
 def translation_weights(g: MeasurementGraph) -> WeightedGraph:
-    """Edge weights tau of the translation normal equations."""
-    return WeightedGraph.from_edge_list(
-        g.n, [(e.i, e.j) for e in g.edges], [e.tau for e in g.edges]
-    )
+    """Weights tau of the translation normal equations, one per measurement."""
+    return WeightedGraph.from_edge_list(g.n, g.pairs, g.tau)
 
 
-def _rotated_measurements(R_hat: RotationState, edges: EdgeArrays) -> np.ndarray:
+def _rotated_measurements(g: MeasurementGraph, R_hat: RotationState) -> np.ndarray:
     """R_hat_i t_tilde for every edge, as (m, d) rows."""
-    return (R_hat.mats[edges.I] @ edges.t_tilde[:, :, None])[:, :, 0]
+    return (R_hat.mats[g.I] @ g.t_tilde[:, :, None])[:, :, 0]
 
 
-def assemble_translation_rhs(
-    g: MeasurementGraph, R_hat: RotationState, edges: EdgeArrays | None = None
-) -> np.ndarray:
+def assemble_translation_rhs(g: MeasurementGraph, R_hat: RotationState) -> np.ndarray:
     """Right-hand side of the translation normal equations, one row per vertex.
 
     Each measurement pushes tau * (R_hat_i t_tilde) onto its head vertex
-    and pulls it from its tail, so column sums vanish. edges is
-    edge_arrays(g), packed here if omitted.
+    and pulls it from its tail, so column sums vanish.
     """
-    if edges is None:
-        edges = edge_arrays(g)
-    W = edges.tau[:, None] * _rotated_measurements(R_hat, edges)
-    return scatter_edge_rows(g.n, edges.J, edges.I, W, -W)
+    W = g.tau[:, None] * _rotated_measurements(g, R_hat)
+    return scatter_edge_rows(g.n, g.J, g.I, W, -W)
 
 
-def translation_cost(
-    g: MeasurementGraph, R_hat: RotationState, t: np.ndarray, edges: EdgeArrays | None = None
-) -> float:
-    """Weighted squared consistency error of translations t (n x d); edges as above."""
-    if edges is None:
-        edges = edge_arrays(g)
-    r = t[edges.J] - t[edges.I] - _rotated_measurements(R_hat, edges)
-    return float(np.sum(0.5 * edges.tau * np.einsum("ki,ki->k", r, r)))
+def translation_cost(g: MeasurementGraph, R_hat: RotationState, t: np.ndarray) -> float:
+    """Weighted squared consistency error of translations t (n x d)."""
+    r = t[g.J] - t[g.I] - _rotated_measurements(g, R_hat)
+    return float(np.sum(0.5 * g.tau * np.einsum("ki,ki->k", r, r)))
 
 
 def exact_translation_solve(g: MeasurementGraph, R_hat: RotationState) -> np.ndarray:
@@ -95,13 +84,12 @@ def collaborative_translation_solve(
     """
     L = laplacian(translation_weights(g))
     blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
-    edges = edge_arrays(g)
-    B = assemble_translation_rhs(g, R_hat, edges)
+    B = assemble_translation_rhs(g, R_hat)
     upload_rows = separator_rows_by_owner(g, partition) if partition.separators.size else None
 
     M, trace = iterate(
         np.zeros((g.n, g.d)),
-        lambda M: (B - L @ M, translation_cost(g, R_hat, M, edges)),
+        lambda M: (B - L @ M, translation_cost(g, R_hat, M)),
         lambda M, E, round_idx: M + dd.solve(blocks, server, E, ledger=ledger, round_idx=round_idx),
         config,
         ledger,

@@ -23,7 +23,6 @@ from lapra.laplacians import (
 from lapra.manifold import RotationState, exp_map, geodesic_dist, random_rotation
 from lapra.metrics import c_epsilon
 from lapra.pose_graph import (
-    Edge,
     MeasurementGraph,
     Partition,
     SyntheticSpec,
@@ -128,10 +127,11 @@ def _random_pose_graph(rng):
     mats = np.stack([random_rotation(3, rng) for _ in range(n)])
     truth = RotationState(mats)
     pos = 2.0 * rng.standard_normal((n, 3))
-    edges = [
-        Edge(i, j, mats[i].T @ mats[j], mats[i].T @ (pos[j] - pos[i])) for i, j in pairs
-    ]
-    g = MeasurementGraph(3, n, edges)
+    I, J = np.array(pairs).T
+    R_tilde = [mats[i].T @ mats[j] for i, j in pairs]
+    t_tilde = [mats[i].T @ (pos[j] - pos[i]) for i, j in pairs]
+    ones = np.ones(len(pairs))
+    g = MeasurementGraph(3, n, I, J, R_tilde, t_tilde, ones, ones)
     return g, truth, partition_contiguous(g, 3)
 
 

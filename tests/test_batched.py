@@ -22,7 +22,7 @@ from lapra.manifold import (
     random_rotation,
 )
 from lapra.metrics import rotation_rmse
-from lapra.pose_graph import Edge, GraphError, MeasurementGraph, edge_arrays
+from lapra.pose_graph import GraphError, MeasurementGraph
 from lapra.rotation import CHORDAL, GEODESIC, _apply_update, _gradient_and_cost, edge_gradient
 from lapra.translation import assemble_translation_rhs, translation_cost
 
@@ -42,10 +42,10 @@ def _close(a, b, rel=REL):
 def _ref_gradient_and_cost(g, R, kind):
     B = np.zeros((g.n, g.p))
     total = 0.0
-    for e in g.edges:
-        v = log_map(e.R_tilde.T @ R.mats[e.i].T @ R.mats[e.j])
+    for i, j, R_tilde, kappa in zip(g.I, g.J, g.R_tilde, g.kappa):
+        v = log_map(R_tilde.T @ R.mats[i].T @ R.mats[j])
         theta = float(np.linalg.norm(v))
-        total += e.kappa * kind.rho(theta)
+        total += kappa * kind.rho(theta)
         if theta < 1e-8:
             continue
         u = v / theta
@@ -53,9 +53,9 @@ def _ref_gradient_and_cost(g, R, kind):
         if g.p == 1:
             gi, gj = -rd * u, rd * u
         else:
-            gi, gj = -rd * (R.mats[e.i] @ e.R_tilde @ u), rd * (R.mats[e.j] @ u)
-        B[e.i] -= e.kappa * gi
-        B[e.j] -= e.kappa * gj
+            gi, gj = -rd * (R.mats[i] @ R_tilde @ u), rd * (R.mats[j] @ u)
+        B[i] -= kappa * gi
+        B[j] -= kappa * gj
     return B, total
 
 
@@ -76,18 +76,18 @@ def _ref_apply_update(R, V):
 
 def _ref_translation_rhs(g, R_hat):
     B = np.zeros((g.n, g.d))
-    for e in g.edges:
-        w = e.tau * (R_hat.mats[e.i] @ e.t_tilde)
-        B[e.j] += w
-        B[e.i] -= w
+    for i, j, t_tilde, tau in zip(g.I, g.J, g.t_tilde, g.tau):
+        w = tau * (R_hat.mats[i] @ t_tilde)
+        B[j] += w
+        B[i] -= w
     return B
 
 
 def _ref_translation_cost(g, R_hat, t):
     total = 0.0
-    for e in g.edges:
-        r = t[e.j] - t[e.i] - R_hat.mats[e.i] @ e.t_tilde
-        total += 0.5 * e.tau * float(r @ r)
+    for i, j, t_tilde, tau in zip(g.I, g.J, g.t_tilde, g.tau):
+        r = t[j] - t[i] - R_hat.mats[i] @ t_tilde
+        total += 0.5 * tau * float(r @ r)
     return total
 
 
@@ -125,14 +125,17 @@ def _random_problem(d, seed, n=14, extra=12):
         i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
         if (i, j) not in pairs and (j, i) not in pairs:
             pairs.add((i, j))
-    edges = []
-    for k, (i, j) in enumerate(sorted(pairs)):
+    pairs = sorted(pairs)
+    R_tilde, t_tilde, kappa, tau = [], [], [], []
+    for k, (i, j) in enumerate(pairs):
         angle = _ANGLES[k % len(_ANGLES)]
         noise = exp_map(_tangent(rng, p, angle)) if angle > 0 else np.eye(d)
-        R_tilde = R.mats[i].T @ R.mats[j] @ noise.T
-        edges.append(Edge(i, j, R_tilde, rng.standard_normal(d),
-                          kappa=float(rng.uniform(0.5, 2.0)), tau=float(rng.uniform(0.5, 2.0))))
-    g = MeasurementGraph(d=d, n=n, edges=edges)
+        R_tilde.append(R.mats[i].T @ R.mats[j] @ noise.T)
+        t_tilde.append(rng.standard_normal(d))
+        kappa.append(float(rng.uniform(0.5, 2.0)))
+        tau.append(float(rng.uniform(0.5, 2.0)))
+    I, J = np.array(pairs).T
+    g = MeasurementGraph(d, n, I, J, R_tilde, t_tilde, kappa, tau)
     g.validate()
     return g, R
 
@@ -150,16 +153,12 @@ def test_gradient_and_cost_match_edge_loop(d, kind, seed):
     B, cost = _gradient_and_cost(g, R, kind)
     _close(B, B_ref)
     _close(cost, cost_ref)
-    # the packed arrays passed in give the same result as packing inside
-    B_packed, cost_packed = _gradient_and_cost(g, R, kind, edge_arrays(g))
-    assert np.array_equal(B_packed, B) and cost_packed == cost
 
 
 def test_problem_covers_every_residual_branch():
     for d in (2, 3):
         g, R = _random_problem(d, 0)
-        E = edge_arrays(g)
-        V = log_map_batch(np.swapaxes(E.R_tilde, 1, 2) @ np.swapaxes(R.mats[E.I], 1, 2) @ R.mats[E.J])
+        V = log_map_batch(np.swapaxes(g.R_tilde, 1, 2) @ np.swapaxes(R.mats[g.I], 1, 2) @ R.mats[g.J])
         theta = np.linalg.norm(V, axis=1)
         assert (theta < 1e-8).sum() >= 2
         assert ((theta > 1e-8) & (theta < 1e-4)).any()
@@ -170,11 +169,13 @@ def test_problem_covers_every_residual_branch():
 def test_edge_gradient_is_the_single_edge_case(d):
     g, R = _random_problem(d, 5)
     for kind in (GEODESIC, CHORDAL):
-        for e in g.edges:
-            one = MeasurementGraph(d=d, n=g.n, edges=[e])
-            gi, gj = edge_gradient(R.mats[e.i], R.mats[e.j], e.R_tilde, kind)
+        for k in range(g.m):
+            e = slice(k, k + 1)
+            one = MeasurementGraph(d, g.n, g.I[e], g.J[e], g.R_tilde[e], g.t_tilde[e], g.kappa[e], g.tau[e])
+            i, j, kappa = g.I[k], g.J[k], g.kappa[k]
+            gi, gj = edge_gradient(R.mats[i], R.mats[j], g.R_tilde[k], kind)
             B, _ = _gradient_and_cost(one, R, kind)
-            assert np.array_equal(B[e.i], -e.kappa * gi) and np.array_equal(B[e.j], -e.kappa * gj)
+            assert np.array_equal(B[i], -kappa * gi) and np.array_equal(B[j], -kappa * gj)
 
 
 @pytest.mark.parametrize("p", [1, 3])
@@ -241,8 +242,6 @@ def test_translation_rhs_and_cost_match_edge_loop(d, seed):
     t = np.random.default_rng(seed).standard_normal((g.n, d))
     _close(assemble_translation_rhs(g, R), _ref_translation_rhs(g, R))
     _close(translation_cost(g, R, t), _ref_translation_cost(g, R, t))
-    E = edge_arrays(g)
-    assert translation_cost(g, R, t, E) == translation_cost(g, R, t)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -258,16 +257,20 @@ def test_rotation_rmse_matches_vertex_loop(d):
 
 
 def test_validate_names_the_first_offending_edge():
-    R, t = np.eye(3), np.zeros(3)
-    edges = [Edge(0, 1, R, t), Edge(1, 2, R, t), Edge(2, 3, 2.0 * R, t), Edge(3, 3, R, t)]
+    I, J = np.array([0, 1, 2, 3]), np.array([1, 2, 3, 3])
+    R = np.stack([np.eye(3), np.eye(3), 2.0 * np.eye(3), np.eye(3)])
+    t, ones = np.zeros((4, 3)), np.ones(4)
     with pytest.raises(GraphError, match="edge 2 rotation is not orthonormal"):
-        MeasurementGraph(3, 4, edges).validate()
-    edges[1] = Edge(1, 2, R, t, tau=-1.0)
+        MeasurementGraph(3, 4, I, J, R, t, ones, ones).validate()
+    tau = np.array([1.0, -1.0, 1.0, 1.0])
     with pytest.raises(GraphError, match="edge 1 has non-positive weight"):
-        MeasurementGraph(3, 4, edges).validate()
-    edges[1] = Edge(1, 0, R, t)
+        MeasurementGraph(3, 4, I, J, R, t, ones, tau).validate()
     with pytest.raises(GraphError, match="duplicate measurement between 0 and 1"):
-        MeasurementGraph(3, 4, edges).validate()
-    edges[1] = Edge(1, 2, np.eye(2), t, kappa=0.0)
-    with pytest.raises(GraphError, match=r"edge 1 rotation has shape \(2, 2\)"):
-        MeasurementGraph(3, 4, edges).validate()
+        MeasurementGraph(3, 4, I, np.array([1, 0, 3, 3]), R, t, ones, ones).validate()
+    # a rotation array of the wrong shape is refused as a whole
+    with pytest.raises(GraphError, match=r"R_tilde has shape \(4, 2, 2\), expected \(4, 3, 3\)"):
+        MeasurementGraph(3, 4, I, J, np.stack([np.eye(2)] * 4), t, ones, ones)
+    g = MeasurementGraph(3, 4, I, J, R, t, ones, ones)
+    g.R_tilde = g.R_tilde[:, :2, :2]
+    with pytest.raises(GraphError, match=r"R_tilde has shape \(4, 2, 2\)"):
+        g.validate()

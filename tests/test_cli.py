@@ -40,10 +40,10 @@ def test_synth_is_deterministic_and_well_formed(tmp_path):
     assert open(a_graph).read() == open(b_graph).read()
     assert open(a_truth).read() == open(b_truth).read()
     g, poses = load_g2o(a_graph)
-    assert (g.n, len(g.edges)) == (64, 93)
+    assert (g.n, g.m) == (64, 93)
     assert poses is None
     gt, truth_poses = load_g2o(a_truth)
-    assert gt.n == 64 and not gt.edges
+    assert gt.n == 64 and gt.m == 0
     assert truth_poses is not None
     assert truth_poses[0].n == 64
     assert truth_poses[1].shape == (64, 3)
@@ -303,6 +303,27 @@ def test_exit_code_on_disconnected_graph(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     rc = main(["solve-rotation", "--input", str(path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["solve-rotation", "solve-translation", "pipeline"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--robots", "3", "--max-iters", "-1"], "--max-iters must be non-negative"),
+        (["--robots", "3", "--epsilon", "-1", "--oversampling", "0.05"], "--epsilon must be non-negative"),
+        (["--robots", "1", "--epsilon", "-1"], "--epsilon must be non-negative"),
+        (["--robots", "3", "--oversampling", "0"], "--oversampling must be positive"),
+    ],
+    ids=["max-iters", "epsilon-sampled", "epsilon-one-robot", "oversampling"],
+)
+def test_exit_code_on_invalid_solver_flags(tmp_path, capsys, command, flags, message):
+    graph, truth = _synth(tmp_path, side=3)
+    rotations = ["--rotations", truth] if command == "solve-translation" else []
+    report = tmp_path / "x.json"
+    rc = main([command, "--input", graph, *rotations, *flags, "--report", str(report)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_usage_error_raises_system_exit():

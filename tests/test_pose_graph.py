@@ -5,7 +5,6 @@ import pytest
 
 from lapra.manifold import RotationState, exp_map, random_rotation
 from lapra.pose_graph import (
-    Edge,
     GraphError,
     MeasurementGraph,
     Partition,
@@ -29,18 +28,19 @@ def _random_graph(rng, n=12, d=3, extra=8):
         i, j = sorted(rng.integers(0, n, size=2))
         if i != j and (i, j) not in pairs:
             pairs.append((int(i), int(j)))
-    edges = [
-        Edge(
-            i,
-            j,
-            mats[i].T @ mats[j],
-            mats[i].T @ (pos[j] - pos[i]),
-            kappa=float(rng.uniform(0.5, 2.0)),
-            tau=float(rng.uniform(0.5, 2.0)),
-        )
-        for i, j in pairs
-    ]
-    return MeasurementGraph(d, n, edges), RotationState(mats), pos
+    I, J = np.array(pairs).T
+    R_tilde = [mats[i].T @ mats[j] for i, j in pairs]
+    t_tilde = [mats[i].T @ (pos[j] - pos[i]) for i, j in pairs]
+    kappa, tau = rng.uniform(0.5, 2.0, size=(len(pairs), 2)).T  # drawn per edge, kappa first
+    return MeasurementGraph(d, n, I, J, R_tilde, t_tilde, kappa, tau), RotationState(mats), pos
+
+
+def _edges(d, n, pairs, R=None, kappa=1.0):
+    """Graph over the given pairs with identity (or R) rotations and zero translations."""
+    m = len(pairs)
+    I, J = np.array(pairs).reshape(m, 2).T
+    R_tilde = np.stack([np.eye(d) if R is None else R] * m)
+    return MeasurementGraph(d, n, I, J, R_tilde, np.zeros((m, d)), np.full(m, kappa), np.ones(m))
 
 
 def test_quaternion_roundtrip():
@@ -62,20 +62,18 @@ def test_quat_known_value():
 
 
 def test_validate_catches_bad_edges():
-    R = np.eye(3)
-    t = np.zeros(3)
     with pytest.raises(GraphError):
-        MeasurementGraph(3, 2, [Edge(0, 0, R, t)]).validate()
+        _edges(3, 2, [(0, 0)]).validate()
     with pytest.raises(GraphError):
-        MeasurementGraph(3, 2, [Edge(0, 5, R, t)]).validate()
+        _edges(3, 2, [(0, 5)]).validate()
     with pytest.raises(GraphError):
-        MeasurementGraph(3, 2, [Edge(0, 1, R, t), Edge(1, 0, R, t)]).validate()
+        _edges(3, 2, [(0, 1), (1, 0)]).validate()
     with pytest.raises(GraphError):
-        MeasurementGraph(3, 2, [Edge(0, 1, 2.0 * R, t)]).validate()
+        _edges(3, 2, [(0, 1)], R=2.0 * np.eye(3)).validate()
     with pytest.raises(GraphError):
-        MeasurementGraph(3, 2, [Edge(0, 1, R, t, kappa=0.0)]).validate()
+        _edges(3, 2, [(0, 1)], kappa=0.0).validate()
     with pytest.raises(GraphError):
-        MeasurementGraph(3, 3, [Edge(0, 1, R, t)]).validate()  # vertex 2 unreachable
+        _edges(3, 3, [(0, 1)]).validate()  # vertex 2 unreachable
 
 
 def test_g2o_roundtrip_preserves_scalars(tmp_path):
@@ -85,14 +83,14 @@ def test_g2o_roundtrip_preserves_scalars(tmp_path):
     write_g2o(str(path), g, poses=(R, pos))
     g2, poses2 = load_g2o(str(path))
     assert poses2 is not None
-    assert g2.n == g.n and len(g2.edges) == len(g.edges)
-    for a, b in zip(g.edges, g2.edges):
-        assert (a.i, a.j) == (b.i, b.j)
-        # translations and weights are stored directly and survive bit for bit
-        assert np.array_equal(a.t_tilde, b.t_tilde)
-        assert a.kappa == b.kappa and a.tau == b.tau
-        # rotations pass through a quaternion, so allow tiny drift
-        assert np.linalg.norm(a.R_tilde - b.R_tilde) < 1e-14
+    assert g2.n == g.n and g2.m == g.m
+    assert np.array_equal(g.I, g2.I) and np.array_equal(g.J, g2.J)
+    # translations and weights are stored directly and survive bit for bit
+    assert np.array_equal(g.t_tilde, g2.t_tilde)
+    assert np.array_equal(g.kappa, g2.kappa) and np.array_equal(g.tau, g2.tau)
+    # rotations pass through a quaternion, so allow tiny drift
+    for a, b in zip(g.R_tilde, g2.R_tilde):
+        assert np.linalg.norm(a - b) < 1e-14
     assert np.abs(poses2[1] - pos).max() == 0.0
 
 
@@ -101,9 +99,9 @@ def test_g2o_vertex_only_file(tmp_path):
     mats = np.stack([random_rotation(3, rng) for _ in range(4)])
     pos = rng.standard_normal((4, 3))
     path = tmp_path / "poses.g2o"
-    write_g2o(str(path), MeasurementGraph(3, 4, []), poses=(RotationState(mats), pos))
+    write_g2o(str(path), MeasurementGraph(3, 4), poses=(RotationState(mats), pos))
     g, poses = load_g2o(str(path))
-    assert g.n == 4 and not g.edges
+    assert g.n == 4 and g.m == 0
     assert poses is not None
 
 
@@ -131,13 +129,12 @@ def test_g2o_2d_records(tmp_path):
         "EDGE_SE2 0 1 1.0 0.0 0.3 2.0 0.0 0.0 2.0 0.0 4.0\n"
     )
     g, poses = load_g2o(str(p))
-    assert g.d == 2 and g.n == 2 and len(g.edges) == 1
-    e = g.edges[0]
-    assert abs(e.kappa - 4.0) < 1e-15  # rotation information block
-    assert abs(e.tau - 2.0) < 1e-15  # translation information block
+    assert g.d == 2 and g.n == 2 and g.m == 1
+    assert abs(g.kappa[0] - 4.0) < 1e-15  # rotation information block
+    assert abs(g.tau[0] - 2.0) < 1e-15  # translation information block
     th = 0.3
     assert np.allclose(
-        e.R_tilde, [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
+        g.R_tilde[0], [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
     )
     assert poses is not None
 
@@ -158,9 +155,9 @@ def test_partition_contiguous_bookkeeping():
     assert part.m == 3
     sizes = [np.sum(part.owner == a) for a in range(3)]
     assert sum(sizes) == 20 and max(sizes) - min(sizes) <= 1
-    for e in g.edges:
-        if part.owner[e.i] != part.owner[e.j]:
-            assert part.is_separator[e.i] and part.is_separator[e.j]
+    for i, j in zip(g.I, g.J):
+        if part.owner[i] != part.owner[j]:
+            assert part.is_separator[i] and part.is_separator[j]
     for a in range(3):
         assert not np.any(part.is_separator[part.interiors[a]])
         assert np.all(part.owner[part.interiors[a]] == a)
@@ -180,7 +177,7 @@ def test_partition_from_owner_matches_contiguous():
     rng = np.random.default_rng(6)
     g, _, _ = _random_graph(rng, n=15)
     part = partition_contiguous(g, 4)
-    rebuilt = Partition.from_owner(part.owner, [(e.i, e.j) for e in g.edges])
+    rebuilt = Partition.from_owner(part.owner, g.pairs)
     assert np.array_equal(rebuilt.separators, part.separators)
     assert all(np.array_equal(a, b) for a, b in zip(rebuilt.interiors, part.interiors))
 
@@ -199,12 +196,11 @@ def test_generate_grid_shape_and_determinism():
     g1, truth1 = generate_grid(spec)
     g2, truth2 = generate_grid(spec)
     assert g1.n == 27
-    assert len(g1.edges) >= 26  # at least the spanning tree
-    assert len(g1.edges) == len(g2.edges)
+    assert g1.m >= 26  # at least the spanning tree
+    assert g1.m == g2.m
     assert np.array_equal(truth1.mats, truth2.mats)
-    for a, b in zip(g1.edges, g2.edges):
-        assert (a.i, a.j) == (b.i, b.j)
-        assert np.array_equal(a.R_tilde, b.R_tilde)
+    assert np.array_equal(g1.I, g2.I) and np.array_equal(g1.J, g2.J)
+    assert np.array_equal(g1.R_tilde, g2.R_tilde)
     g1.validate()
 
 
@@ -212,16 +208,16 @@ def test_generate_grid_edges_link_neighbors():
     spec = SyntheticSpec(side=3, d=3, sigma_rot=0.0, edge_prob=0.2, seed=1)
     g, _ = generate_grid(spec)
     pos = grid_positions(3, 3)
-    for e in g.edges:
-        assert np.abs(pos[e.i] - pos[e.j]).sum() == 1.0  # unit grid steps
+    for i, j in zip(g.I, g.J):
+        assert np.abs(pos[i] - pos[j]).sum() == 1.0  # unit grid steps
 
 
 def test_zero_noise_measurements_are_consistent():
     spec = SyntheticSpec(side=3, d=3, sigma_rot=0.0, edge_prob=0.3, seed=2)
     g, truth = generate_grid(spec)
-    for e in g.edges:
+    for i, j, R_tilde in zip(g.I, g.J, g.R_tilde):
         assert (
-            np.linalg.norm(truth.mats[e.i].T @ truth.mats[e.j] - e.R_tilde) < 1e-12
+            np.linalg.norm(truth.mats[i].T @ truth.mats[j] - R_tilde) < 1e-12
         )
 
 

@@ -12,7 +12,6 @@ from lapra.manifold import (
 )
 from lapra.metrics import c_epsilon, gamma_factor, rotation_rmse
 from lapra.pose_graph import (
-    Edge,
     MeasurementGraph,
     SyntheticSpec,
     generate_grid,
@@ -251,10 +250,8 @@ def test_trace_rows_and_csv():
 def test_separator_rows_by_owner_counts():
     # path 0-1-2-3 split in the middle: edge (1,2) crosses, vertices 1 and 2
     # are separators. Robot 0 holds edges (0,1) and (1,2), robot 1 holds (2,3).
-    eye = np.eye(3)
-    z = np.zeros(3)
-    edges = [Edge(0, 1, eye, z), Edge(1, 2, eye, z), Edge(2, 3, eye, z)]
-    g = MeasurementGraph(3, 4, edges)
+    eye = np.stack([np.eye(3)] * 3)
+    g = MeasurementGraph(3, 4, [0, 1, 2], [1, 2, 3], eye, np.zeros((3, 3)), np.ones(3), np.ones(3))
     part = partition_contiguous(g, 2)
     counts = separator_rows_by_owner(g, part)
     assert counts.tolist() == [2, 1]
