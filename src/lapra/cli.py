@@ -290,6 +290,8 @@ def cmd_solve_translation(args) -> int:
 # validate-hessian
 
 def cmd_validate_hessian(args) -> int:
+    if not args.epsilon >= 0:
+        raise GraphError("--epsilon must be non-negative")
     kind = distance_by_name(args.distance)
     warm_up = SolverConfig(distance=args.distance, grad_tol=1e-8, max_iters=40)
     base_seed = _resolve_seed(args.seed)

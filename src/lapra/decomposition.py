@@ -22,6 +22,7 @@ import scipy.sparse.linalg as spla
 from .laplacians import (
     _is_laplacian_like,
     heuristic_sparsify,
+    schur_update,
     sparsify,
     upper_triangle_nnz,
     DEFAULT_OVERSAMPLING,
@@ -126,17 +127,7 @@ class RobotBlock:
 
     def schur_contribution(self) -> sp.csr_matrix:
         """Exact separator-space contribution after eliminating the interior."""
-        if self.interior.size == 0:
-            return self.Lcc_local.copy()
-        # only the separators adjacent to the interior get a nonzero update
-        cols = np.flatnonzero(self.adj_sep)
-        L_adj = self.L_ac[:, cols]
-        X = self.interior_solve(L_adj.toarray())
-        S = self.Lcc_local.toarray()
-        S[np.ix_(cols, cols)] -= L_adj.T @ X
-        S = (S + S.T) / 2.0
-        S[np.abs(S) < 1e-14 * max(1.0, np.abs(S).max())] = 0.0
-        return sp.csr_matrix(S)
+        return schur_update(self.interior_solve, self.L_ac, self.Lcc_local)
 
 
 @dataclass

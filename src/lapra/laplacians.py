@@ -22,6 +22,7 @@ __all__ = [
     "WeightedGraph",
     "laplacian",
     "graph_from_laplacian",
+    "schur_update",
     "schur_complement",
     "effective_resistances",
     "sparsify",
@@ -115,6 +116,28 @@ def _is_laplacian_like(A: sp.spmatrix, rtol: float = 1e-8) -> bool:
     return bool(np.max(np.abs(rowsums)) <= rtol * scale)
 
 
+def schur_update(solve, L_fc: sp.spmatrix, L_cc: sp.spmatrix) -> sp.csr_matrix:
+    """L_cc - L_fcᵀ solve(L_fc) as CSR, where solve(B) applies the eliminated block's inverse to dense B.
+
+    The subtraction is dense on the columns L_fc touches, and that block
+    is symmetrized; the rest of L_cc is copied through. Entries below
+    1e-14 times the largest magnitude (at least 1) are dropped.
+    """
+    L_fc, L_cc = sp.csr_matrix(L_fc), sp.csr_matrix(L_cc)
+    fc, cc = L_fc.tocoo(), L_cc.tocoo()
+    touched = np.unique(fc.col[fc.data != 0])
+    L_adj = L_fc[:, touched]
+    block = L_cc[touched][:, touched].toarray() - L_adj.T @ solve(L_adj.toarray())
+    block = (block + block.T) / 2.0
+    in_block = np.isin(np.arange(L_cc.shape[0]), touched)
+    rest = ~(in_block[cc.row] & in_block[cc.col])
+    thr = 1e-14 * max(1.0, np.abs(block).max(initial=0.0), np.abs(cc.data[rest]).max(initial=0.0))
+    r, c = np.nonzero(np.abs(block) >= thr)
+    rest &= np.abs(cc.data) >= thr
+    rows, cols = np.concatenate([touched[r], cc.row[rest]]), np.concatenate([touched[c], cc.col[rest]])
+    return sp.csr_matrix((np.concatenate([block[r, c], cc.data[rest]]), (rows, cols)), shape=L_cc.shape)
+
+
 def schur_complement(L: sp.spmatrix, eliminate: np.ndarray) -> sp.csr_matrix:
     """Schur complement onto the vertices not listed in `eliminate`.
 
@@ -123,24 +146,22 @@ def schur_complement(L: sp.spmatrix, eliminate: np.ndarray) -> sp.csr_matrix:
     every eliminated component touches a kept vertex.
     """
     L = sp.csr_matrix(L)
-    n = L.shape[0]
     elim = np.asarray(eliminate, dtype=int)
-    keep = np.setdiff1d(np.arange(n), elim)
+    keep = np.setdiff1d(np.arange(L.shape[0]), elim)
     if elim.size == 0:
         return L[keep][:, keep].tocsr()
-    L_ff = sp.csc_matrix(L[elim][:, elim])
-    L_fc = L[elim][:, keep]
-    L_cc = L[keep][:, keep]
     try:
-        lu = spla.splu(L_ff)
+        lu = spla.splu(sp.csc_matrix(L[elim][:, elim]))
     except RuntimeError as exc:
         raise NumericalError(f"eliminated block is singular: {exc}") from exc
-    X = lu.solve(L_fc.toarray())
-    if not np.all(np.isfinite(X)):
-        raise NumericalError("eliminated block is singular")
-    S = L_cc.toarray() - L_fc.T.toarray() @ X
-    S = (S + S.T) / 2.0
-    return sp.csr_matrix(S)
+
+    def solve(B):
+        X = lu.solve(B)
+        if not np.all(np.isfinite(X)):
+            raise NumericalError("eliminated block is singular")
+        return X
+
+    return schur_update(solve, L[elim][:, keep], L[keep][:, keep])
 
 
 def effective_resistances(L: sp.spmatrix, pairs: np.ndarray) -> np.ndarray:

@@ -99,8 +99,8 @@ class MeasurementGraph:
 
         A misshapen array is reported first. Otherwise errors name the
         first offending edge, and for that edge the first failing check in
-        the order: self loop, index range, duplicate, orthonormality,
-        weights.
+        the order: self loop, index range, duplicate, non-finite value,
+        orthonormality, weights.
         """
         self._check_shapes()
         m, I, J = self.m, self.I, self.J
@@ -110,14 +110,18 @@ class MeasurementGraph:
         _, first, inverse = np.unique(np.stack([lo, hi], axis=1), axis=0,
                                       return_index=True, return_inverse=True)
         R = self.R_tilde
-        G = np.swapaxes(R, 1, 2) @ R - np.eye(self.d)
-        not_rotation = (np.sqrt(np.einsum("kij,kij->k", G, G)) > rot_tol) | (np.linalg.det(R) < 0)
+        finite = (np.isfinite(R).all(axis=(1, 2)) & np.isfinite(self.t_tilde).all(axis=1)
+                  & np.isfinite(self.kappa) & np.isfinite(self.tau))
+        with np.errstate(invalid="ignore"):  # a non-finite rotation gets its own message below
+            G = np.swapaxes(R, 1, 2) @ R - np.eye(self.d)
+            not_rotation = (np.sqrt(np.einsum("kij,kij->k", G, G)) > rot_tol) | (np.linalg.det(R) < 0)
         checks = [
             (I == J, lambda k: f"edge {k} is a self loop at vertex {I[k]}"),
             ((I < 0) | (I >= self.n) | (J < 0) | (J >= self.n),
              lambda k: f"edge {k} touches a vertex outside 0..{self.n - 1}"),
             (first[inverse.ravel()] != np.arange(m),
              lambda k: f"duplicate measurement between {lo[k]} and {hi[k]}"),
+            (~finite, lambda k: f"edge {k} has a non-finite rotation, translation or weight"),
             (not_rotation, lambda k: f"edge {k} rotation is not orthonormal within {rot_tol}"),
             ((self.kappa <= 0) | (self.tau <= 0), lambda k: f"edge {k} has non-positive weight"),
         ]

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigh, null_space
 
 from . import decomposition as dd
@@ -23,6 +24,7 @@ from .laplacians import (
     DEFAULT_OVERSAMPLING,
     WeightedGraph,
     laplacian,
+    schur_update,
     solve_grounded,
 )
 from .manifold import NumericalError, RotationState, exp_map_batch, hat, log_map, log_map_batch
@@ -233,11 +235,11 @@ def edge_hessian(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
     if p == 1:
         h = kind.rho_ddot(theta)
         return np.array([[h, -h], [-h, h]])
-    base = np.block([[np.eye(3), -np.eye(3)], [-np.eye(3), np.eye(3)]])
+    P = np.zeros((6, 6))
+    P[:3, :3] = R_i @ R_tilde
+    P[3:, 3:] = R_j
     if theta < _ZERO_RESIDUAL:
-        P = np.zeros((6, 6))
-        P[:3, :3] = R_i @ R_tilde
-        P[3:, 3:] = R_j
+        base = np.block([[np.eye(3), -np.eye(3)], [-np.eye(3), np.eye(3)]])
         return kind.hessian_limit_scale * (P @ base @ P.T)
     u = v / theta
     rd = kind.rho_dot(theta)
@@ -247,9 +249,6 @@ def edge_hessian(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
     Ht = alpha * np.eye(3) + gamma * np.outer(u, u) + beta * hat(u)
     Sym = alpha * np.eye(3) + gamma * np.outer(u, u)
     M = np.block([[Sym, -Ht], [-Ht.T, Sym]])
-    P = np.zeros((6, 6))
-    P[:3, :3] = R_i @ R_tilde
-    P[3:, 3:] = R_j
     return P @ M @ P.T
 
 
@@ -421,8 +420,8 @@ def exact_newton_step(
         if round_idx is None:
             round_idx = ledger.begin_round()
         for a, S_h in enumerate(_newton_schur_blocks(g, R, kind, partition)):
-            nz = int(np.count_nonzero(np.abs(np.triu(S_h)) > 1e-12 * max(1.0, np.abs(S_h).max())))
-            ledger.record(round_idx, a, "schur", nz)
+            thr = 1e-12 * max(1.0, np.abs(S_h.data).max(initial=0.0))
+            ledger.record(round_idx, a, "schur", int(np.count_nonzero(np.abs(sp.triu(S_h).data) > thr)))
     return _apply_update(R, V)
 
 
@@ -445,73 +444,53 @@ def newton_solve(
     )
 
 
+def _edge_hessians(g: MeasurementGraph, R: RotationState, kind: Distance, edges: np.ndarray) -> np.ndarray:
+    """(k, 2p, 2p) stack of kappa-weighted Hessian blocks of the listed edges."""
+    return np.array([
+        g.kappa[k] * edge_hessian(R.mats[g.I[k]], R.mats[g.J[k]], g.R_tilde[k], kind) for k in edges.tolist()
+    ]).reshape(-1, 2 * g.p, 2 * g.p)
+
+
+def _block_index(slot_i: np.ndarray, slot_j: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices that place 2p x 2p edge blocks at vertex slots (slot_i, slot_j)."""
+    dof = np.concatenate([slot_i[:, None] * p + np.arange(p), slot_j[:, None] * p + np.arange(p)], axis=1)
+    return dof[:, :, None], dof[:, None, :]
+
+
 def assemble_full_hessian(g: MeasurementGraph, R: RotationState, kind: Distance) -> np.ndarray:
-    """Dense np x np second-derivative matrix of the total cost."""
-    n, p = g.n, g.p
-    H = np.zeros((n * p, n * p))
-    for i, j, R_tilde, kappa in zip(g.I.tolist(), g.J.tolist(), g.R_tilde, g.kappa):
-        blk = kappa * edge_hessian(R.mats[i], R.mats[j], R_tilde, kind)
-        si, sj = i * p, j * p
-        H[si : si + p, si : si + p] += blk[:p, :p]
-        H[si : si + p, sj : sj + p] += blk[:p, p:]
-        H[sj : sj + p, si : si + p] += blk[p:, :p]
-        H[sj : sj + p, sj : sj + p] += blk[p:, p:]
+    """Dense np x np second-derivative matrix of the total cost, summed in edge order."""
+    H = np.zeros((g.n * g.p, g.n * g.p))
+    np.add.at(H, _block_index(g.I, g.J, g.p), _edge_hessians(g, R, kind, np.arange(g.m)))
     return H
 
 
-def _newton_schur_blocks(g, R, kind, partition) -> list[np.ndarray]:
+def _newton_schur_blocks(g, R, kind, partition) -> list[sp.csr_matrix]:
     """Per-robot separator-space contributions of the true Hessian.
 
     Robot a assembles the Hessian of its local edges over its interior
     plus all separators and eliminates the interior part. Used only for
     communication accounting of the second-order baseline.
     """
-    p = g.p
-    I, J = g.I.tolist(), g.J.tolist()
-    held = partition.owner[g.I]
-    local = held == partition.owner[g.J]
-    C = partition.separators
-    pos_in_C = np.full(g.n, -1, dtype=int)
-    pos_in_C[C] = np.arange(C.size)
+    p, C = g.p, partition.separators
     out = []
     for a in range(partition.m):
         F = partition.interiors[a]
-        pos_in_F = np.full(g.n, -1, dtype=int)
-        pos_in_F[F] = np.arange(F.size)
-        nf, ncs = F.size, C.size
-        Hff = np.zeros((nf * p, nf * p))
-        Hfc = np.zeros((nf * p, ncs * p))
-        Hcc = np.zeros((ncs * p, ncs * p))
+        slot = np.full(g.n, -1)
+        slot[np.concatenate([F, C])] = np.arange(F.size + C.size)
+        mine = np.flatnonzero((partition.owner[g.I] == a) & (partition.owner[g.J] == a))
+        rows, cols = np.broadcast_arrays(*_block_index(slot[g.I[mine]], slot[g.J[mine]], p))
+        nf, size = F.size * p, (F.size + C.size) * p
+        H = sp.csr_matrix((_edge_hessians(g, R, kind, mine).ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(size, size))
+        Hff = H[:nf, :nf].toarray()
 
-        def slot(v):
-            if pos_in_F[v] >= 0:
-                return ("f", pos_in_F[v] * p)
-            return ("c", pos_in_C[v] * p)
-
-        for k in np.flatnonzero(local & (held == a)):
-            i, j = I[k], J[k]
-            blk = g.kappa[k] * edge_hessian(R.mats[i], R.mats[j], g.R_tilde[k], kind)
-            for (v, rows) in ((i, blk[:p]), (j, blk[p:])):
-                kv, ov = slot(v)
-                for (w, cols) in ((i, rows[:, :p]), (j, rows[:, p:])):
-                    kw, ow = slot(w)
-                    if kv == "f" and kw == "f":
-                        Hff[ov : ov + p, ow : ow + p] += cols
-                    elif kv == "f" and kw == "c":
-                        Hfc[ov : ov + p, ow : ow + p] += cols
-                    elif kv == "c" and kw == "f":
-                        Hfc[ow : ow + p, ov : ov + p] += cols.T
-                    else:
-                        Hcc[ov : ov + p, ow : ow + p] += cols
-        if nf > 0:
+        def solve(B):
             try:
-                X = np.linalg.solve(Hff, Hfc)
+                return np.linalg.solve(Hff, B)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"robot {a} local Hessian interior block singular: {exc}") from exc
-            S = Hcc - Hfc.T @ X
-        else:
-            S = Hcc
-        out.append((S + S.T) / 2.0)
+
+        out.append(schur_update(solve, H[:nf, nf:], H[nf:, nf:]))
     return out
 
 

@@ -3,14 +3,19 @@
 The references below are the loop forms of the gradient, retraction,
 translation and RMSE code, built on the scalar exp_map and log_map. The
 batched code sums in another order in places, so results must agree to
-1e-12 relative rather than bit for bit.
+1e-12 relative rather than bit for bit. The dense robot elimination is
+kept as the reference for the sparse Schur routine, which does the same
+arithmetic and must agree bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from lapra import decomposition as dd
+from lapra.laplacians import WeightedGraph, laplacian, solve_grounded
 from lapra.manifold import (
     NumericalError,
     RotationState,
@@ -22,7 +27,7 @@ from lapra.manifold import (
     random_rotation,
 )
 from lapra.metrics import rotation_rmse
-from lapra.pose_graph import GraphError, MeasurementGraph
+from lapra.pose_graph import GraphError, MeasurementGraph, Partition
 from lapra.rotation import CHORDAL, GEODESIC, _apply_update, _gradient_and_cost, edge_gradient
 from lapra.translation import assemble_translation_rhs, translation_cost
 
@@ -99,6 +104,19 @@ def _ref_rotation_rmse(A, B, S):
         cos = (np.trace(S @ Ai @ Bi.T) - (d - 2)) / 2.0
         ang_sq += math.acos(min(1.0, max(-1.0, cos))) ** 2
     return math.degrees(math.sqrt(ang_sq / len(A))), math.sqrt(frob_sq / len(A))
+
+
+def _ref_schur_contribution(blk):
+    if blk.interior.size == 0:
+        return blk.Lcc_local.copy()
+    cols = np.flatnonzero(blk.adj_sep)
+    L_adj = blk.L_ac[:, cols]
+    X = blk.interior_solve(L_adj.toarray())
+    S = blk.Lcc_local.toarray()
+    S[np.ix_(cols, cols)] -= L_adj.T @ X
+    S = (S + S.T) / 2.0
+    S[np.abs(S) < 1e-14 * max(1.0, np.abs(S).max())] = 0.0
+    return sp.csr_matrix(S)
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +292,30 @@ def test_validate_names_the_first_offending_edge():
     g.R_tilde = g.R_tilde[:, :2, :2]
     with pytest.raises(GraphError, match=r"R_tilde has shape \(4, 2, 2\)"):
         g.validate()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_schur_contribution_matches_dense_elimination(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}  # random spanning tree
+    iu, ju = np.triu_indices(n, k=1)
+    extra = rng.random(iu.size) < 0.15
+    pairs = sorted(pairs | set(zip(iu[extra].tolist(), ju[extra].tolist())))
+    L = laplacian(WeightedGraph.from_edge_list(n, pairs, rng.uniform(0.5, 2.0, size=len(pairs))))
+    # two and m contiguous blocks, scattered owners (many empty interiors), one robot per vertex
+    m = int(rng.integers(2, n + 1))
+    owners = [np.arange(n) * 2 // n, np.arange(n) * m // n, rng.permutation(np.arange(n) % m), np.arange(n)]
+    for owner in owners:
+        part = Partition.from_owner(owner, pairs)
+        blocks, server = dd.build_blocks(L, part)
+        for blk in blocks:
+            S, S_ref = blk.schur_contribution(), _ref_schur_contribution(blk)
+            assert S.indptr.tobytes() == S_ref.indptr.tobytes()
+            assert S.indices.tobytes() == S_ref.indices.tobytes()
+            assert S.data.tobytes() == S_ref.data.tobytes()
+        dd.sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+        B = rng.standard_normal((n, 2))
+        B -= B.mean(axis=0)
+        X = dd.solve(blocks, server, B)  # zero-mean on the separators, not overall
+        _close(X - X.mean(axis=0), solve_grounded(L, B), rel=1e-9)

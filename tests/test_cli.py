@@ -326,6 +326,32 @@ def test_exit_code_on_invalid_solver_flags(tmp_path, capsys, command, flags, mes
     assert not report.exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_validate_hessian_rejects_invalid_epsilon(tmp_path, capsys, value):
+    out = tmp_path / "sweep.csv"
+    rc = main(["validate-hessian", "--side", "3", "--seeds", "1", "--sigma-deg", "5",
+               "--epsilon", value, "--out", str(out)])
+    assert rc == 2
+    assert "--epsilon must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# token 3 is the x translation; token 25 is the first rotation entry of the information matrix
+@pytest.mark.parametrize("token", [3, 25], ids=["translation", "rotation-information"])
+def test_exit_code_on_non_finite_edge(tmp_path, capsys, token):
+    graph, _ = _synth(tmp_path, side=3)
+    lines = open(graph).read().splitlines()
+    edge_rows = [k for k, line in enumerate(lines) if line.startswith("EDGE_SE3:QUAT")]
+    fields = lines[edge_rows[4]].split()
+    fields[token] = "nan"
+    lines[edge_rows[4]] = " ".join(fields)
+    with open(graph, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc = main(["pipeline", "--input", graph, "--robots", "2"])
+    assert rc == 2
+    assert "edge 4 has a non-finite rotation, translation or weight" in capsys.readouterr().err
+
+
 def test_usage_error_raises_system_exit():
     with pytest.raises(SystemExit) as exc:
         main(["solve-rotation"])  # missing required --input

@@ -76,6 +76,16 @@ def test_validate_catches_bad_edges():
         _edges(3, 3, [(0, 1)]).validate()  # vertex 2 unreachable
 
 
+@pytest.mark.parametrize("field, entry", [("R_tilde", (0, 2)), ("t_tilde", (2,)), ("kappa", ()), ("tau", ())])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_values(field, entry, value):
+    g = _edges(3, 4, [(0, 1), (1, 2), (2, 3)])
+    for k in (1, 2):
+        getattr(g, field)[(k, *entry)] = value
+    with pytest.raises(GraphError, match="edge 1 has a non-finite rotation, translation or weight"):
+        g.validate()
+
+
 def test_g2o_roundtrip_preserves_scalars(tmp_path):
     rng = np.random.default_rng(1)
     g, R, pos = _random_graph(rng)

@@ -7,6 +7,7 @@ from lapra.decomposition import CommsLedger
 from lapra.manifold import (
     RotationState,
     exp_map,
+    exp_map_batch,
     geodesic_dist,
     random_rotation,
 )
@@ -22,6 +23,7 @@ from lapra.rotation import (
     CHORDAL,
     GEODESIC,
     SolverConfig,
+    _newton_schur_blocks,
     assemble_full_hessian,
     assemble_gradient_rhs,
     centralized_step,
@@ -275,6 +277,28 @@ def test_exact_newton_step_meters_per_robot():
     assert len(ledger.events) == 2
     assert all(ev.kind == "schur" for ev in ledger.events)
     assert ledger.total_scalars() > 0
+
+
+@pytest.mark.parametrize("side, robots", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)])
+@pytest.mark.parametrize("spread", [0.0, 0.05], ids=["truth", "noisy"])
+def test_newton_schur_blocks_split_identity(side, robots, spread):
+    # robot blocks plus the cross-edge Hessian equal the full Hessian with every interior eliminated
+    g, truth = _noisy_grid(side=side, sigma_deg=5.0, seed=7)
+    rng = np.random.default_rng(side * robots)
+    R = RotationState(exp_map_batch(spread * rng.standard_normal((g.n, g.p))) @ truth.mats)
+    part = partition_contiguous(g, robots)
+    dofs = np.arange(g.n * g.p).reshape(g.n, g.p)
+    sep, inner = dofs[part.separators].ravel(), dofs[~part.is_separator].ravel()
+    cross = part.owner[g.I] != part.owner[g.J]
+    g_cross = MeasurementGraph(g.d, g.n, g.I[cross], g.J[cross], g.R_tilde[cross], g.t_tilde[cross],
+                               g.kappa[cross], g.tau[cross])
+    S = assemble_full_hessian(g_cross, R, GEODESIC)[np.ix_(sep, sep)]
+    for S_a in _newton_schur_blocks(g, R, GEODESIC, part):
+        S = S + S_a.toarray()
+    H = assemble_full_hessian(g, R, GEODESIC)
+    H_ff, H_fc = H[np.ix_(inner, inner)], H[np.ix_(inner, sep)]
+    S_ref = H[np.ix_(sep, sep)] - H_fc.T @ np.linalg.solve(H_ff, H_fc)
+    assert np.abs(S - S_ref).max() <= 1e-9 * np.abs(S_ref).max()
 
 
 def test_iterate_meters_steps_and_keeps_iterates():
