@@ -156,6 +156,9 @@ def _split_args(g, args):
         raise GraphError("--epsilon must be non-negative")
     if not args.oversampling > 0:
         raise GraphError("--oversampling must be positive")
+    for flag in ("grad_tol", "resid_tol"):
+        if hasattr(args, flag) and not getattr(args, flag) >= 0:
+            raise GraphError(f"--{flag.replace('_', '-')} must be non-negative")
     seed = _resolve_seed(args.seed)
     threads = _resolve_threads(args.threads)
     return partition_contiguous(g, args.robots), seed, threads

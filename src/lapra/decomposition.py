@@ -20,8 +20,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .laplacians import (
+    WeightedGraph,
     _is_laplacian_like,
+    graph_from_laplacian,
+    grounded_solver,
     heuristic_sparsify,
+    laplacian,
     schur_update,
     sparsify,
     upper_triangle_nnz,
@@ -134,10 +138,11 @@ class RobotBlock:
 class ServerState:
     separators: np.ndarray  # global ids, ascending
     L_Gc: sp.csr_matrix  # cross-robot edges only
-    L_full: sp.csr_matrix  # kept for the single-robot fallback
+    n: int  # size of the whole system
     S_tilde: sp.csr_matrix | None = None
     _lu: object | None = None
     _grounded: bool = True
+    _solve_whole: object | None = field(default=None, init=False)  # single robot: grounded_solver(L)
 
     def set_reduced(self, S: sp.csr_matrix) -> None:
         self.S_tilde = sp.csr_matrix(S)
@@ -193,32 +198,12 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
     pos_in_C = np.full(n, -1, dtype=int)
     pos_in_C[C] = np.arange(C.size)
 
-    coo = sp.coo_matrix(sp.triu(L, k=1))
-    owner = partition.owner
-    cross_r, cross_c, cross_w = [], [], []
-    local_edges: list[list[tuple[int, int, float]]] = [[] for _ in range(partition.m)]
-    for a, b, v in zip(coo.row, coo.col, coo.data):
-        if v == 0:
-            continue
-        w = -v
-        if w <= 0:
-            raise ValueError(f"positive off-diagonal at ({a},{b})")
-        if owner[a] != owner[b]:
-            cross_r.append(pos_in_C[a])
-            cross_c.append(pos_in_C[b])
-            cross_w.append(w)
-        else:
-            local_edges[owner[a]].append((a, b, w))
-
+    g = graph_from_laplacian(L)
+    u, v = g.edges.T
+    owner, is_sep = partition.owner, partition.is_separator
+    cross = owner[u] != owner[v]
     nc = C.size
-    if cross_r:
-        rows = np.array(cross_r + cross_c + cross_r + cross_c)
-        cols = np.array(cross_c + cross_r + cross_r + cross_c)
-        vals = np.concatenate([-np.array(cross_w), -np.array(cross_w), cross_w, cross_w])
-        L_Gc = sp.csr_matrix((vals, (rows, cols)), shape=(nc, nc))
-        L_Gc.sum_duplicates()
-    else:
-        L_Gc = sp.csr_matrix((nc, nc))
+    L_Gc = laplacian(WeightedGraph(nc, pos_in_C[g.edges[cross]], g.weights[cross]))
 
     if partition.m == 1 or nc == 0:
         if partition.m > 1:
@@ -233,14 +218,9 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
             Lcc_local=sp.csr_matrix((0, 0)),
             adj_sep=np.zeros(0, dtype=bool),
         )
-        server = ServerState(separators=C, L_Gc=L_Gc, L_full=L)
+        server = ServerState(separators=C, L_Gc=L_Gc, n=n)
         server.S_tilde = sp.csr_matrix((0, 0))
-        server._grounded = True
-        if n > 1:
-            try:
-                server._lu = spla.splu(sp.csc_matrix(L[1:, 1:]))
-            except RuntimeError as exc:
-                raise NumericalError(f"grounded system is singular: {exc}") from exc
+        server._solve_whole = grounded_solver(L)
         return [stub], server
 
     blocks = []
@@ -248,19 +228,16 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
         F = partition.interiors[a]
         L_aa = sp.csc_matrix(L[F][:, F])
         L_ac = sp.csr_matrix(L[F][:, C])
-        # local-edge Laplacian restricted to separator rows/cols
-        diag = np.zeros(nc)
-        rr, cc, vv = [], [], []
-        for (u, v, w) in local_edges[a]:
-            for x in (u, v):
-                if pos_in_C[x] >= 0:
-                    diag[pos_in_C[x]] += w
-            if pos_in_C[u] >= 0 and pos_in_C[v] >= 0:
-                rr += [pos_in_C[u], pos_in_C[v]]
-                cc += [pos_in_C[v], pos_in_C[u]]
-                vv += [-w, -w]
-        Lcc_local = sp.csr_matrix((vv + list(diag), (rr + list(range(nc)), cc + list(range(nc)))), shape=(nc, nc))
-        Lcc_local.sum_duplicates()
+        # local-edge Laplacian restricted to separator rows/cols; the
+        # diagonal sums the interleaved (u, v) endpoints in edge order
+        local = ~cross & (owner[u] == a)
+        ends, w = pos_in_C[g.edges[local].ravel()], np.repeat(g.weights[local], 2)
+        diag = np.bincount(ends[ends >= 0], weights=w[ends >= 0], minlength=nc)
+        both = local & is_sep[u] & is_sep[v]
+        pu, pv, w = pos_in_C[u[both]], pos_in_C[v[both]], g.weights[both]
+        rows = np.concatenate([pu, pv, np.arange(nc)])
+        cols = np.concatenate([pv, pu, np.arange(nc)])
+        Lcc_local = sp.csr_matrix((np.concatenate([-w, -w, diag]), (rows, cols)), shape=(nc, nc))
         Lcc_local.eliminate_zeros()
         adj = np.asarray((abs(L_ac) > 0).sum(axis=0)).ravel() > 0
         lu = None
@@ -284,7 +261,7 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
             )
         )
 
-    server = ServerState(separators=C, L_Gc=L_Gc, L_full=L)
+    server = ServerState(separators=C, L_Gc=L_Gc, n=n)
     return blocks, server
 
 
@@ -351,25 +328,17 @@ def solve(
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    n = server.L_full.shape[0]
+    n = server.n
     if B.shape[0] != n:
         raise ValueError("rhs size does not match system")
+    if server._solve_whole is not None:
+        return server._solve_whole(B)  # checks the rhs itself
     colsums = B.sum(axis=0)
     if np.linalg.norm(colsums) > 1e-8 * max(1.0, np.linalg.norm(B)):
         raise NumericalError("rhs not orthogonal to the all-ones vector")
 
     C = server.separators
     k = B.shape[1]
-    if C.size == 0:
-        # single robot: grounded whole-problem solve
-        X = np.zeros((n, k))
-        if n > 1:
-            X[1:] = server._lu.solve(B[1:])
-        resid = np.linalg.norm(server.L_full @ X - B)
-        if resid > _RESID_TOL * max(1.0, np.linalg.norm(B)):
-            raise NumericalError(f"grounded solve residual {resid:.3e}")
-        return X - X.mean(axis=0, keepdims=True)
-
     if server.S_tilde is None:
         raise RuntimeError("call sparsified_schur before solve")
     if ledger is not None and round_idx is None:

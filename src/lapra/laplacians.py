@@ -28,6 +28,7 @@ __all__ = [
     "sparsify",
     "check_epsilon",
     "heuristic_sparsify",
+    "grounded_solver",
     "solve_grounded",
     "upper_triangle_nnz",
     "DEFAULT_OVERSAMPLING",
@@ -90,22 +91,21 @@ def laplacian(g: WeightedGraph) -> sp.csr_matrix:
 def graph_from_laplacian(L: sp.spmatrix, tol: float = 0.0) -> WeightedGraph:
     """Recover the weighted graph underlying a Laplacian-structured matrix.
 
-    Off-diagonal entries with magnitude at or below tol (relative to the
-    largest entry) are treated as round-off and dropped; a genuinely
-    positive off-diagonal raises.
+    This is the one place edges come out of a Laplacian. Off-diagonal
+    entries with magnitude at or below tol (relative to the largest
+    entry) are treated as round-off and dropped; a genuinely positive
+    off-diagonal raises, naming the first in COO order of the upper
+    triangle.
     """
     C = sp.coo_matrix(sp.triu(L, k=1))
     scale = max(abs(C.data).max(), 1.0) if C.nnz else 1.0
-    cut = tol * scale
-    pairs, ws = [], []
-    for a, b, v in zip(C.row, C.col, C.data):
-        if abs(v) <= cut:
-            continue
-        if v > 0:
-            raise ValueError(f"positive off-diagonal at ({a},{b}): {v}")
-        pairs.append((a, b))
-        ws.append(-v)
-    return WeightedGraph.from_edge_list(L.shape[0], pairs, ws)
+    keep = ~(np.abs(C.data) <= tol * scale)
+    a, b, v = C.row[keep], C.col[keep], C.data[keep]
+    positive = np.flatnonzero(v > 0)
+    if positive.size:
+        k = positive[0]
+        raise ValueError(f"positive off-diagonal at ({a[k]},{b[k]}): {v[k]}")
+    return WeightedGraph.from_edge_list(L.shape[0], np.stack([a, b], axis=1), -v)
 
 
 def _is_laplacian_like(A: sp.spmatrix, rtol: float = 1e-8) -> bool:
@@ -171,40 +171,32 @@ def effective_resistances(L: sp.spmatrix, pairs: np.ndarray) -> np.ndarray:
     Pairs spanning two components have infinite resistance and raise.
     """
     L = sp.csr_matrix(L)
-    n = L.shape[0]
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    ncomp, labels = csgraph.connected_components(_support(L), directed=False)
+    labels = _component_labels_of(L)
+    la, lb = labels[pairs[:, 0]], labels[pairs[:, 1]]
+    split = np.flatnonzero(la != lb)
+    if split.size:
+        a, b = pairs[split[0]]
+        raise NumericalError(f"vertices {a} and {b} lie in different components")
     out = np.empty(pairs.shape[0])
-    # group pair queries by component
-    by_comp: dict[int, list[int]] = {}
-    for idx, (a, b) in enumerate(pairs):
-        if labels[a] != labels[b]:
-            raise NumericalError(f"vertices {a} and {b} lie in different components")
-        by_comp.setdefault(int(labels[a]), []).append(idx)
-    for comp, idxs in by_comp.items():
+    comps, first = np.unique(la, return_index=True)
+    for comp in comps[np.argsort(first)]:  # components in order of first query
         verts = np.flatnonzero(labels == comp)
         if verts.size > 3000:
             raise NumericalError(f"component of size {verts.size} too large for dense resistances")
         if verts.size == 1:
             raise NumericalError("isolated vertex has no resistances")
-        loc = {int(v): k for k, v in enumerate(verts)}
-        Lc = L[verts][:, verts].toarray()
         # ground the first vertex of the component; resistances are
         # differences so any ground gives the same answer
-        Lg = Lc[1:, 1:]
         try:
-            cf = cho_factor(Lg)
+            cf = cho_factor(L[verts[1:]][:, verts[1:]].toarray())
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"component Laplacian not factorizable: {exc}") from exc
-        Minv = cho_solve(cf, np.eye(Lg.shape[0]))
-        for idx in idxs:
-            a, b = (loc[int(v)] for v in pairs[idx])
-            if a == 0:
-                out[idx] = Minv[b - 1, b - 1]
-            elif b == 0:
-                out[idx] = Minv[a - 1, a - 1]
-            else:
-                out[idx] = Minv[a - 1, a - 1] + Minv[b - 1, b - 1] - 2 * Minv[a - 1, b - 1]
+        M = np.zeros((verts.size, verts.size))  # grounded inverse, zero row and column at the ground
+        M[1:, 1:] = cho_solve(cf, np.eye(verts.size - 1))
+        idx = np.flatnonzero(la == comp)
+        a, b = np.searchsorted(verts, pairs[idx]).T
+        out[idx] = M[a, a] + M[b, b] - 2 * M[a, b]
     return out
 
 
@@ -246,11 +238,7 @@ def sparsify(
     m = g.edges.shape[0]
     if m == 0:
         return S.copy()
-    degree = np.zeros(g.n, dtype=int)
-    for a, b in g.edges:
-        degree[a] += 1
-        degree[b] += 1
-    n_c = int(np.count_nonzero(degree))
+    n_c = int(np.count_nonzero(np.bincount(g.edges.ravel(), minlength=g.n)))
     eps_prime = 1.0 - math.exp(-epsilon)
     q = math.ceil(oversampling * n_c * math.log(max(n_c, 2)) / eps_prime**2)
     if q >= m:
@@ -338,48 +326,56 @@ def heuristic_sparsify(S: sp.spmatrix, mode: str) -> sp.csr_matrix:
     W = sp.csr_matrix(
         (g.weights, (g.edges[:, 0], g.edges[:, 1])), shape=S.shape
     )
-    # minimum spanning tree of negated weights = maximum-weight tree
-    mst = csgraph.minimum_spanning_tree(-W)
-    keep = sp.coo_matrix(mst)
-    rows, cols = keep.row, keep.col
-    vals = -keep.data  # stored negated, flip back to positive weights
-    out = sp.lil_matrix(S.shape)
-    out.setdiag(S.diagonal())
-    for a, b, w in zip(rows, cols, vals):
-        out[a, b] = -w
-        out[b, a] = -w
-    return sp.csr_matrix(out)
+    # minimum spanning tree of negated weights = maximum-weight tree,
+    # whose entries are already the Laplacian's off-diagonal values
+    tree = sp.coo_matrix(csgraph.minimum_spanning_tree(-W))
+    diag = S.diagonal()
+    on = np.flatnonzero(diag)  # zero diagonal entries stay unstored
+    rows = np.concatenate([on, tree.row, tree.col])
+    cols = np.concatenate([on, tree.col, tree.row])
+    vals = np.concatenate([diag[on], tree.data, tree.data])
+    return sp.csr_matrix((vals, (rows, cols)), shape=S.shape)
 
 
-def solve_grounded(L: sp.spmatrix, B: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of the singular system L X = B.
+def grounded_solver(L: sp.spmatrix):
+    """Factor a connected Laplacian once and return solve(B), the minimum-norm X with L X = B.
 
-    L must be a connected Laplacian and each column of B orthogonal to
-    the all-ones vector. Vertex 0 is grounded for the factorization and
-    the result is shifted to zero column means, which for a connected
-    Laplacian is exactly the minimum-norm representative.
+    Each column of B must be orthogonal to the all-ones vector. Vertex 0
+    is grounded for the factorization and the result is shifted to zero
+    column means, which for a connected Laplacian is exactly the
+    minimum-norm representative. A 1-D B gives a 1-D X.
     """
     L = sp.csr_matrix(L)
-    n = L.shape[0]
-    B = np.asarray(B, dtype=float)
-    squeeze = B.ndim == 1
-    if squeeze:
-        B = B[:, None]
-    colsums = B.sum(axis=0)
-    if np.linalg.norm(colsums) > 1e-8 * max(1.0, np.linalg.norm(B)):
-        raise NumericalError("rhs not orthogonal to the all-ones vector")
-    X = np.zeros_like(B)
-    if n > 1:
+    lu = None
+    if L.shape[0] > 1:
         try:
             lu = spla.splu(sp.csc_matrix(L[1:, 1:]))
         except RuntimeError as exc:
             raise NumericalError(f"grounded Laplacian is singular (graph disconnected?): {exc}") from exc
-        X[1:] = lu.solve(B[1:])
-    resid = np.linalg.norm(L @ X - B)
-    if not np.isfinite(resid) or resid > 1e-10 * max(1.0, np.linalg.norm(B)):
-        raise NumericalError(f"grounded solve residual {resid:.3e}")
-    X = X - X.mean(axis=0, keepdims=True)
-    return X[:, 0] if squeeze else X
+
+    def solve(B: np.ndarray) -> np.ndarray:
+        B = np.asarray(B, dtype=float)
+        squeeze = B.ndim == 1
+        if squeeze:
+            B = B[:, None]
+        colsums = B.sum(axis=0)
+        if np.linalg.norm(colsums) > 1e-8 * max(1.0, np.linalg.norm(B)):
+            raise NumericalError("rhs not orthogonal to the all-ones vector")
+        X = np.zeros_like(B)
+        if lu is not None:
+            X[1:] = lu.solve(B[1:])
+        resid = np.linalg.norm(L @ X - B)
+        if not np.isfinite(resid) or resid > 1e-10 * max(1.0, np.linalg.norm(B)):
+            raise NumericalError(f"grounded solve residual {resid:.3e}")
+        X = X - X.mean(axis=0, keepdims=True)
+        return X[:, 0] if squeeze else X
+
+    return solve
+
+
+def solve_grounded(L: sp.spmatrix, B: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of the singular system L X = B; see grounded_solver."""
+    return grounded_solver(L)(B)
 
 
 def upper_triangle_nnz(A: sp.spmatrix) -> int:

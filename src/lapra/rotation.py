@@ -23,6 +23,7 @@ from . import decomposition as dd
 from .laplacians import (
     DEFAULT_OVERSAMPLING,
     WeightedGraph,
+    grounded_solver,
     laplacian,
     schur_update,
     solve_grounded,
@@ -337,11 +338,11 @@ def centralized_solve(
 ) -> tuple[RotationState, RunTrace]:
     """Iterate centralized_step until config's stop test; nothing is uploaded."""
     kind = distance_by_name(config.distance)
-    L = laplacian(laplacian_weights(g, kind))
+    solve = grounded_solver(laplacian(laplacian_weights(g, kind)))
     return iterate(
         R0.copy(),
         lambda R: _gradient_and_cost(g, R, kind),
-        lambda R, B, _: _apply_update(R, solve_grounded(L, B)),
+        lambda R, B, _: _apply_update(R, solve(B)),
         config,
         dd.CommsLedger(),
     )

@@ -326,6 +326,28 @@ def test_exit_code_on_invalid_solver_flags(tmp_path, capsys, command, flags, mes
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve-rotation", "--grad-tol"),
+        ("solve-translation", "--resid-tol"),
+        ("pipeline", "--grad-tol"),
+        ("pipeline", "--resid-tol"),
+    ],
+)
+@pytest.mark.parametrize("value", ["-1", "nan"])
+@pytest.mark.parametrize("robots", ["1", "2"])
+def test_exit_code_on_invalid_tolerance(tmp_path, capsys, command, flag, value, robots):
+    graph, truth = _synth(tmp_path, side=3)
+    rotations = ["--rotations", truth] if command == "solve-translation" else []
+    report = tmp_path / "x.json"
+    rc = main([command, "--input", graph, *rotations, "--robots", robots, flag, value,
+               "--report", str(report)])
+    assert rc == 2
+    assert f"{flag} must be non-negative" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("value", ["-1", "nan"])
 def test_validate_hessian_rejects_invalid_epsilon(tmp_path, capsys, value):
     out = tmp_path / "sweep.csv"
