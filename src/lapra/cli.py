@@ -229,6 +229,20 @@ def cmd_solve_rotation(args) -> int:
 # ---------------------------------------------------------------------------
 # solve-translation
 
+def _translation_run(g, args, R_hat, partition, seed, threads):
+    config = SolverConfig(
+        epsilon=args.epsilon,
+        grad_tol=args.resid_tol,
+        max_iters=args.max_iters,
+        seed=seed,
+    )
+    t0 = time.perf_counter()
+    M, trace = collaborative_translation_solve(
+        g, partition, R_hat, config, oversampling=args.oversampling, threads=threads
+    )
+    return M, trace, time.perf_counter() - t0
+
+
 def cmd_solve_translation(args) -> int:
     g, poses = _load_graph(args.input)
     if args.rotations is not None:
@@ -240,17 +254,7 @@ def cmd_solve_translation(args) -> int:
     if R_hat.n != g.n:
         raise GraphError(f"rotation count {R_hat.n} does not match graph size {g.n}")
     partition, seed, threads = _split_args(g, args)
-    config = SolverConfig(
-        epsilon=args.epsilon,
-        grad_tol=args.resid_tol,
-        max_iters=args.max_iters,
-        seed=seed,
-    )
-    t0 = time.perf_counter()
-    M, trace = collaborative_translation_solve(
-        g, partition, R_hat, config, oversampling=args.oversampling, threads=threads
-    )
-    wall = time.perf_counter() - t0
+    M, trace, wall = _translation_run(g, args, R_hat, partition, seed, threads)
     final = {
         "converged": trace.converged,
         "iterations": trace.iterations,
@@ -331,17 +335,7 @@ def cmd_pipeline(args) -> int:
     g, _ = _load_graph(args.input)
     partition, seed, threads = _split_args(g, args)
     R, rot_trace, config_echo, rot_wall = _rotation_run(g, args, partition, seed, threads)
-    t_config = SolverConfig(
-        epsilon=args.epsilon,
-        grad_tol=args.resid_tol,
-        max_iters=args.max_iters,
-        seed=seed,
-    )
-    t0 = time.perf_counter()
-    M, tr_trace = collaborative_translation_solve(
-        g, partition, R, t_config, oversampling=args.oversampling, threads=threads
-    )
-    tr_wall = time.perf_counter() - t0
+    M, tr_trace, tr_wall = _translation_run(g, args, R, partition, seed, threads)
     final = {
         "rotation_converged": rot_trace.converged,
         "rotation_iterations": rot_trace.iterations,

@@ -22,6 +22,7 @@ import scipy.sparse.linalg as spla
 from .laplacians import (
     WeightedGraph,
     _is_laplacian_like,
+    check_residual,
     graph_from_laplacian,
     grounded_solver,
     heuristic_sparsify,
@@ -47,7 +48,6 @@ __all__ = [
 
 BYTES_PER_SCALAR = 8
 SCHUR_MODES = ("spectral", "block_diagonal", "tree")
-_RESID_TOL = 1e-10
 
 
 @dataclass
@@ -124,9 +124,7 @@ class RobotBlock:
         if self.interior.size == 0:
             return np.zeros_like(rhs)
         sol = self.lu.solve(rhs)
-        resid = np.linalg.norm(self.L_aa @ sol - rhs)
-        if not np.isfinite(resid) or resid > _RESID_TOL * max(1.0, np.linalg.norm(rhs)):
-            raise NumericalError(f"robot {self.alpha} interior solve residual {resid:.3e}")
+        check_residual(self.L_aa, sol, rhs, f"robot {self.alpha} interior solve")
         return sol
 
     def schur_contribution(self) -> sp.csr_matrix:
@@ -177,9 +175,7 @@ class ServerState:
             X = np.vstack([np.zeros((1, U.shape[1])), Xg])
         else:
             X = self._lu.solve(U)
-        resid = np.linalg.norm(self.S_tilde @ X - U) if not self._grounded else None
-        if resid is not None and resid > _RESID_TOL * max(1.0, np.linalg.norm(U)):
-            raise NumericalError(f"reduced solve residual {resid:.3e}")
+            check_residual(self.S_tilde, X, U, "reduced solve")
         return X - X.mean(axis=0, keepdims=True)
 
 

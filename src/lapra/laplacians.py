@@ -30,6 +30,7 @@ __all__ = [
     "heuristic_sparsify",
     "grounded_solver",
     "solve_grounded",
+    "check_residual",
     "upper_triangle_nnz",
     "DEFAULT_OVERSAMPLING",
     "EpsilonReport",
@@ -345,11 +346,11 @@ def grounded_solver(L: sp.spmatrix):
     column means, which for a connected Laplacian is exactly the
     minimum-norm representative. A 1-D B gives a 1-D X.
     """
-    L = sp.csr_matrix(L)
+    L_g = sp.csc_matrix(sp.csr_matrix(L)[1:, 1:])
     lu = None
-    if L.shape[0] > 1:
+    if L_g.shape[0] > 0:
         try:
-            lu = spla.splu(sp.csc_matrix(L[1:, 1:]))
+            lu = spla.splu(L_g)
         except RuntimeError as exc:
             raise NumericalError(f"grounded Laplacian is singular (graph disconnected?): {exc}") from exc
 
@@ -364,9 +365,7 @@ def grounded_solver(L: sp.spmatrix):
         X = np.zeros_like(B)
         if lu is not None:
             X[1:] = lu.solve(B[1:])
-        resid = np.linalg.norm(L @ X - B)
-        if not np.isfinite(resid) or resid > 1e-10 * max(1.0, np.linalg.norm(B)):
-            raise NumericalError(f"grounded solve residual {resid:.3e}")
+            check_residual(L_g, X[1:], B[1:], "grounded solve")  # row 0 of L X - B is -colsums, checked above
         X = X - X.mean(axis=0, keepdims=True)
         return X[:, 0] if squeeze else X
 
@@ -376,6 +375,16 @@ def grounded_solver(L: sp.spmatrix):
 def solve_grounded(L: sp.spmatrix, B: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of the singular system L X = B; see grounded_solver."""
     return grounded_solver(L)(B)
+
+
+def check_residual(A: sp.spmatrix, X: np.ndarray, B: np.ndarray, what: str) -> None:
+    """Raise NumericalError naming `what` unless ||A X - B|| <= 1e-10 (||A|| ||X|| + ||B||).
+
+    The bound, in Frobenius norms, scales with the system; a non-finite residual always fails.
+    """
+    resid = np.linalg.norm(A @ X - B)
+    if not np.isfinite(resid) or resid > 1e-10 * (spla.norm(A) * np.linalg.norm(X) + np.linalg.norm(B)):
+        raise NumericalError(f"{what} residual {resid:.3e}")
 
 
 def upper_triangle_nnz(A: sp.spmatrix) -> int:

@@ -9,14 +9,16 @@ and seeded synthetic grid problems.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .manifold import RotationState, exp_map, log_map, random_rotation, tangent_dim
+from .manifold import RotationState, exp_map, exp_map_batch, log_map, random_rotation, tangent_dim
 
 __all__ = [
     "GraphError",
@@ -149,20 +151,53 @@ def scatter_edge_rows(n: int, I: np.ndarray, J: np.ndarray, X_i: np.ndarray, X_j
 # ---------------------------------------------------------------------------
 # g2o IO
 
+class _Record(NamedTuple):
+    """Layout of the fields that follow one g2o tag.
+
+    `ids` vertex ids, then `floats` numbers: d translation components, the
+    rotation in columns `rot` (an angle or an (x, y, z, w) quaternion) and,
+    for an edge, the row-major upper triangle of the information matrix,
+    whose slots `t_info` and `r_info` are its translational and rotational
+    diagonal.
+    """
+
+    d: int
+    ids: int
+    floats: int
+    rot: slice
+    t_info: tuple = ()
+    r_info: tuple = ()
+
+
+# each dimension's vertex tag comes before its edge tag
+_G2O = {
+    "VERTEX_SE2": _Record(2, 1, 3, slice(2, 3)),
+    "EDGE_SE2": _Record(2, 2, 3 + 6, slice(2, 3), (0, 3), (5,)),
+    "VERTEX_SE3:QUAT": _Record(3, 1, 7, slice(3, 7)),
+    "EDGE_SE3:QUAT": _Record(3, 2, 7 + 21, slice(3, 7), (0, 6, 11), (15, 18, 20)),
+}
+
+
+def _quats_to_rots(Q: np.ndarray, lines: list[int] | None = None) -> np.ndarray:
+    """Rotation matrices from the (x, y, z, w) quaternion rows of a (k, 4) array.
+
+    Raises GraphError on a zero quaternion, naming its line when the line
+    number of each row is given.
+    """
+    Q = np.ascontiguousarray(Q, dtype=float)
+    nrm = np.sqrt((Q[:, None, :] @ Q[:, :, None])[:, 0, 0])  # the dot product np.linalg.norm takes of one row
+    zero = np.flatnonzero(nrm == 0)
+    if zero.size:
+        raise GraphError(("" if lines is None else f"line {lines[zero[0]]}: ") + "zero quaternion")
+    x, y, z, w = (Q / nrm[:, None]).T
+    return np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+                     2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+                     2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)], axis=1).reshape(-1, 3, 3)
+
+
 def quat_to_rot(qx: float, qy: float, qz: float, qw: float) -> np.ndarray:
-    """Rotation matrix from a quaternion given in (x, y, z, w) order."""
-    q = np.array([qx, qy, qz, qw], dtype=float)
-    nrm = np.linalg.norm(q)
-    if nrm == 0:
-        raise GraphError("zero quaternion")
-    x, y, z, w = q / nrm
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrix from an (x, y, z, w) quaternion: the one-row case of _quats_to_rots."""
+    return _quats_to_rots(np.array([[qx, qy, qz, qw]]))[0]
 
 
 def rot_to_quat(R: np.ndarray) -> np.ndarray:
@@ -201,112 +236,82 @@ def rot_to_quat(R: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def _unpack_upper(vals: list[float], k: int) -> np.ndarray:
-    """Row-major upper triangle (k*(k+1)/2 values) to a full symmetric matrix."""
-    M = np.zeros((k, k))
-    it = iter(vals)
-    for r in range(k):
-        for c in range(r, k):
-            v = next(it)
-            M[r, c] = v
-            M[c, r] = v
-    return M
+def _equalish_row_means(A: np.ndarray) -> np.ndarray:
+    """Mean of each row of A, or exactly its first entry where the row's entries are all equal."""
+    # keeps the exact value of an isotropic information matrix
+    return np.where((A == A[:, :1]).all(axis=1), A[:, 0], A.mean(axis=1))
 
 
-def _mean_of_equalish(vals: np.ndarray) -> float:
-    # preserves the exact value for isotropic information matrices
-    if np.all(vals == vals[0]):
-        return float(vals[0])
-    return float(np.mean(vals))
+def _convert_records(rec: _Record, vals: array, lines: list[int]) -> tuple:
+    """(rotations, translations), and for an edge tag (kappa, tau), of one tag's records."""
+    X = np.frombuffer(vals, dtype=float).reshape(-1, rec.floats)
+    R = exp_map_batch(X[:, rec.rot]) if rec.d == 2 else _quats_to_rots(X[:, rec.rot], lines)
+    info = X[:, rec.rot.stop:]
+    weights = [_equalish_row_means(info[:, slots]) for slots in (rec.r_info, rec.t_info) if slots]
+    return R, X[:, :rec.d].copy(), *weights
 
 
 def load_g2o(path: str) -> tuple[MeasurementGraph, tuple[RotationState, np.ndarray] | None]:
     """Parse a g2o file with SE(2) or SE(3) records.
 
     Returns the measurement graph and, when every vertex had a VERTEX
-    record, the stored poses as (rotations, translations). Raises
-    GraphError on malformed lines (with the line number), mixed
-    dimensions, duplicate edges or a disconnected graph.
+    record, the stored poses as (rotations, translations); of repeated
+    records for one vertex the last wins. Raises GraphError on malformed
+    lines (with the line number), mixed dimensions, duplicate edges or a
+    disconnected graph.
     """
-    vertices: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    edges: list[tuple] = []  # (i, j, R_tilde, t_tilde, kappa, tau) per edge record
+    # per tag: its layout, and the ids, numbers and line numbers of its records
+    records = {tag: (rec, [], array("d"), []) for tag, rec in _G2O.items()}
     dim: int | None = None
-
-    def want_dim(d: int, ln: int):
-        nonlocal dim
-        if dim is None:
-            dim = d
-        elif dim != d:
-            raise GraphError(f"line {ln}: mixes 2D and 3D records")
-
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            tag = parts[0]
             try:
-                if tag == "VERTEX_SE2":
-                    want_dim(2, ln)
-                    vid = int(parts[1])
-                    x, y, th = (float(s) for s in parts[2:5])
-                    if len(parts) != 5:
-                        raise ValueError("field count")
-                    vertices[vid] = (exp_map(np.array([th])), np.array([x, y]))
-                elif tag == "VERTEX_SE3:QUAT":
-                    want_dim(3, ln)
-                    vid = int(parts[1])
-                    vals = [float(s) for s in parts[2:9]]
-                    if len(parts) != 9:
-                        raise ValueError("field count")
-                    x, y, z, qx, qy, qz, qw = vals
-                    vertices[vid] = (quat_to_rot(qx, qy, qz, qw), np.array([x, y, z]))
-                elif tag == "EDGE_SE2":
-                    want_dim(2, ln)
-                    i, j = int(parts[1]), int(parts[2])
-                    vals = [float(s) for s in parts[3:]]
-                    if len(vals) != 3 + 6:
-                        raise ValueError("field count")
-                    dx, dy, dth = vals[:3]
-                    info = np.diag(_unpack_upper(vals[3:], 3))
-                    edges.append((i, j, exp_map(np.array([dth])), (dx, dy),
-                                  _mean_of_equalish(info[2:]), _mean_of_equalish(info[:2])))
-                elif tag == "EDGE_SE3:QUAT":
-                    want_dim(3, ln)
-                    i, j = int(parts[1]), int(parts[2])
-                    vals = [float(s) for s in parts[3:]]
-                    if len(vals) != 7 + 21:
-                        raise ValueError("field count")
-                    dx, dy, dz, qx, qy, qz, qw = vals[:7]
-                    info = np.diag(_unpack_upper(vals[7:], 6))
-                    edges.append((i, j, quat_to_rot(qx, qy, qz, qw), (dx, dy, dz),
-                                  _mean_of_equalish(info[3:]), _mean_of_equalish(info[:3])))
-                else:
-                    raise ValueError(f"unknown record {tag}")
-            except GraphError:
-                raise
-            except Exception as exc:
+                if parts[0] not in records:
+                    raise ValueError(f"unknown record {parts[0]}")
+                rec, tag_ids, tag_vals, tag_lines = records[parts[0]]
+                dim = rec.d if dim is None else dim
+                if rec.d != dim:
+                    raise ValueError("mixes 2D and 3D records")
+                ids = [int(parts[k]) for k in range(1, 1 + rec.ids)]
+                vals = [float(s) for s in parts[1 + rec.ids:]]
+                if len(vals) != rec.floats:
+                    raise ValueError("field count")
+            except (ValueError, IndexError) as exc:
                 raise GraphError(f"line {ln}: {exc}") from exc
+            tag_ids.extend(ids)
+            tag_vals.extend(vals)
+            tag_lines.append(ln)
 
-    if not edges and not vertices:
+    if dim is None:
         raise GraphError("file contains no vertices or edges")
-    columns = list(zip(*edges)) or [()] * 6
-    ids = set(vertices).union(columns[0], columns[1])
+    (v_rec, vertex_ids, *vertex), (e_rec, edge_ids, *edge) = (r for r in records.values() if r[0].d == dim)
+    vertex_R, vertex_t = _convert_records(v_rec, *vertex)
+    R_tilde, t_tilde, kappa, tau = _convert_records(e_rec, *edge)
+    ids = set(vertex_ids).union(edge_ids)
     n = max(ids) + 1
-    if ids != set(range(n)):
+    if min(ids) != 0 or len(ids) != n:
         raise GraphError("vertex ids are not contiguous from 0")
-    g = MeasurementGraph(dim, n, *columns)
+    I, J = np.array(edge_ids, dtype=np.intp).reshape(-1, 2).T.copy()
+    g = MeasurementGraph(dim, n, I, J, R_tilde, t_tilde, kappa, tau)
     g.validate()
+    last = {v: k for k, v in enumerate(vertex_ids)}  # a repeated vertex id keeps its last record
     poses = None
-    if len(vertices) == n:
-        mats = np.stack([vertices[i][0] for i in range(n)])
-        ts = np.stack([vertices[i][1] for i in range(n)])
-        poses = (RotationState(mats), ts)
+    if len(last) == n:
+        rows = [last[v] for v in range(n)]
+        poses = (RotationState(vertex_R[rows]), vertex_t[rows])
     return g, poses
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _rotation_fields(R: np.ndarray) -> np.ndarray:
+    """The planar angle or the (x, y, z, w) quaternion that a g2o record stores for R."""
+    return log_map(R) if R.shape[0] == 2 else rot_to_quat(R)
 
 
 def write_g2o(path: str, g: MeasurementGraph, poses: tuple[RotationState, np.ndarray] | None = None) -> None:
@@ -315,31 +320,19 @@ def write_g2o(path: str, g: MeasurementGraph, poses: tuple[RotationState, np.nda
     Information matrices are emitted isotropic from the scalar weights,
     so a load of the written file reproduces kappa and tau exactly.
     """
+    (vertex, _), (edge, rec) = ((tag, rec) for tag, rec in _G2O.items() if rec.d == g.d)
     lines = []
     if poses is not None:
         rots, ts = poses
         for i in range(g.n):
-            if g.d == 2:
-                th = log_map(rots.mats[i])[0]
-                lines.append(f"VERTEX_SE2 {i} {_fmt(ts[i][0])} {_fmt(ts[i][1])} {_fmt(th)}")
-            else:
-                q = rot_to_quat(rots.mats[i])
-                fields = [_fmt(v) for v in (*ts[i], *q)]
-                lines.append(f"VERTEX_SE3:QUAT {i} " + " ".join(fields))
-    for i, j, R_tilde, t_tilde, kappa, tau in zip(g.I, g.J, g.R_tilde, g.t_tilde, g.kappa, g.tau):
-        if g.d == 2:
-            dth = log_map(R_tilde)[0]
-            info = [tau, 0.0, 0.0, tau, 0.0, kappa]
-            fields = [_fmt(v) for v in (*t_tilde, dth, *info)]
-            lines.append(f"EDGE_SE2 {i} {j} " + " ".join(fields))
-        else:
-            q = rot_to_quat(R_tilde)
-            info = np.zeros((6, 6))
-            info[:3, :3] = tau * np.eye(3)
-            info[3:, 3:] = kappa * np.eye(3)
-            upper = [info[r, c] for r in range(6) for c in range(r, 6)]
-            fields = [_fmt(v) for v in (*t_tilde, *q, *upper)]
-            lines.append(f"EDGE_SE3:QUAT {i} {j} " + " ".join(fields))
+            fields = [_fmt(v) for v in (*ts[i], *_rotation_fields(rots.mats[i]))]
+            lines.append(f"{vertex} {i} " + " ".join(fields))
+    info = np.zeros((g.m, rec.floats - rec.rot.stop))
+    info[:, rec.t_info] = g.tau[:, None]
+    info[:, rec.r_info] = g.kappa[:, None]
+    for i, j, R_tilde, t_tilde, upper in zip(g.I, g.J, g.R_tilde, g.t_tilde, info):
+        fields = [_fmt(v) for v in (*t_tilde, *_rotation_fields(R_tilde), *upper)]
+        lines.append(f"{edge} {i} {j} " + " ".join(fields))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

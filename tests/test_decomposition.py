@@ -108,6 +108,26 @@ def test_split_solve_single_robot():
     assert ledger.total_scalars() == 0  # nothing leaves the single robot
 
 
+@pytest.mark.parametrize("big", [1e3, 1e4])
+def test_widely_weighted_path_solves_through_both_paths(big):
+    # weights alternating 1/big and big: cond(L) ~ big^2, yet both solves
+    # are backward stable, so the residual checks must let them through
+    n = 16
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    g = WeightedGraph.from_edge_list(n, pairs, np.where(np.arange(n - 1) % 2 == 0, 1.0 / big, big))
+    L = laplacian(g)
+    B = _feasible_rhs(np.random.default_rng(0), n)
+    X = solve_grounded(L, B)
+    blocks, server = build_blocks(L, Partition.from_owner(np.arange(n) * 2 // n, pairs))
+    sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+    Y = split_solve(blocks, server, B)
+    Y -= Y.mean(axis=0)  # split_solve centres only the separator rows
+    norm_L = np.linalg.norm(L.toarray())
+    for Z in (X, Y):
+        assert np.linalg.norm(L @ Z - B) <= 1e-14 * (norm_L * np.linalg.norm(Z) + np.linalg.norm(B))
+    assert np.abs(Y - X).max() <= 1e-5 * np.abs(X).max()
+
+
 def test_split_solve_rejects_infeasible():
     rng = np.random.default_rng(4)
     L, part = _instance(rng)

@@ -129,6 +129,33 @@ def test_g2o_parse_errors(tmp_path):
     )
     with pytest.raises(GraphError):
         load_g2o(str(p))
+    # a huge id is rejected without enumerating every id below it
+    p.write_text("VERTEX_SE2 1000000000000 0.0 0.0 0.0\n")
+    with pytest.raises(GraphError, match="not contiguous"):
+        load_g2o(str(p))
+
+
+@pytest.mark.parametrize("record", [
+    "VERTEX_SE3:QUAT 1 0 0 0 0 0 0 0",
+    "EDGE_SE3:QUAT 0 1 1 0 0 0 0 0 0 " + " ".join(["1 0 0 0 0 0", "1 0 0 0 0", "1 0 0 0", "1 0 0", "1 0", "1"]),
+])
+def test_g2o_zero_quaternion_names_its_line(tmp_path, record):
+    p = tmp_path / "zero.g2o"
+    p.write_text("# two poses\nVERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n" + record + "\nVERTEX_SE3:QUAT 2 0 0 0 0 0 0 1\n")
+    with pytest.raises(GraphError, match=r"^line 3: zero quaternion$"):
+        load_g2o(str(p))
+
+
+def test_g2o_last_record_of_a_vertex_wins(tmp_path):
+    p = tmp_path / "repeat.g2o"
+    p.write_text(
+        "VERTEX_SE2 1 5.0 6.0 0.5\n"
+        "VERTEX_SE2 0 1.0 2.0 0.1\n"
+        "VERTEX_SE2 1 3.0 4.0 0.2\n"
+    )
+    _, (rots, ts) = load_g2o(str(p))
+    assert ts.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert rots.mats[1].tolist() == exp_map(np.array([0.2])).tolist()
 
 
 def test_g2o_2d_records(tmp_path):

@@ -1,14 +1,16 @@
 """Property tests for the edge arrays, the Laplacian path and the rotation maps.
 
-The g2o round trip must give the arrays back. The vectorized graph and
-Laplacian bookkeeping is checked against the loops it replaced, kept
-below as references; both sum in the same order, so results must agree
-bit for bit. The exp/log maps and the quaternion conversion must round
-trip in every branch.
+The g2o round trip must give the arrays back, and the g2o loader must
+parse files of every shape exactly as the per-record loader it replaced.
+The vectorized graph and Laplacian bookkeeping is checked against the
+loops it replaced, kept below as references; both sum in the same order,
+so results must agree bit for bit. The exp/log maps and the quaternion
+conversion must round trip in every branch.
 """
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -29,8 +31,9 @@ from lapra.laplacians import (
     laplacian,
     solve_grounded,
 )
-from lapra.manifold import NumericalError, exp_map, exp_map_batch, log_map, log_map_batch
+from lapra.manifold import NumericalError, RotationState, exp_map, exp_map_batch, log_map, log_map_batch
 from lapra.pose_graph import (
+    GraphError,
     MeasurementGraph,
     Partition,
     SyntheticSpec,
@@ -160,10 +163,11 @@ def _ref_single_robot_solve(L, B):
     n = L.shape[0]
     X = np.zeros((n, B.shape[1]))
     if n > 1:
-        X[1:] = spla.splu(sp.csc_matrix(L[1:, 1:])).solve(B[1:])
-    resid = np.linalg.norm(L @ X - B)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(B)):
-        raise NumericalError(f"grounded solve residual {resid:.3e}")
+        L_g = sp.csc_matrix(L[1:, 1:])
+        X[1:] = spla.splu(L_g).solve(B[1:])
+        resid = np.linalg.norm(L_g @ X[1:] - B[1:])
+        if resid > 1e-10 * (spla.norm(L_g) * np.linalg.norm(X[1:]) + np.linalg.norm(B[1:])):
+            raise NumericalError(f"grounded solve residual {resid:.3e}")
     return X - X.mean(axis=0, keepdims=True)
 
 
@@ -213,6 +217,115 @@ def _ref_tree(S):
         out[a, b] = -w
         out[b, a] = -w
     return sp.csr_matrix(out)
+
+
+def _ref_quat_to_rot(qx, qy, qz, qw):
+    q = np.array([qx, qy, qz, qw], dtype=float)
+    nrm = np.linalg.norm(q)
+    if nrm == 0:
+        raise GraphError("zero quaternion")
+    x, y, z, w = q / nrm
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def _ref_unpack_upper(vals, k):
+    M = np.zeros((k, k))
+    it = iter(vals)
+    for r in range(k):
+        for c in range(r, k):
+            v = next(it)
+            M[r, c] = v
+            M[c, r] = v
+    return M
+
+
+def _ref_mean_of_equalish(vals):
+    if np.all(vals == vals[0]):
+        return float(vals[0])
+    return float(np.mean(vals))
+
+
+def _ref_load_g2o(path):
+    """The per-record g2o loader: one branch per tag, one conversion per line."""
+    vertices, edges, dim = {}, [], None
+
+    def want_dim(d, ln):
+        nonlocal dim
+        if dim is None:
+            dim = d
+        elif dim != d:
+            raise GraphError(f"line {ln}: mixes 2D and 3D records")
+
+    with open(path) as fh:
+        for ln, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            tag = parts[0]
+            try:
+                if tag == "VERTEX_SE2":
+                    want_dim(2, ln)
+                    vid = int(parts[1])
+                    x, y, th = (float(s) for s in parts[2:5])
+                    if len(parts) != 5:
+                        raise ValueError("field count")
+                    vertices[vid] = (exp_map(np.array([th])), np.array([x, y]))
+                elif tag == "VERTEX_SE3:QUAT":
+                    want_dim(3, ln)
+                    vid = int(parts[1])
+                    vals = [float(s) for s in parts[2:9]]
+                    if len(parts) != 9:
+                        raise ValueError("field count")
+                    x, y, z, qx, qy, qz, qw = vals
+                    vertices[vid] = (_ref_quat_to_rot(qx, qy, qz, qw), np.array([x, y, z]))
+                elif tag == "EDGE_SE2":
+                    want_dim(2, ln)
+                    i, j = int(parts[1]), int(parts[2])
+                    vals = [float(s) for s in parts[3:]]
+                    if len(vals) != 3 + 6:
+                        raise ValueError("field count")
+                    dx, dy, dth = vals[:3]
+                    info = np.diag(_ref_unpack_upper(vals[3:], 3))
+                    edges.append((i, j, exp_map(np.array([dth])), (dx, dy),
+                                  _ref_mean_of_equalish(info[2:]), _ref_mean_of_equalish(info[:2])))
+                elif tag == "EDGE_SE3:QUAT":
+                    want_dim(3, ln)
+                    i, j = int(parts[1]), int(parts[2])
+                    vals = [float(s) for s in parts[3:]]
+                    if len(vals) != 7 + 21:
+                        raise ValueError("field count")
+                    dx, dy, dz, qx, qy, qz, qw = vals[:7]
+                    info = np.diag(_ref_unpack_upper(vals[7:], 6))
+                    edges.append((i, j, _ref_quat_to_rot(qx, qy, qz, qw), (dx, dy, dz),
+                                  _ref_mean_of_equalish(info[3:]), _ref_mean_of_equalish(info[:3])))
+                else:
+                    raise ValueError(f"unknown record {tag}")
+            except GraphError:
+                raise
+            except Exception as exc:
+                raise GraphError(f"line {ln}: {exc}") from exc
+
+    if not edges and not vertices:
+        raise GraphError("file contains no vertices or edges")
+    columns = list(zip(*edges)) or [()] * 6
+    ids = set(vertices).union(columns[0], columns[1])
+    n = max(ids) + 1
+    if ids != set(range(n)):
+        raise GraphError("vertex ids are not contiguous from 0")
+    g = MeasurementGraph(dim, n, *columns)
+    g.validate()
+    poses = None
+    if len(vertices) == n:
+        mats = np.stack([vertices[i][0] for i in range(n)])
+        ts = np.stack([vertices[i][1] for i in range(n)])
+        poses = (RotationState(mats), ts)
+    return g, poses
 
 
 def _assert_same_csr(A, B):
@@ -280,8 +393,8 @@ def owned_pairs(draw):
 
 
 @st.composite
-def weighted_laplacians(draw, weights=_weights):
-    """(n, pairs, L) for a connected graph, by default with weights across twelve orders of magnitude.
+def weighted_laplacians(draw):
+    """(n, pairs, L) for a connected graph with weights across twelve orders of magnitude.
 
     The graph is a seeded 2D or 3D synthetic lattice or an arbitrary random graph.
     """
@@ -293,7 +406,7 @@ def weighted_laplacians(draw, weights=_weights):
     else:
         n = draw(st.integers(2, 12))
         pairs = np.array(draw(connected_pairs(n)))
-    w = draw(st.lists(weights, min_size=len(pairs), max_size=len(pairs)))
+    w = draw(st.lists(_weights, min_size=len(pairs), max_size=len(pairs)))
     return n, pairs, laplacian(WeightedGraph.from_edge_list(n, pairs, w))
 
 
@@ -349,6 +462,58 @@ def multi_component_queries(draw):
     return L, np.array(queries, dtype=int).reshape(-1, 2)
 
 
+_G2O_TAGS = {2: ("VERTEX_SE2", "EDGE_SE2"), 3: ("VERTEX_SE3:QUAT", "EDGE_SE3:QUAT")}
+_quaternions = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda q: np.linalg.norm(q) > 1e-3)
+_spellings = st.sampled_from(["{!r}", "{:.17g}", "{:.6f}", "{:g}"])  # ways a file may write a number
+
+
+@st.composite
+def g2o_records(draw):
+    """(d, records, fillers) of a g2o file; each record is its list of tokens.
+
+    The file holds vertices only, edges only or both, in any order.
+    Vertex ids may repeat with different poses. Information matrices are
+    isotropic or not, with or without off-diagonal entries. fillers[k]
+    is a comment, blank or whitespace line before record k (or at the
+    end), or None for no line.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["vertices", "edges", "mixed"]))
+    n = draw(st.integers(1 if kind == "vertices" else 2, 8))
+    vertex_tag, edge_tag = _G2O_TAGS[d]
+
+    def numbers(values):
+        return [draw(_spellings).format(float(x)) for x in values]
+
+    def pose():
+        rotation = [draw(st.floats(-3.0, 3.0))] if d == 2 else draw(_quaternions)
+        return [draw(_coords) for _ in range(d)] + rotation
+
+    def information():
+        k = d + d * (d - 1) // 2  # translation block, then rotation block
+        diag = []
+        for size in (d, k - d):
+            diag += [draw(_weights)] * size if draw(st.booleans()) else [draw(_weights) for _ in range(size)]
+        M = np.diag(diag)
+        if draw(st.booleans()):
+            off = np.triu(np.array(draw(st.lists(_coords, min_size=k * k, max_size=k * k))).reshape(k, k), 1)
+            M = M + off + off.T
+        return [M[r, c] for r in range(k) for c in range(r, k)]
+
+    records = []
+    if kind != "edges":
+        ids = list(range(n)) if kind == "vertices" else draw(st.lists(st.integers(0, n - 1), max_size=n))
+        ids += draw(st.lists(st.integers(0, n - 1), max_size=3))  # repeated ids
+        records += [[vertex_tag, str(v)] + numbers(pose()) for v in ids]
+    if kind != "vertices":
+        records += [[edge_tag, str(i), str(j)] + numbers(pose() + information())
+                    for i, j in draw(connected_pairs(n))]
+    records = [records[k] for k in draw(st.permutations(range(len(records))))]
+    filler = st.sampled_from([None, None, "", "# a comment", "   \t", "#VERTEX_SE2 0 0 0 0"])
+    fillers = draw(st.lists(filler, min_size=len(records) + 1, max_size=len(records) + 1))
+    return d, records, fillers
+
+
 # off-diagonal entries: zeros, edges (drawn twice as often), and positives
 # at, below and above the round-off cut
 _entries = st.one_of(
@@ -377,6 +542,91 @@ def test_g2o_roundtrip_returns_the_edge_arrays(g):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     # rotations pass through an angle or a quaternion, so allow tiny drift
     assert np.linalg.norm(g.R_tilde - g2.R_tilde, axis=(1, 2)).max() < 1e-14
+
+
+def _g2o_text(records, fillers):
+    """The file text, and the line number of each record."""
+    lines, record_lines = [], []
+    for filler, record in zip(fillers, records + [None]):
+        if filler is not None:
+            lines.append(filler)
+        if record is not None:
+            lines.append(" ".join(record))
+            record_lines.append(len(lines))
+    return "\n".join(lines) + "\n", record_lines
+
+
+def _load_both(text):
+    """What the per-record loader and load_g2o return for a file: (g, poses) or the GraphError message."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.g2o")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for load in (_ref_load_g2o, load_g2o):
+            try:
+                outcomes.append(load(path))
+            except GraphError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def _assert_same_load(ref, got):
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    (g, poses), (g2, poses2) = ref, got
+    assert (g2.d, g2.n) == (g.d, g.n)
+    pairs = [(getattr(g, name), getattr(g2, name)) for name in ("I", "J", "R_tilde", "t_tilde", "kappa", "tau")]
+    assert (poses is None) == (poses2 is None)
+    if poses is not None:
+        pairs += [(poses[0].mats, poses2[0].mats), (poses[1], poses2[1])]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@FEW
+@given(g2o_records())
+def test_load_g2o_matches_the_per_record_loader(case):
+    d, records, fillers = case
+    _assert_same_load(*_load_both(_g2o_text(records, fillers)[0]))
+
+
+@FEW
+@given(g2o_records(), st.sampled_from(["tag", "number", "count", "dimension", "ids", "quaternion"]), st.data())
+def test_malformed_g2o_gives_the_per_record_loader_message(case, fault, data):
+    """One fault per file. Two differences are by design: a planar vertex's
+    field count is checked before its numbers are unpacked, and a zero
+    quaternion names its line."""
+    d, records, fillers = case
+    records = [list(r) for r in records]
+    k = data.draw(st.integers(0, len(records) - 1))
+    record = records[k]
+    id_count = 2 if record[0].startswith("EDGE") else 1
+    if fault == "tag":
+        record[0] = data.draw(st.sampled_from(["EDGE_SE3", "VERTEX", "edge_se2", "FIX"]))
+    elif fault == "number":
+        record[data.draw(st.integers(1, len(record) - 1))] = data.draw(st.sampled_from(["one", "1..5", "0x1", "1.5"]))
+    elif fault == "count":
+        if data.draw(st.booleans()):
+            record.pop()
+        else:
+            record.append("1")
+    elif fault == "dimension":  # a vertex record of the other dimension
+        records.insert(k, [_G2O_TAGS[5 - d][0], "0"] + ["1"] * (7 if d == 2 else 3))
+    elif fault == "ids":
+        for r in records:
+            n_ids = 2 if r[0].startswith("EDGE") else 1
+            r[1:1 + n_ids] = [str(int(v) + 1) for v in r[1:1 + n_ids]]
+    elif d == 3:
+        record[1 + id_count + 3:1 + id_count + 7] = ["0", "0.0", "-0", "0e3"]
+    text, record_lines = _g2o_text(records, fillers)
+    ref, got = _load_both(text)
+    if isinstance(ref, str):
+        ref = re.sub(r"not enough values to unpack \(expected 3, got \d\)", "field count", ref)
+        if ref == "zero quaternion":
+            ref = f"line {record_lines[k]}: zero quaternion"
+    _assert_same_load(ref, got)
 
 
 @FEW
@@ -481,7 +731,7 @@ def test_build_blocks_split_matches_coo_loop(case):
 
 
 @FEW
-@given(weighted_laplacians(st.floats(min_value=1e-2, max_value=1e2)), st.integers(1, 3), st.integers(0, 99))
+@given(weighted_laplacians(), st.integers(1, 3), st.integers(0, 99))
 def test_single_robot_solve_matches_grounded_loop(case, k, seed):
     n, pairs, L = case
     blocks, server = dd.build_blocks(L, Partition.from_owner(np.zeros(n, dtype=int), pairs))
