@@ -15,13 +15,14 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "hat",
-    "vee",
+    "hat_batch",
     "exp_map",
     "log_map",
     "exp_map_batch",
     "log_map_batch",
     "geodesic_dist",
-    "chordal_sq",
+    "orthonormality_drift",
+    "row_norms",
     "project_to_rotation",
     "tangent_dim",
     "random_rotation",
@@ -47,27 +48,9 @@ def hat(v: np.ndarray) -> np.ndarray:
     for p = 3 the output is the usual 3x3 cross-product matrix.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape == (1,):
-        return np.array([[0.0, -v[0]], [v[0], 0.0]])
-    if v.shape == (3,):
-        return np.array(
-            [
-                [0.0, -v[2], v[1]],
-                [v[2], 0.0, -v[0]],
-                [-v[1], v[0], 0.0],
-            ]
-        )
-    raise ValueError(f"tangent vector must have length 1 or 3, got shape {v.shape}")
-
-
-def vee(A: np.ndarray) -> np.ndarray:
-    """Inverse of hat: extract the tangent vector from a skew-symmetric matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.shape == (2, 2):
-        return np.array([A[1, 0]])
-    if A.shape == (3, 3):
-        return np.array([A[2, 1], A[0, 2], A[1, 0]])
-    raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {A.shape}")
+    if v.shape not in ((1,), (3,)):
+        raise ValueError(f"tangent vector must have length 1 or 3, got shape {v.shape}")
+    return hat_batch(v[None])[0]
 
 
 def exp_map(v: np.ndarray) -> np.ndarray:
@@ -75,19 +58,12 @@ def exp_map(v: np.ndarray) -> np.ndarray:
 
     Uses the closed form in both dimensions (a plane rotation for p = 1,
     Rodrigues' formula for p = 3) with a series fallback for tiny angles.
+    The one-row case of exp_map_batch.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape == (1,):
-        c, s = np.cos(v[0]), np.sin(v[0])
-        return np.array([[c, -s], [s, c]])
-    if v.shape != (3,):
+    if v.shape not in ((1,), (3,)):
         raise ValueError(f"tangent vector must have length 1 or 3, got shape {v.shape}")
-    theta = np.linalg.norm(v)
-    K = hat(v)
-    if theta < 1e-8:
-        # second order series, exact to machine precision at this scale
-        return np.eye(3) + K + 0.5 * (K @ K)
-    return np.eye(3) + (np.sin(theta) / theta) * K + ((1.0 - np.cos(theta)) / theta**2) * (K @ K)
+    return exp_map_batch(v[None])[0]
 
 
 # Angle beyond which log_map switches to the symmetric-part extraction,
@@ -98,6 +74,8 @@ _PI_GUARD = 1e-6
 
 def log_map(R: np.ndarray) -> np.ndarray:
     """Logarithm map from a rotation matrix to a tangent vector.
+
+    The one-row case of log_map_batch.
 
     Parameters
     ----------
@@ -118,45 +96,12 @@ def log_map(R: np.ndarray) -> np.ndarray:
         is not uniquely defined.
     """
     R = np.asarray(R, dtype=float)
-    if R.shape == (2, 2):
-        theta = np.arctan2(R[1, 0], R[0, 0])
-        if abs(theta) > np.pi - _PI_GUARD:
-            raise NumericalError(f"rotation angle {theta:.9f} too close to pi for log_map")
-        return np.array([theta])
-    if R.shape != (3, 3):
+    if R.shape not in ((2, 2), (3, 3)):
         raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {R.shape}")
-
-    w = vee((R - R.T) / 2.0)  # equals sin(theta) * axis
-    cos_theta = (np.trace(R) - 1.0) / 2.0
-    sin_theta = np.linalg.norm(w)
-    theta = np.arctan2(sin_theta, cos_theta)
-
-    if theta > np.pi - _PI_GUARD:
-        raise NumericalError(f"rotation angle {theta:.9f} too close to pi for log_map")
-    if theta < 1e-4:
-        # v = (theta / sin theta) * w, with the ratio expanded in series
-        t2 = theta * theta
-        return (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0) * w
-    if theta < _NEAR_PI_SWITCH:
-        return (theta / sin_theta) * w
-    # Near pi: recover the axis from the symmetric part, where the
-    # antisymmetric part has lost most of its magnitude.
-    A = (R + R.T) / 2.0 - cos_theta * np.eye(3)
-    one_minus_cos = 1.0 - cos_theta
-    k = int(np.argmax(np.diag(A)))
-    u = A[:, k].copy()
-    u[k] = A[k, k]
-    uk = np.sqrt(max(A[k, k] / one_minus_cos, 0.0))
-    if uk == 0.0:
-        raise NumericalError("degenerate axis extraction near pi")
-    u = u / (one_minus_cos * uk)
-    u = u / np.linalg.norm(u)
-    if np.dot(u, w) < 0.0:
-        u = -u
-    return theta * u
+    return log_map_batch(R[None])[0]
 
 
-def _hat_batch(V: np.ndarray) -> np.ndarray:
+def hat_batch(V: np.ndarray) -> np.ndarray:
     """hat applied row by row: (k, p) tangent vectors to (k, d, d) matrices."""
     k, p = V.shape
     if p == 1:
@@ -174,6 +119,16 @@ def _hat_batch(V: np.ndarray) -> np.ndarray:
     return K
 
 
+def row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, n) array.
+
+    Taken from a per-row matmul, which gives bit for bit what
+    np.linalg.norm gives for one row; einsum and norm(axis=1) sum in
+    another order and can differ in the last bit.
+    """
+    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
+
+
 def _raise_near_pi(theta: np.ndarray) -> None:
     bad = np.flatnonzero(np.abs(theta) > np.pi - _PI_GUARD)
     if bad.size:
@@ -181,21 +136,19 @@ def _raise_near_pi(theta: np.ndarray) -> None:
 
 
 def exp_map_batch(V: np.ndarray) -> np.ndarray:
-    """exp_map of every row of a (k, p) array, returned as a (k, d, d) stack.
-
-    Takes the same branches as exp_map, row by row.
-    """
+    """exp_map of every row of a (k, p) array, returned as a (k, d, d) stack."""
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] not in (1, 3):
         raise ValueError(f"expected shape (k, 1) or (k, 3), got {V.shape}")
     if V.shape[1] == 1:
         c, s = np.cos(V[:, 0]), np.sin(V[:, 0])
         return np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
-    theta = np.sqrt(np.einsum("ki,ki->k", V, V))
-    K = _hat_batch(V)
+    theta = row_norms(V)
+    K = hat_batch(V)
     KK = K @ K
     small = theta < 1e-8
     t = np.where(small, 1.0, theta)
+    # second order series below 1e-8, exact to machine precision at that scale
     a = np.where(small, 1.0, np.sin(t) / t)
     b = np.where(small, 0.5, (1.0 - np.cos(t)) / t**2)
     return np.eye(3) + a[:, None, None] * K + b[:, None, None] * KK
@@ -204,9 +157,7 @@ def exp_map_batch(V: np.ndarray) -> np.ndarray:
 def log_map_batch(R: np.ndarray) -> np.ndarray:
     """log_map of every matrix in a (k, d, d) stack, returned as (k, p) rows.
 
-    Takes the same branches as log_map; the rare rows beyond the near-pi
-    switch go through log_map itself. Raises NumericalError if any angle
-    is within 1e-6 of pi.
+    Raises NumericalError naming the first angle within 1e-6 of pi.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 3 or R.shape[1:] not in ((2, 2), (3, 3)):
@@ -219,29 +170,43 @@ def log_map_batch(R: np.ndarray) -> np.ndarray:
     A = (R - np.swapaxes(R, 1, 2)) / 2.0
     w = np.stack([A[:, 2, 1], A[:, 0, 2], A[:, 1, 0]], axis=1)  # sin(theta) * axis
     cos_theta = (np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0
-    sin_theta = np.sqrt(np.einsum("ki,ki->k", w, w))
+    sin_theta = row_norms(w)
     theta = np.arctan2(sin_theta, cos_theta)
     _raise_near_pi(theta)
 
     small = theta < 1e-4
     t2 = theta * theta
+    # v = (theta / sin theta) * w, with the ratio expanded in series for small angles
     series = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
     scale = np.where(small, series, theta / np.where(small, 1.0, sin_theta))
     V = scale[:, None] * w
-    for k in np.flatnonzero(theta >= _NEAR_PI_SWITCH):
-        V[k] = log_map(R[k])
+    near = np.flatnonzero(theta >= _NEAR_PI_SWITCH)
+    if near.size:
+        V[near] = theta[near, None] * _near_pi_axes(R[near], cos_theta[near], w[near])
     return V
+
+
+def _near_pi_axes(R: np.ndarray, cos_theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit rotation axes of a (k, 3, 3) stack near pi, from the symmetric part.
+
+    There the antisymmetric part w = sin(theta) * axis has lost most of
+    its magnitude and serves only to fix the sign of each axis.
+    """
+    A = (R + np.swapaxes(R, 1, 2)) / 2.0 - cos_theta[:, None, None] * np.eye(3)
+    one_minus_cos = 1.0 - cos_theta
+    rows = np.arange(len(R))
+    k = np.argmax(np.diagonal(A, axis1=1, axis2=2), axis=1)
+    uk = np.sqrt(np.maximum(A[rows, k, k] / one_minus_cos, 0.0))
+    if (uk == 0.0).any():
+        raise NumericalError("degenerate axis extraction near pi")
+    u = A[rows, :, k] / (one_minus_cos * uk)[:, None]
+    u = u / row_norms(u)[:, None]
+    return np.where((u[:, None, :] @ w[:, :, None])[:, 0] < 0.0, -u, u)
 
 
 def geodesic_dist(R1: np.ndarray, R2: np.ndarray) -> float:
     """Rotation angle of R1^T R2, i.e. the geodesic distance on the group."""
     return float(np.linalg.norm(log_map(np.asarray(R1).T @ np.asarray(R2))))
-
-
-def chordal_sq(R1: np.ndarray, R2: np.ndarray) -> float:
-    """Squared Frobenius distance ||R1 - R2||_F^2."""
-    diff = np.asarray(R1, dtype=float) - np.asarray(R2, dtype=float)
-    return float(np.sum(diff * diff))
 
 
 def project_to_rotation(M: np.ndarray) -> np.ndarray:
@@ -265,6 +230,12 @@ def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return Q
+
+
+def orthonormality_drift(R: np.ndarray) -> np.ndarray:
+    """Frobenius norm of R^T R - I for each matrix of a (k, d, d) stack."""
+    G = np.swapaxes(R, 1, 2) @ R - np.eye(R.shape[1])
+    return np.sqrt(np.einsum("kij,kij->k", G, G))
 
 
 _ORTHO_DRIFT_TOL = 1e-12
@@ -303,10 +274,12 @@ class RotationState:
         return cls(np.tile(np.eye(d), (n, 1, 1)))
 
     def check_valid(self, tol: float = 1e-9) -> None:
-        """Raise if any block drifted away from the rotation group."""
-        for i, R in enumerate(self.mats):
-            if np.linalg.norm(R.T @ R - np.eye(self.d)) > tol or np.linalg.det(R) < 0:
-                raise NumericalError(f"matrix {i} is not a rotation within tol {tol}")
+        """Raise naming the first block that is non-finite or off the rotation group."""
+        with np.errstate(invalid="ignore"):
+            bad = (~np.isfinite(self.mats).all(axis=(1, 2)) | (orthonormality_drift(self.mats) > tol)
+                   | (np.linalg.det(self.mats) < 0))
+        if bad.any():
+            raise NumericalError(f"matrix {np.argmax(bad)} is not a rotation within tol {tol}")
 
     def renormalize(self) -> None:
         """Snap blocks back onto the group when round-off has accumulated.
@@ -314,7 +287,5 @@ class RotationState:
         Cheap to call every iteration: blocks within 1e-12 of orthonormal
         are left untouched.
         """
-        G = np.swapaxes(self.mats, 1, 2) @ self.mats - np.eye(self.d)
-        drift = np.sqrt(np.einsum("kij,kij->k", G, G))
-        for i in np.flatnonzero(drift > _ORTHO_DRIFT_TOL):
+        for i in np.flatnonzero(orthonormality_drift(self.mats) > _ORTHO_DRIFT_TOL):
             self.mats[i] = project_to_rotation(self.mats[i])

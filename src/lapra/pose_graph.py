@@ -8,7 +8,6 @@ and seeded synthetic grid problems.
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -18,7 +17,15 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .manifold import RotationState, exp_map, exp_map_batch, log_map, random_rotation, tangent_dim
+from .manifold import (
+    RotationState,
+    exp_map_batch,
+    log_map_batch,
+    orthonormality_drift,
+    random_rotation,
+    row_norms,
+    tangent_dim,
+)
 
 __all__ = [
     "GraphError",
@@ -31,7 +38,6 @@ __all__ = [
     "partition_contiguous",
     "generate_grid",
     "grid_positions",
-    "sample_rotation_noise",
     "spanning_tree_init",
     "quat_to_rot",
     "rot_to_quat",
@@ -115,8 +121,7 @@ class MeasurementGraph:
         finite = (np.isfinite(R).all(axis=(1, 2)) & np.isfinite(self.t_tilde).all(axis=1)
                   & np.isfinite(self.kappa) & np.isfinite(self.tau))
         with np.errstate(invalid="ignore"):  # a non-finite rotation gets its own message below
-            G = np.swapaxes(R, 1, 2) @ R - np.eye(self.d)
-            not_rotation = (np.sqrt(np.einsum("kij,kij->k", G, G)) > rot_tol) | (np.linalg.det(R) < 0)
+            not_rotation = (orthonormality_drift(R) > rot_tol) | (np.linalg.det(R) < 0)
         checks = [
             (I == J, lambda k: f"edge {k} is a self loop at vertex {I[k]}"),
             ((I < 0) | (I >= self.n) | (J < 0) | (J >= self.n),
@@ -185,7 +190,7 @@ def _quats_to_rots(Q: np.ndarray, lines: list[int] | None = None) -> np.ndarray:
     number of each row is given.
     """
     Q = np.ascontiguousarray(Q, dtype=float)
-    nrm = np.sqrt((Q[:, None, :] @ Q[:, :, None])[:, 0, 0])  # the dot product np.linalg.norm takes of one row
+    nrm = row_norms(Q)
     zero = np.flatnonzero(nrm == 0)
     if zero.size:
         raise GraphError(("" if lines is None else f"line {lines[zero[0]]}: ") + "zero quaternion")
@@ -200,40 +205,41 @@ def quat_to_rot(qx: float, qy: float, qz: float, qw: float) -> np.ndarray:
     return _quats_to_rots(np.array([[qx, qy, qz, qw]]))[0]
 
 
-def rot_to_quat(R: np.ndarray) -> np.ndarray:
-    """Quaternion (x, y, z, w) with non-negative w from a rotation matrix."""
+def _rots_to_quats(R: np.ndarray) -> np.ndarray:
+    """(x, y, z, w) quaternions with non-negative w of a (k, 3, 3) rotation stack.
+
+    Each row pivots on w when the trace is positive and otherwise on the
+    component of its largest diagonal entry, so the pivot's square root
+    is taken of a quantity of at least 1.
+    """
     R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    if t > 0:
-        s = math.sqrt(t + 1.0) * 2
-        w = 0.25 * s
-        x = (R[2, 1] - R[1, 2]) / s
-        y = (R[0, 2] - R[2, 0]) / s
-        z = (R[1, 0] - R[0, 1]) / s
-    else:
-        k = int(np.argmax(np.diag(R)))
-        if k == 0:
-            s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2
-            w = (R[2, 1] - R[1, 2]) / s
-            x = 0.25 * s
-            y = (R[0, 1] + R[1, 0]) / s
-            z = (R[0, 2] + R[2, 0]) / s
-        elif k == 1:
-            s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2
-            w = (R[0, 2] - R[2, 0]) / s
-            x = (R[0, 1] + R[1, 0]) / s
-            y = 0.25 * s
-            z = (R[1, 2] + R[2, 1]) / s
-        else:
-            s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2
-            w = (R[1, 0] - R[0, 1]) / s
-            x = (R[0, 2] + R[2, 0]) / s
-            y = (R[1, 2] + R[2, 1]) / s
-            z = 0.25 * s
-    q = np.array([x, y, z, w])
-    if w < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+    rows = np.arange(len(R))
+    diag = np.diagonal(R, axis1=1, axis2=2)
+    t = np.trace(R, axis1=1, axis2=2)
+    pivot = np.where(t > 0, 3, np.argmax(diag, axis=1))  # component index; 3 is w
+    k = np.minimum(pivot, 2)
+    a, b = np.array([[1, 0, 0], [2, 2, 1]])[:, k]  # the other two diagonal slots, ascending
+    s = np.sqrt(np.where(pivot == 3, t + 1.0, 1.0 + diag[rows, k] - diag[rows, a] - diag[rows, b])) * 2
+    # 4 q_c q_k for component c and pivot k, in (x, y, z, w) order
+    x_w, y_w, z_w = R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]
+    x_y, x_z, y_z = R[:, 0, 1] + R[:, 1, 0], R[:, 0, 2] + R[:, 2, 0], R[:, 1, 2] + R[:, 2, 1]
+    zero = np.zeros(len(R))
+    products = np.array([[zero, x_y, x_z, x_w],
+                         [x_y, zero, y_z, y_w],
+                         [x_z, y_z, zero, z_w],
+                         [x_w, y_w, z_w, zero]])
+    q = products[:, pivot, rows].T / s[:, None]
+    q[rows, pivot] = 0.25 * s
+    q = np.where(q[:, 3:] < 0, -q, q)
+    return q / row_norms(q)[:, None]
+
+
+def rot_to_quat(R: np.ndarray) -> np.ndarray:
+    """Quaternion (x, y, z, w) with non-negative w from a rotation matrix: the one-row case of _rots_to_quats."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {R.shape}")
+    return _rots_to_quats(R[None])[0]
 
 
 def _equalish_row_means(A: np.ndarray) -> np.ndarray:
@@ -310,8 +316,8 @@ def _fmt(x: float) -> str:
 
 
 def _rotation_fields(R: np.ndarray) -> np.ndarray:
-    """The planar angle or the (x, y, z, w) quaternion that a g2o record stores for R."""
-    return log_map(R) if R.shape[0] == 2 else rot_to_quat(R)
+    """The planar angles or the (x, y, z, w) quaternions that g2o records store for a (k, d, d) stack."""
+    return log_map_batch(R) if R.shape[1] == 2 else _rots_to_quats(R)
 
 
 def write_g2o(path: str, g: MeasurementGraph, poses: tuple[RotationState, np.ndarray] | None = None) -> None:
@@ -324,14 +330,14 @@ def write_g2o(path: str, g: MeasurementGraph, poses: tuple[RotationState, np.nda
     lines = []
     if poses is not None:
         rots, ts = poses
-        for i in range(g.n):
-            fields = [_fmt(v) for v in (*ts[i], *_rotation_fields(rots.mats[i]))]
+        for i, (t, r) in enumerate(zip(ts, _rotation_fields(rots.mats))):
+            fields = [_fmt(v) for v in (*t, *r)]
             lines.append(f"{vertex} {i} " + " ".join(fields))
     info = np.zeros((g.m, rec.floats - rec.rot.stop))
     info[:, rec.t_info] = g.tau[:, None]
     info[:, rec.r_info] = g.kappa[:, None]
-    for i, j, R_tilde, t_tilde, upper in zip(g.I, g.J, g.R_tilde, g.t_tilde, info):
-        fields = [_fmt(v) for v in (*t_tilde, *_rotation_fields(R_tilde), *upper)]
+    for i, j, t_tilde, r, upper in zip(g.I, g.J, g.t_tilde, _rotation_fields(g.R_tilde), info):
+        fields = [_fmt(v) for v in (*t_tilde, *r, *upper)]
         lines.append(f"{edge} {i} {j} " + " ".join(fields))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -417,14 +423,6 @@ class SyntheticSpec:
             raise GraphError("d must be 2 or 3")
 
 
-def sample_rotation_noise(sigma: float, rng: np.random.Generator, d: int = 3) -> np.ndarray:
-    """Random rotation Exp(v) with v drawn from an isotropic Gaussian of scale sigma."""
-    p = tangent_dim(d)
-    if sigma == 0.0:
-        return np.eye(d)
-    return exp_map(sigma * rng.standard_normal(p))
-
-
 def grid_positions(side: int, d: int = 3) -> np.ndarray:
     """Lattice coordinates of the grid vertices, indexed consistently with generate_grid."""
     axes = [np.arange(side)] * d
@@ -482,7 +480,10 @@ def generate_grid(spec: SyntheticSpec) -> tuple[MeasurementGraph, RotationState]
             chosen.append((a, b))
 
     I, J = np.array(chosen).T
-    R_tilde = [truth[i].T @ truth[j] @ sample_rotation_noise(spec.sigma_rot, rng, d) for i, j in chosen]
+    noise = np.eye(d)  # Exp(v) with v drawn from an isotropic Gaussian of scale sigma_rot
+    if spec.sigma_rot > 0:
+        noise = exp_map_batch(spec.sigma_rot * rng.standard_normal((len(chosen), tangent_dim(d))))
+    R_tilde = np.swapaxes(truth[I], 1, 2) @ truth[J] @ noise
     t_tilde = [truth[i].T @ (pos[j] - pos[i]) for i, j in chosen]
     ones = np.ones(len(chosen))
     g = MeasurementGraph(d, n, I, J, R_tilde, t_tilde, spec.kappa * ones, spec.tau * ones)

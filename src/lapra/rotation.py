@@ -28,7 +28,7 @@ from .laplacians import (
     schur_update,
     solve_grounded,
 )
-from .manifold import NumericalError, RotationState, exp_map_batch, hat, log_map, log_map_batch
+from .manifold import NumericalError, RotationState, exp_map_batch, hat_batch, log_map_batch, row_norms
 from .metrics import gamma_factor
 from .pose_graph import MeasurementGraph, Partition, scatter_edge_rows
 
@@ -186,10 +186,6 @@ def iterate(
 _ZERO_RESIDUAL = 1e-8
 
 
-def _residual(R_i, R_j, R_tilde) -> np.ndarray:
-    return log_map(R_tilde.T @ R_i.T @ R_j)
-
-
 def _edge_gradients(R_i, R_j, R_tilde, kind: Distance):
     """Costs and tangent-space gradients of m edges at once.
 
@@ -221,36 +217,41 @@ def edge_gradient(R_i, R_j, R_tilde, kind: Distance) -> tuple[np.ndarray, np.nda
     return g_i[0], g_j[0]
 
 
-def edge_hessian(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
-    """2p x 2p second-derivative block of the edge cost.
+def _edge_hessians(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
+    """2p x 2p second-derivative blocks of m edges at once, as an (m, 2p, 2p) stack.
 
-    Planar problems reduce to a scalar second derivative times the
-    difference pattern. In 3D the curvature correction enters through
-    the residual axis; at zero residual the block becomes the scaled
-    difference pattern exactly, and the formula approaches that limit
-    continuously.
+    Takes (m, d, d) stacks. Planar problems reduce to a scalar second
+    derivative times the difference pattern. In 3D the curvature
+    correction enters through the residual axis; below a residual angle
+    of 1e-8 the block becomes the scaled difference pattern exactly, and
+    the formula approaches that limit continuously.
     """
-    v = _residual(R_i, R_j, R_tilde)
-    theta = np.linalg.norm(v)
-    p = v.shape[0]
+    V = log_map_batch(np.swapaxes(R_tilde, 1, 2) @ np.swapaxes(R_i, 1, 2) @ R_j)
+    theta = row_norms(V)
+    m, p = V.shape
     if p == 1:
-        h = kind.rho_ddot(theta)
-        return np.array([[h, -h], [-h, h]])
-    P = np.zeros((6, 6))
-    P[:3, :3] = R_i @ R_tilde
-    P[3:, 3:] = R_j
-    if theta < _ZERO_RESIDUAL:
-        base = np.block([[np.eye(3), -np.eye(3)], [-np.eye(3), np.eye(3)]])
-        return kind.hessian_limit_scale * (P @ base @ P.T)
-    u = v / theta
-    rd = kind.rho_dot(theta)
-    alpha = rd / (2.0 * math.tan(theta / 2.0))
-    gamma = kind.rho_ddot(theta) - alpha
-    beta = rd / 2.0
-    Ht = alpha * np.eye(3) + gamma * np.outer(u, u) + beta * hat(u)
-    Sym = alpha * np.eye(3) + gamma * np.outer(u, u)
-    M = np.block([[Sym, -Ht], [-Ht.T, Sym]])
-    return P @ M @ P.T
+        h = np.broadcast_to(kind.rho_ddot(theta), (m,))
+        return h[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    P = np.zeros((m, 6, 6))
+    P[:, :3, :3] = R_i @ R_tilde
+    P[:, 3:, 3:] = R_j
+    moving = theta >= _ZERO_RESIDUAL
+    t = np.where(moving, theta, 1.0)
+    U = V / t[:, None]
+    rd = kind.rho_dot(t)
+    alpha = np.where(moving, rd / (2.0 * np.tan(t / 2.0)), kind.hessian_limit_scale)
+    gamma = np.where(moving, kind.rho_ddot(t) - alpha, 0.0)[:, None, None]
+    beta = np.where(moving, rd / 2.0, 0.0)[:, None, None]
+    Sym = alpha[:, None, None] * np.eye(3) + gamma * (U[:, :, None] * U[:, None, :])
+    Ht = Sym + beta * hat_batch(U)
+    M = np.block([[Sym, -Ht], [-np.swapaxes(Ht, 1, 2), Sym]])
+    return P @ M @ np.swapaxes(P, 1, 2)
+
+
+def edge_hessian(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
+    """2p x 2p second-derivative block of the edge cost: the one-edge case of _edge_hessians."""
+    one_edge = [np.asarray(M, dtype=float)[None] for M in (R_i, R_j, R_tilde)]
+    return _edge_hessians(*one_edge, kind)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +446,10 @@ def newton_solve(
     )
 
 
-def _edge_hessians(g: MeasurementGraph, R: RotationState, kind: Distance, edges: np.ndarray) -> np.ndarray:
+def _weighted_edge_hessians(g: MeasurementGraph, R: RotationState, kind: Distance, edges) -> np.ndarray:
     """(k, 2p, 2p) stack of kappa-weighted Hessian blocks of the listed edges."""
-    return np.array([
-        g.kappa[k] * edge_hessian(R.mats[g.I[k]], R.mats[g.J[k]], g.R_tilde[k], kind) for k in edges.tolist()
-    ]).reshape(-1, 2 * g.p, 2 * g.p)
+    I, J = g.I[edges], g.J[edges]
+    return g.kappa[edges, None, None] * _edge_hessians(R.mats[I], R.mats[J], g.R_tilde[edges], kind)
 
 
 def _block_index(slot_i: np.ndarray, slot_j: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -461,7 +461,7 @@ def _block_index(slot_i: np.ndarray, slot_j: np.ndarray, p: int) -> tuple[np.nda
 def assemble_full_hessian(g: MeasurementGraph, R: RotationState, kind: Distance) -> np.ndarray:
     """Dense np x np second-derivative matrix of the total cost, summed in edge order."""
     H = np.zeros((g.n * g.p, g.n * g.p))
-    np.add.at(H, _block_index(g.I, g.J, g.p), _edge_hessians(g, R, kind, np.arange(g.m)))
+    np.add.at(H, _block_index(g.I, g.J, g.p), _weighted_edge_hessians(g, R, kind, slice(None)))
     return H
 
 
@@ -481,7 +481,7 @@ def _newton_schur_blocks(g, R, kind, partition) -> list[sp.csr_matrix]:
         mine = np.flatnonzero((partition.owner[g.I] == a) & (partition.owner[g.J] == a))
         rows, cols = np.broadcast_arrays(*_block_index(slot[g.I[mine]], slot[g.J[mine]], p))
         nf, size = F.size * p, (F.size + C.size) * p
-        H = sp.csr_matrix((_edge_hessians(g, R, kind, mine).ravel(), (rows.ravel(), cols.ravel())),
+        H = sp.csr_matrix((_weighted_edge_hessians(g, R, kind, mine).ravel(), (rows.ravel(), cols.ravel())),
                           shape=(size, size))
         Hff = H[:nf, :nf].toarray()
 

@@ -5,7 +5,9 @@ parse files of every shape exactly as the per-record loader it replaced.
 The vectorized graph and Laplacian bookkeeping is checked against the
 loops it replaced, kept below as references; both sum in the same order,
 so results must agree bit for bit. The exp/log maps and the quaternion
-conversion must round trip in every branch.
+conversion must round trip in every branch, and the batch kernels that
+replaced the scalar maps and the scalar edge Hessian are checked against
+those scalar forms, kept below as references.
 """
 
 import math
@@ -39,11 +41,13 @@ from lapra.pose_graph import (
     SyntheticSpec,
     generate_grid,
     load_g2o,
+    _quats_to_rots,
+    _rots_to_quats,
     quat_to_rot,
     rot_to_quat,
     write_g2o,
 )
-from lapra.rotation import separator_rows_by_owner
+from lapra.rotation import CHORDAL, GEODESIC, _edge_hessians, edge_hessian, separator_rows_by_owner
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -232,6 +236,102 @@ def _ref_quat_to_rot(qx, qy, qz, qw):
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def _ref_hat(v):
+    if v.shape == (1,):
+        return np.array([[0.0, -v[0]], [v[0], 0.0]])
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def _ref_exp_map(v):
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape == (1,):
+        c, s = np.cos(v[0]), np.sin(v[0])
+        return np.array([[c, -s], [s, c]])
+    theta = np.linalg.norm(v)
+    K = _ref_hat(v)
+    if theta < 1e-8:
+        return np.eye(3) + K + 0.5 * (K @ K)
+    return np.eye(3) + (np.sin(theta) / theta) * K + ((1.0 - np.cos(theta)) / theta**2) * (K @ K)
+
+
+def _ref_log_map(R):
+    R = np.asarray(R, dtype=float)
+    if R.shape == (2, 2):
+        theta = np.arctan2(R[1, 0], R[0, 0])
+        if abs(theta) > np.pi - 1e-6:
+            raise NumericalError(f"rotation angle {theta:.9f} too close to pi for log_map")
+        return np.array([theta])
+    A = (R - R.T) / 2.0
+    w = np.array([A[2, 1], A[0, 2], A[1, 0]])
+    cos_theta = (np.trace(R) - 1.0) / 2.0
+    sin_theta = np.linalg.norm(w)
+    theta = np.arctan2(sin_theta, cos_theta)
+    if theta > np.pi - 1e-6:
+        raise NumericalError(f"rotation angle {theta:.9f} too close to pi for log_map")
+    if theta < 1e-4:
+        t2 = theta * theta
+        return (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0) * w
+    if theta < 2.9:
+        return (theta / sin_theta) * w
+    A = (R + R.T) / 2.0 - cos_theta * np.eye(3)
+    one_minus_cos = 1.0 - cos_theta
+    k = int(np.argmax(np.diag(A)))
+    u = A[:, k].copy()
+    uk = np.sqrt(max(A[k, k] / one_minus_cos, 0.0))
+    if uk == 0.0:
+        raise NumericalError("degenerate axis extraction near pi")
+    u = u / (one_minus_cos * uk)
+    u = u / np.linalg.norm(u)
+    if np.dot(u, w) < 0.0:
+        u = -u
+    return theta * u
+
+
+def _ref_rot_to_quat(R):
+    t = np.trace(R)
+    if t > 0:
+        s = math.sqrt(t + 1.0) * 2
+        w, x, y, z = 0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s
+    else:
+        k = int(np.argmax(np.diag(R)))
+        if k == 0:
+            s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2
+            w, x, y, z = (R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s
+        elif k == 1:
+            s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2
+            w, x, y, z = (R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s
+        else:
+            s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2
+            w, x, y, z = (R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s
+    q = np.array([x, y, z, w])
+    if w < 0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+def _ref_edge_hessian(R_i, R_j, R_tilde, kind):
+    v = _ref_log_map(R_tilde.T @ R_i.T @ R_j)
+    theta = np.linalg.norm(v)
+    if v.shape[0] == 1:
+        h = kind.rho_ddot(theta)
+        return np.array([[h, -h], [-h, h]])
+    P = np.zeros((6, 6))
+    P[:3, :3] = R_i @ R_tilde
+    P[3:, 3:] = R_j
+    if theta < 1e-8:
+        base = np.block([[np.eye(3), -np.eye(3)], [-np.eye(3), np.eye(3)]])
+        return kind.hessian_limit_scale * (P @ base @ P.T)
+    u = v / theta
+    rd = kind.rho_dot(theta)
+    alpha = rd / (2.0 * math.tan(theta / 2.0))
+    gamma = kind.rho_ddot(theta) - alpha
+    beta = rd / 2.0
+    Ht = alpha * np.eye(3) + gamma * np.outer(u, u) + beta * _ref_hat(u)
+    Sym = alpha * np.eye(3) + gamma * np.outer(u, u)
+    M = np.block([[Sym, -Ht], [-Ht.T, Sym]])
+    return P @ M @ P.T
 
 
 def _ref_unpack_upper(vals, k):
@@ -779,13 +879,13 @@ _BRANCH_ANGLES = {
 
 
 @st.composite
-def tangent_batches(draw, branch):
-    """(d, V): up to six tangent vectors whose angles all lie in one branch, in 2D or 3D."""
-    d = draw(st.sampled_from([2, 3]))
+def tangent_batches(draw, branches, d=None, max_rows=6):
+    """(d, V): up to max_rows tangent vectors, each with its angle in one of the branches, in 2D or 3D."""
+    d = draw(st.sampled_from([2, 3])) if d is None else d
     p = d * (d - 1) // 2
     rows = []
-    for _ in range(draw(st.integers(1, 6))):
-        angle = draw(_BRANCH_ANGLES[branch])
+    for _ in range(draw(st.integers(1, max_rows))):
+        angle = draw(_BRANCH_ANGLES[draw(st.sampled_from(branches))])
         if p == 1:
             rows.append([angle if draw(st.booleans()) else -angle])
         else:
@@ -796,23 +896,86 @@ def tangent_batches(draw, branch):
     return d, np.array(rows)
 
 
-@pytest.mark.parametrize("branch", sorted(_BRANCH_ANGLES))
+_MIXED = sorted(_BRANCH_ANGLES)
+
+
+def _assert_exp_matches_reference(v, R):
+    """R = exp_map_batch(v[None])[0] equals the scalar reference, bar the reference's pow.
+
+    The reference takes (1 - cos theta) / theta**2 with the scalar
+    theta**2, which libm's pow rounds differently from theta * theta for
+    about 0.1% of angles. One ulp in that coefficient moves an entry by
+    at most (1 - cos theta) eps <= 2 eps, and the two roundings after it
+    by at most eps each.
+    """
+    ref = _ref_exp_map(v)
+    theta = np.linalg.norm(v)
+    if v.shape == (1,) or theta < 1e-8 or theta**2 == theta * theta:
+        assert np.array_equal(R, ref)
+    else:
+        assert np.abs(R - ref).max() <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("branch", [*_MIXED, "mixed"])
 def test_exp_log_round_trip_batch_against_scalar(branch):
     @FEW
-    @given(tangent_batches(branch))
+    @given(tangent_batches(_MIXED if branch == "mixed" else [branch], max_rows=12 if branch == "mixed" else 6))
     def check(case):
         d, V = case
         Rs = exp_map_batch(V)
         W = log_map_batch(Rs)
         for v, R, w in zip(V, Rs, W):
             scale = np.linalg.norm(v)
-            assert np.abs(R - exp_map(v)).max() <= 1e-15
-            assert np.abs(w - log_map(R)).max() <= 1e-12 * scale
+            assert np.array_equal(exp_map(v), R) and np.array_equal(log_map(R), w)  # the one-row cases
+            _assert_exp_matches_reference(v, R)
+            assert np.array_equal(w, _ref_log_map(R))
             assert np.linalg.norm(w - v) <= 1e-9 * scale
             assert np.abs(exp_map(log_map(R)) - R).max() <= 1e-12
             assert np.abs(R.T @ R - np.eye(d)).max() <= 1e-12
 
     check()
+
+
+@FEW
+@given(tangent_batches(_MIXED, max_rows=12), st.lists(st.tuples(st.integers(0, 12), st.floats(math.pi - 5e-7, math.pi)),
+                                                     max_size=3))
+def test_log_map_batch_rows_or_error_match_the_scalar_reference(case, at_pi):
+    """Rows equal the reference bit for bit, or the error is the first row's beyond 1e-6 of pi."""
+    d, V = case
+    rows = list(V)
+    for k, angle in at_pi:
+        rows.insert(min(k, len(rows)), rows[0] * angle / np.linalg.norm(rows[0]))
+    Rs = exp_map_batch(np.array(rows))
+    _same_outcome(lambda: log_map_batch(Rs), lambda: np.array([_ref_log_map(R) for R in Rs]))
+
+
+@FEW
+@given(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda q: np.linalg.norm(q) > 1e-3),
+                min_size=1, max_size=12))
+def test_rots_to_quats_rows_match_the_scalar_reference(Q):
+    """Every pivot (w and each diagonal slot) can meet in one batch; each row takes its own."""
+    Rs = _quats_to_rots(np.array(Q))
+    quats = _rots_to_quats(Rs)
+    for R, q in zip(Rs, quats):
+        assert np.array_equal(q, _ref_rot_to_quat(R)) and np.array_equal(rot_to_quat(R), q)
+
+
+@FEW
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(tangent_batches(_MIXED, d, 12),
+                                                           tangent_batches(["generic"], d, 12))))
+def test_edge_hessians_match_the_scalar_reference(cases):
+    """Residuals in every branch, zero-residual limit included; R_tilde = R_i^T R_j Exp(-v)."""
+    (d, V), (_, starts) = cases
+    m = len(V)
+    R_i = exp_map_batch(np.resize(starts, V.shape))
+    R_j = exp_map_batch(V[::-1]) @ R_i
+    R_tilde = np.swapaxes(R_i, 1, 2) @ R_j @ exp_map_batch(-V)
+    for kind in (GEODESIC, CHORDAL):
+        H = _edge_hessians(R_i, R_j, R_tilde, kind)
+        for k in range(m):
+            ref = _ref_edge_hessian(R_i[k], R_j[k], R_tilde[k], kind)
+            assert np.abs(H[k] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            assert np.array_equal(edge_hessian(R_i[k], R_j[k], R_tilde[k], kind), H[k])
 
 
 @FEW
