@@ -17,17 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .laplacians import (
     WeightedGraph,
+    _detached,
     _is_laplacian_like,
-    check_residual,
     graph_from_laplacian,
     grounded_solver,
     heuristic_sparsify,
     laplacian,
     schur_update,
+    spd_factor,
     sparsify,
     upper_triangle_nnz,
     DEFAULT_OVERSAMPLING,
@@ -105,27 +105,27 @@ class RobotBlock:
     """One robot's share of the Laplacian system.
 
     interior holds global vertex ids; L_ac maps interior rows to the
-    global separator ordering. Lcc_local is this robot's local-edge
-    contribution to the separator block, so that the per-robot pieces
-    plus the cross-edge part add up to the full reduced matrix, and
-    adj_sep flags the separators its interior actually touches.
+    global separator ordering, and L_acT is its transpose for the solves.
+    Lcc_local is this robot's local-edge contribution to the separator
+    block, so that the per-robot pieces plus the cross-edge part add up
+    to the full reduced matrix, and adj_sep flags the separators its
+    interior actually touches. factor is spd_factor's solve for L_aa.
     """
 
     alpha: int
     interior: np.ndarray
     L_aa: sp.csc_matrix
     L_ac: sp.csr_matrix
+    L_acT: sp.csr_matrix
     Lcc_local: sp.csr_matrix
     adj_sep: np.ndarray
-    lu: object | None = None
+    factor: object | None = None
     S_tilde: sp.csr_matrix | None = None
 
     def interior_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.interior.size == 0:
             return np.zeros_like(rhs)
-        sol = self.lu.solve(rhs)
-        check_residual(self.L_aa, sol, rhs, f"robot {self.alpha} interior solve")
-        return sol
+        return self.factor(rhs)
 
     def schur_contribution(self) -> sp.csr_matrix:
         """Exact separator-space contribution after eliminating the interior."""
@@ -138,44 +138,26 @@ class ServerState:
     L_Gc: sp.csr_matrix  # cross-robot edges only
     n: int  # size of the whole system
     S_tilde: sp.csr_matrix | None = None
-    _lu: object | None = None
+    _solve: object | None = None
     _grounded: bool = True
     _solve_whole: object | None = field(default=None, init=False)  # single robot: grounded_solver(L)
 
     def set_reduced(self, S: sp.csr_matrix) -> None:
+        """Factor the separator system S, grounding its lowest-index separator if S is Laplacian-like (singular)."""
         self.S_tilde = sp.csr_matrix(S)
-        nc = S.shape[0]
-        if nc == 0:
-            self._lu = None
-            return
-        if _is_laplacian_like(self.S_tilde):
-            # singular: ground the lowest-index separator
-            self._grounded = True
-            M = self.S_tilde[1:, 1:] if nc > 1 else sp.csr_matrix((0, 0))
-        else:
-            self._grounded = False
-            M = self.S_tilde
-        if M.shape[0] == 0:
-            self._lu = None
-            return
-        try:
-            self._lu = spla.splu(sp.csc_matrix(M))
-        except RuntimeError as exc:
-            raise NumericalError(f"reduced separator system is singular: {exc}") from exc
+        self._grounded = _is_laplacian_like(self.S_tilde)
+        M = self.S_tilde[1:, 1:] if self._grounded else self.S_tilde
+        self._solve = spd_factor(M, "reduced solve") if M.shape[0] else None
 
     def reduced_solve(self, U: np.ndarray) -> np.ndarray:
         """Solve the separator system; result has zero column means."""
-        nc = self.S_tilde.shape[0]
-        if nc == 0:
-            return U[:0]
+        if self._solve is None:  # no separators, or a single grounded one
+            return np.zeros_like(U)
         if self._grounded:
-            if nc == 1:
-                return np.zeros_like(U)
-            Xg = self._lu.solve(U[1:])
-            X = np.vstack([np.zeros((1, U.shape[1])), Xg])
+            X = np.zeros_like(U)
+            X[1:] = self._solve(U[1:])
         else:
-            X = self._lu.solve(U)
-            check_residual(self.S_tilde, X, U, "reduced solve")
+            X = self._solve(U)
         return X - X.mean(axis=0, keepdims=True)
 
 
@@ -211,6 +193,7 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
             interior=np.arange(n),
             L_aa=sp.csc_matrix((0, 0)),
             L_ac=sp.csr_matrix((n, 0)),
+            L_acT=sp.csr_matrix((0, n)),
             Lcc_local=sp.csr_matrix((0, 0)),
             adj_sep=np.zeros(0, dtype=bool),
         )
@@ -219,6 +202,10 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
         server._solve_whole = grounded_solver(L)
         return [stub], server
 
+    detached = _detached(L, ~is_sep)
+    if detached.size:
+        a = owner[detached].min()
+        raise NumericalError(f"robot {a} interior block is singular (a component touches no separator)")
     blocks = []
     for a in range(partition.m):
         F = partition.interiors[a]
@@ -236,24 +223,17 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
         Lcc_local = sp.csr_matrix((np.concatenate([-w, -w, diag]), (rows, cols)), shape=(nc, nc))
         Lcc_local.eliminate_zeros()
         adj = np.asarray((abs(L_ac) > 0).sum(axis=0)).ravel() > 0
-        lu = None
-        if F.size > 0:
-            try:
-                lu = spla.splu(L_aa)
-            except RuntimeError as exc:
-                raise NumericalError(
-                    f"robot {a} interior block is singular (interior component "
-                    f"not attached to any separator): {exc}"
-                ) from exc
+        factor = spd_factor(L_aa, f"robot {a} interior solve") if F.size > 0 else None
         blocks.append(
             RobotBlock(
                 alpha=a,
                 interior=F,
                 L_aa=L_aa,
                 L_ac=L_ac,
+                L_acT=sp.csr_matrix(L_ac.T),
                 Lcc_local=Lcc_local,
                 adj_sep=adj,
-                lu=lu,
+                factor=factor,
             )
         )
 
@@ -348,7 +328,7 @@ def solve(
         else:
             Y = blk.interior_solve(B[blk.interior])
             Ys.append(Y)
-            U -= blk.L_ac.T @ Y
+            U -= blk.L_acT @ Y
         if ledger is not None:
             ledger.record(round_idx, blk.alpha, "rhs", int(blk.adj_sep.sum()) * k)
 

@@ -28,9 +28,9 @@ __all__ = [
     "sparsify",
     "check_epsilon",
     "heuristic_sparsify",
+    "spd_factor",
     "grounded_solver",
     "solve_grounded",
-    "check_residual",
     "upper_triangle_nnz",
     "DEFAULT_OVERSAMPLING",
     "EpsilonReport",
@@ -40,6 +40,11 @@ __all__ = [
 # only bites once the separator system is a few hundred vertices; below
 # that the input comes back verbatim, which is the conservative choice.
 DEFAULT_OVERSAMPLING = 4.0
+
+# SuperLU settings for symmetric, diagonally dominant matrices such as Laplacian blocks (X. S. Li,
+# "An overview of SuperLU", ACM TOMS 2005): one minimum-degree ordering on AᵀA + A for rows and
+# columns alike, and no row pivoting, which such matrices do not need for stability.
+SPD_SUPERLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 @dataclass
@@ -151,18 +156,9 @@ def schur_complement(L: sp.spmatrix, eliminate: np.ndarray) -> sp.csr_matrix:
     keep = np.setdiff1d(np.arange(L.shape[0]), elim)
     if elim.size == 0:
         return L[keep][:, keep].tocsr()
-    try:
-        lu = spla.splu(sp.csc_matrix(L[elim][:, elim]))
-    except RuntimeError as exc:
-        raise NumericalError(f"eliminated block is singular: {exc}") from exc
-
-    def solve(B):
-        X = lu.solve(B)
-        if not np.all(np.isfinite(X)):
-            raise NumericalError("eliminated block is singular")
-        return X
-
-    return schur_update(solve, L[elim][:, keep], L[keep][:, keep])
+    if _detached(L, np.isin(np.arange(L.shape[0]), elim)).size:
+        raise NumericalError("eliminated block is singular (a component touches no kept vertex)")
+    return schur_update(spd_factor(L[elim][:, elim], "eliminated block solve"), L[elim][:, keep], L[keep][:, keep])
 
 
 def effective_resistances(L: sp.spmatrix, pairs: np.ndarray) -> np.ndarray:
@@ -338,6 +334,43 @@ def heuristic_sparsify(S: sp.spmatrix, mode: str) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=S.shape)
 
 
+def _detached(L: sp.spmatrix, inside: np.ndarray) -> np.ndarray:
+    """The vertices of mask `inside` whose component in L's graph touches no vertex outside it.
+
+    Any such vertex makes L's inside block singular, yet round-off can leave its last pivot tiny
+    rather than zero, so neither the factor nor the residual check of its solves would fail.
+    """
+    n, C = L.shape[0], sp.coo_matrix(L, copy=True)
+    C.eliminate_zeros()
+    hub = np.where(inside, np.arange(n), n)  # every outside vertex becomes vertex n
+    H = sp.coo_matrix((np.ones(C.nnz), (hub[C.row], hub[C.col])), shape=(n + 1, n + 1))
+    labels = csgraph.connected_components(H, directed=False)[1]
+    return np.flatnonzero(inside & (labels[:n] != labels[n]))
+
+
+def spd_factor(A: sp.spmatrix, what: str):
+    """Factor a nonsingular symmetric diagonally dominant matrix with SPD_SUPERLU; return solve(B) for dense B.
+
+    A failed factorization, and a solve whose residual is non-finite or above
+    1e-10 (||A|| ||X|| + ||B||) in Frobenius norms, raise NumericalError naming `what`.
+    """
+    A = sp.csc_matrix(A)
+    try:
+        lu = spla.splu(A, **SPD_SUPERLU)
+    except RuntimeError as exc:
+        raise NumericalError(f"{what}: singular factor: {exc}") from exc
+    norm_A = spla.norm(A)
+
+    def solve(B: np.ndarray) -> np.ndarray:
+        X = lu.solve(B)
+        resid = np.linalg.norm(A @ X - B)
+        if not np.isfinite(resid) or resid > 1e-10 * (norm_A * np.linalg.norm(X) + np.linalg.norm(B)):
+            raise NumericalError(f"{what} residual {resid:.3e}")
+        return X
+
+    return solve
+
+
 def grounded_solver(L: sp.spmatrix):
     """Factor a connected Laplacian once and return solve(B), the minimum-norm X with L X = B.
 
@@ -346,13 +379,9 @@ def grounded_solver(L: sp.spmatrix):
     column means, which for a connected Laplacian is exactly the
     minimum-norm representative. A 1-D B gives a 1-D X.
     """
-    L_g = sp.csc_matrix(sp.csr_matrix(L)[1:, 1:])
-    lu = None
-    if L_g.shape[0] > 0:
-        try:
-            lu = spla.splu(L_g)
-        except RuntimeError as exc:
-            raise NumericalError(f"grounded Laplacian is singular (graph disconnected?): {exc}") from exc
+    if _detached(L, np.arange(L.shape[0]) > 0).size:
+        raise NumericalError("grounded Laplacian is singular (graph disconnected)")
+    solve_g = spd_factor(sp.csr_matrix(L)[1:, 1:], "grounded solve") if L.shape[0] > 1 else None
 
     def solve(B: np.ndarray) -> np.ndarray:
         B = np.asarray(B, dtype=float)
@@ -363,9 +392,8 @@ def grounded_solver(L: sp.spmatrix):
         if np.linalg.norm(colsums) > 1e-8 * max(1.0, np.linalg.norm(B)):
             raise NumericalError("rhs not orthogonal to the all-ones vector")
         X = np.zeros_like(B)
-        if lu is not None:
-            X[1:] = lu.solve(B[1:])
-            check_residual(L_g, X[1:], B[1:], "grounded solve")  # row 0 of L X - B is -colsums, checked above
+        if solve_g is not None:
+            X[1:] = solve_g(B[1:])  # row 0 of L X - B is -colsums, checked above
         X = X - X.mean(axis=0, keepdims=True)
         return X[:, 0] if squeeze else X
 
@@ -375,16 +403,6 @@ def grounded_solver(L: sp.spmatrix):
 def solve_grounded(L: sp.spmatrix, B: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of the singular system L X = B; see grounded_solver."""
     return grounded_solver(L)(B)
-
-
-def check_residual(A: sp.spmatrix, X: np.ndarray, B: np.ndarray, what: str) -> None:
-    """Raise NumericalError naming `what` unless ||A X - B|| <= 1e-10 (||A|| ||X|| + ||B||).
-
-    The bound, in Frobenius norms, scales with the system; a non-finite residual always fails.
-    """
-    resid = np.linalg.norm(A @ X - B)
-    if not np.isfinite(resid) or resid > 1e-10 * (spla.norm(A) * np.linalg.norm(X) + np.linalg.norm(B)):
-        raise NumericalError(f"{what} residual {resid:.3e}")
 
 
 def upper_triangle_nnz(A: sp.spmatrix) -> int:

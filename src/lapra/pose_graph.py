@@ -20,7 +20,6 @@ from scipy.sparse.csgraph import connected_components
 from .manifold import (
     RotationState,
     exp_map_batch,
-    log_map_batch,
     orthonormality_drift,
     random_rotation,
     row_norms,
@@ -317,7 +316,7 @@ def _fmt(x: float) -> str:
 
 def _rotation_fields(R: np.ndarray) -> np.ndarray:
     """The planar angles or the (x, y, z, w) quaternions that g2o records store for a (k, d, d) stack."""
-    return log_map_batch(R) if R.shape[1] == 2 else _rots_to_quats(R)
+    return np.arctan2(R[:, 1, 0], R[:, 0, 0])[:, None] if R.shape[1] == 2 else _rots_to_quats(R)
 
 
 def write_g2o(path: str, g: MeasurementGraph, poses: tuple[RotationState, np.ndarray] | None = None) -> None:

@@ -194,7 +194,7 @@ def _edge_gradients(R_i, R_j, R_tilde, kind: Distance):
     angle is below 1e-8.
     """
     V = log_map_batch(np.swapaxes(R_tilde, 1, 2) @ np.swapaxes(R_i, 1, 2) @ R_j)
-    theta = np.sqrt(np.einsum("ki,ki->k", V, V))
+    theta = row_norms(V)
     moving = theta >= _ZERO_RESIDUAL
     t = np.where(moving, theta, 1.0)
     U = V / t[:, None]

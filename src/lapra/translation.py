@@ -37,19 +37,20 @@ def _rotated_measurements(g: MeasurementGraph, R_hat: RotationState) -> np.ndarr
     return (R_hat.mats[g.I] @ g.t_tilde[:, :, None])[:, :, 0]
 
 
-def assemble_translation_rhs(g: MeasurementGraph, R_hat: RotationState) -> np.ndarray:
+def assemble_translation_rhs(g: MeasurementGraph, R_hat: RotationState, rotated: np.ndarray | None = None) -> np.ndarray:
     """Right-hand side of the translation normal equations, one row per vertex.
 
-    Each measurement pushes tau * (R_hat_i t_tilde) onto its head vertex
-    and pulls it from its tail, so column sums vanish.
+    Each measurement pushes tau * (R_hat_i t_tilde) onto its head vertex and pulls it
+    from its tail, so column sums vanish. rotated, if given, is _rotated_measurements(g, R_hat).
     """
-    W = g.tau[:, None] * _rotated_measurements(g, R_hat)
+    W = g.tau[:, None] * (_rotated_measurements(g, R_hat) if rotated is None else rotated)
     return scatter_edge_rows(g.n, g.J, g.I, W, -W)
 
 
-def translation_cost(g: MeasurementGraph, R_hat: RotationState, t: np.ndarray) -> float:
-    """Weighted squared consistency error of translations t (n x d)."""
-    r = t[g.J] - t[g.I] - _rotated_measurements(g, R_hat)
+def translation_cost(g: MeasurementGraph, R_hat: RotationState, t: np.ndarray,
+                     rotated: np.ndarray | None = None) -> float:
+    """Weighted squared consistency error of translations t (n x d); rotated as in assemble_translation_rhs."""
+    r = t[g.J] - t[g.I] - (_rotated_measurements(g, R_hat) if rotated is None else rotated)
     return float(np.sum(0.5 * g.tau * np.einsum("ki,ki->k", r, r)))
 
 
@@ -84,12 +85,13 @@ def collaborative_translation_solve(
     """
     L = laplacian(translation_weights(g))
     blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
-    B = assemble_translation_rhs(g, R_hat)
+    rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
+    B = assemble_translation_rhs(g, R_hat, rotated)
     upload_rows = separator_rows_by_owner(g, partition) if partition.separators.size else None
 
     M, trace = iterate(
         np.zeros((g.n, g.d)),
-        lambda M: (B - L @ M, translation_cost(g, R_hat, M)),
+        lambda M: (B - L @ M, translation_cost(g, R_hat, M, rotated)),
         lambda M, E, round_idx: M + dd.solve(blocks, server, E, ledger=ledger, round_idx=round_idx),
         config,
         ledger,

@@ -176,6 +176,17 @@ def test_g2o_2d_records(tmp_path):
     assert poses is not None
 
 
+def test_g2o_planar_rotation_of_angle_pi_round_trips(tmp_path):
+    # the planar angle is always defined, so writing must not go through the near-pi guard of log_map
+    p, q = tmp_path / "pi.g2o", tmp_path / "pi2.g2o"
+    p.write_text("EDGE_SE2 0 1 1.0 0.0 3.141592653589793 2.0 0.0 0.0 2.0 0.0 4.0\n")
+    g, _ = load_g2o(str(p))
+    write_g2o(str(q), g)
+    g2, _ = load_g2o(str(q))
+    for name in ("I", "J", "R_tilde", "t_tilde", "kappa", "tau"):
+        assert getattr(g2, name).tobytes() == getattr(g, name).tobytes(), name
+
+
 def test_write_is_deterministic(tmp_path):
     rng = np.random.default_rng(3)
     g, R, pos = _random_graph(rng)

@@ -26,6 +26,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from lapra import decomposition as dd
 from lapra.laplacians import (
+    SPD_SUPERLU,
     WeightedGraph,
     effective_resistances,
     graph_from_laplacian,
@@ -163,12 +164,15 @@ def _ref_split(L, partition):
 
 
 def _ref_single_robot_solve(L, B):
-    """The one-robot split solve: a grounded factor of the whole system, checked and centred."""
+    """The one-robot split solve: a grounded factor of the whole system, checked and centred.
+
+    The factor takes the package's own SuperLU settings, so the comparison stays bit for bit.
+    """
     n = L.shape[0]
     X = np.zeros((n, B.shape[1]))
     if n > 1:
         L_g = sp.csc_matrix(L[1:, 1:])
-        X[1:] = spla.splu(L_g).solve(B[1:])
+        X[1:] = spla.splu(L_g, **SPD_SUPERLU).solve(B[1:])
         resid = np.linalg.norm(L_g @ X[1:] - B[1:])
         if resid > 1e-10 * (spla.norm(L_g) * np.linalg.norm(X[1:]) + np.linalg.norm(B[1:])):
             raise NumericalError(f"grounded solve residual {resid:.3e}")
@@ -493,8 +497,8 @@ def owned_pairs(draw):
 
 
 @st.composite
-def weighted_laplacians(draw):
-    """(n, pairs, L) for a connected graph with weights across twelve orders of magnitude.
+def weighted_laplacians(draw, weights=_weights):
+    """(n, pairs, L) for a connected graph with weights across twelve orders of magnitude, or drawn from `weights`.
 
     The graph is a seeded 2D or 3D synthetic lattice or an arbitrary random graph.
     """
@@ -506,7 +510,7 @@ def weighted_laplacians(draw):
     else:
         n = draw(st.integers(2, 12))
         pairs = np.array(draw(connected_pairs(n)))
-    w = draw(st.lists(_weights, min_size=len(pairs), max_size=len(pairs)))
+    w = draw(st.lists(weights, min_size=len(pairs), max_size=len(pairs)))
     return n, pairs, laplacian(WeightedGraph.from_edge_list(n, pairs, w))
 
 
@@ -863,6 +867,74 @@ def test_tree_mode_matches_lil_loop(case, isolated):
     _, _, L = case
     L = sp.csr_matrix(sp.block_diag([L, sp.csr_matrix((isolated, isolated))]))  # zero diagonals
     _assert_same_csr(heuristic_sparsify(L, "tree"), _ref_tree(L))
+
+
+# ---------------------------------------------------------------------------
+# The SPD factor behind every Laplacian block
+
+_moderate = st.floats(min_value=1e-2, max_value=1e2)
+
+
+def _robots(draw, n, pairs, min_robots=1):
+    """A partition of n vertices among min_robots..3 robots, each owning at least one vertex."""
+    m = min(draw(st.integers(min_robots, 3)), n)
+    return Partition.from_owner(np.array(draw(st.permutations(range(n)))) % m, pairs)
+
+
+def _centred(rng, n, k):
+    B = rng.standard_normal((n, k))
+    return B - B.mean(axis=0)
+
+
+@FEW
+@given(weighted_laplacians(_moderate), st.data(), st.integers(0, 99))
+def test_exact_split_solve_matches_the_pseudoinverse(case, data, seed):
+    n, pairs, L = case
+    blocks, server = dd.build_blocks(L, _robots(data.draw, n, pairs))
+    dd.sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+    B = _centred(np.random.default_rng(seed), n, 3)
+    X = dd.solve(blocks, server, B)
+    ref = np.linalg.pinv(L.toarray()) @ B
+    assert np.abs((X - X.mean(axis=0)) - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@FEW
+@given(weighted_laplacians(_moderate), st.lists(_moderate, min_size=1, max_size=5), st.data())
+def test_detached_interior_path_names_its_robot(case, path_weights, data):
+    """A weighted path owned by one of several robots and touching no separator is a singular interior block.
+
+    Its last pivot is round-off rather than zero, so only the structure
+    can tell; the error must come before any split solve.
+    """
+    n, pairs, L = case
+    part = _robots(data.draw, n, pairs, min_robots=2)
+    k = len(path_weights) + 1
+    path = WeightedGraph.from_edge_list(k, [(i, i + 1) for i in range(k - 1)], path_weights)
+    L_all = sp.block_diag([L, laplacian(path)], format="csr")
+    robot = data.draw(st.integers(0, part.m - 1))
+    part = Partition.from_owner(np.concatenate([part.owner, np.full(k, robot)]), pairs)
+    with pytest.raises(NumericalError, match=rf"^robot {robot} interior block is singular"):
+        blocks, server = dd.build_blocks(L_all, part)
+        dd.sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+
+
+@FEW
+@given(weighted_laplacians(_moderate), st.sampled_from(dd.SCHUR_MODES), st.integers(0, 99))
+def test_reduced_solve_of_every_mode_is_exact_and_checked(case, mode, seed):
+    """The server solves its reduced system exactly, whether Laplacian-like (grounded) or not, and checks the residual."""
+    n, pairs, L = case
+    blocks, server = dd.build_blocks(L, Partition.from_owner(np.arange(n) * 2 // n, pairs))
+    dd.sparsified_schur(blocks, server, 0.0, np.random.default_rng(0), mode=mode)
+    S = server.S_tilde.toarray()
+    U = _centred(np.random.default_rng(seed), S.shape[0], 2)
+    # rcond drops the round-off eigenvalue of a Laplacian-like S; otherwise this is the inverse
+    ref = np.linalg.pinv(S, 1e-10, hermitian=True) @ U
+    ref -= ref.mean(axis=0)
+    assert np.abs(server.reduced_solve(U) - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1e-300)
+    if S.shape[0] > 1:
+        U[-1, 0] = np.nan
+        with pytest.raises(NumericalError, match="^reduced solve residual nan$"):
+            server.reduced_solve(U)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 
+from lapra import decomposition as dd
 from lapra.laplacians import laplacian
 from lapra.manifold import RotationState
 from lapra.pose_graph import (
@@ -83,6 +84,25 @@ def test_collaborative_compressed_contracts_and_matches():
     resids = [r.grad_norm for r in trace.rows]
     assert all(b < a for a, b in zip(resids, resids[1:]))
     assert len(trace.iterates) == len(trace.rows)
+
+
+def test_sweeps_match_the_public_rhs_and_cost(monkeypatch):
+    """The rotated measurements are computed once per solve; the rhs and every row's cost stay bit for bit."""
+    g, truth = _grid(side=4, sigma_deg=5.0, seed=5)
+    part = partition_contiguous(g, 3)
+    cfg = SolverConfig(epsilon=0.5, grad_tol=1e-9, max_iters=40, seed=3)
+    residuals, split_solve = [], dd.solve
+
+    def spy(blocks, server, E, **kwargs):
+        residuals.append(E.copy())
+        return split_solve(blocks, server, E, **kwargs)
+
+    monkeypatch.setattr(dd, "solve", spy)
+    _, trace = collaborative_translation_solve(g, part, truth, cfg, schur_mode="tree", keep_iterates=True)
+    assert len(trace.rows) > 2
+    for row, M in zip(trace.rows, trace.iterates):
+        assert row.cost == translation_cost(g, truth, M)
+    assert residuals[0].tobytes() == assemble_translation_rhs(g, truth).tobytes()  # B - L @ 0
 
 
 def test_zero_measurements_give_zero_solution():
