@@ -320,13 +320,13 @@ def solve(
     if ledger is not None and round_idx is None:
         round_idx = ledger.begin_round()
 
-    U = B[C].copy()
+    U = np.take(B, C, axis=0)
     Ys = []
     for blk in blocks:
         if blk.interior.size == 0:
             Ys.append(np.zeros((0, k)))
         else:
-            Y = blk.interior_solve(B[blk.interior])
+            Y = blk.interior_solve(np.take(B, blk.interior, axis=0))
             Ys.append(Y)
             U -= blk.L_acT @ Y
         if ledger is not None:

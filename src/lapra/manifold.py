@@ -23,6 +23,7 @@ __all__ = [
     "geodesic_dist",
     "orthonormality_drift",
     "row_norms",
+    "stack_matmul",
     "project_to_rotation",
     "tangent_dim",
     "random_rotation",
@@ -129,6 +130,26 @@ def row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
 
 
+def stack_matmul(A: np.ndarray, B: np.ndarray, transpose_a: bool = False) -> np.ndarray:
+    """A @ B, or A^T @ B with transpose_a, for a (k, d, d) stack A and a (k, d, e) stack B, d <= 3.
+
+    numpy's matmul pays a fixed cost per matrix of a stack, which dominates such small products.
+    Here each output entry is d multiply-adds over length-k entry planes, without fused multiply-adds,
+    so it can differ from matmul's in the last bit. Returns a C-contiguous (k, d, e) array.
+    """
+    k, d, _ = A.shape
+    e = B.shape[2]
+    a, b = A.reshape(k, d * d).T, B.reshape(k, d * e).T
+    row, col = (1, d) if transpose_a else (d, 1)  # entry (r, s) of A or A^T is the plane a[r*row + s*col]
+    out = np.empty((k, d, e))
+    for r, c in np.ndindex(d, e):
+        acc = a[r * row] * b[c]
+        for s in range(1, d):
+            acc += a[r * row + s * col] * b[s * e + c]
+        out[:, r, c] = acc
+    return out
+
+
 def _raise_near_pi(theta: np.ndarray) -> None:
     bad = np.flatnonzero(np.abs(theta) > np.pi - _PI_GUARD)
     if bad.size:
@@ -142,7 +163,7 @@ def exp_map_batch(V: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected shape (k, 1) or (k, 3), got {V.shape}")
     if V.shape[1] == 1:
         c, s = np.cos(V[:, 0]), np.sin(V[:, 0])
-        return np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+        return np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
     theta = row_norms(V)
     K = hat_batch(V)
     KK = K @ K
@@ -233,9 +254,16 @@ def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def orthonormality_drift(R: np.ndarray) -> np.ndarray:
-    """Frobenius norm of R^T R - I for each matrix of a (k, d, d) stack."""
-    G = np.swapaxes(R, 1, 2) @ R - np.eye(R.shape[1])
-    return np.sqrt(np.einsum("kij,kij->k", G, G))
+    """Frobenius norm of R^T R - I for each matrix of a (k, d, d) stack, from its entry planes."""
+    k, d, _ = R.shape
+    a = R.reshape(k, d * d).T
+    sq = np.zeros(k)
+    for i, j in zip(*np.triu_indices(d)):  # the upper triangle of R^T R, off-diagonal entries twice
+        G = a[i] * a[j]
+        for s in range(1, d):
+            G += a[s * d + i] * a[s * d + j]
+        sq += (G - 1.0) ** 2 if i == j else 2.0 * G**2
+    return np.sqrt(sq)
 
 
 _ORTHO_DRIFT_TOL = 1e-12

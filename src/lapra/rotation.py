@@ -28,7 +28,7 @@ from .laplacians import (
     schur_update,
     solve_grounded,
 )
-from .manifold import NumericalError, RotationState, exp_map_batch, hat_batch, log_map_batch, row_norms
+from .manifold import NumericalError, RotationState, exp_map_batch, hat_batch, log_map_batch, row_norms, stack_matmul
 from .metrics import gamma_factor
 from .pose_graph import MeasurementGraph, Partition, scatter_edge_rows
 
@@ -193,7 +193,8 @@ def _edge_gradients(R_i, R_j, R_tilde, kind: Distance):
     (m,), (m, p) and (m, p). Gradient rows vanish where the residual
     angle is below 1e-8.
     """
-    V = log_map_batch(np.swapaxes(R_tilde, 1, 2) @ np.swapaxes(R_i, 1, 2) @ R_j)
+    A = stack_matmul(R_i, R_tilde)
+    V = log_map_batch(stack_matmul(A, R_j, transpose_a=True))  # R_tilde^T R_i^T R_j
     theta = row_norms(V)
     moving = theta >= _ZERO_RESIDUAL
     t = np.where(moving, theta, 1.0)
@@ -202,7 +203,7 @@ def _edge_gradients(R_i, R_j, R_tilde, kind: Distance):
     if V.shape[1] == 1:
         return kind.rho(theta), -rd * U, rd * U
     U = U[:, :, None]
-    return kind.rho(theta), -rd * (R_i @ R_tilde @ U)[:, :, 0], rd * (R_j @ U)[:, :, 0]
+    return kind.rho(theta), -rd * stack_matmul(A, U)[:, :, 0], rd * stack_matmul(R_j, U)[:, :, 0]
 
 
 def edge_gradient(R_i, R_j, R_tilde, kind: Distance) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +260,7 @@ def edge_hessian(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
 
 def _gradient_and_cost(g: MeasurementGraph, R: RotationState, kind: Distance) -> tuple[np.ndarray, float]:
     """Gradient right-hand side B and total cost."""
-    rho, g_i, g_j = _edge_gradients(R.mats[g.I], R.mats[g.J], g.R_tilde, kind)
+    rho, g_i, g_j = _edge_gradients(np.take(R.mats, g.I, axis=0), np.take(R.mats, g.J, axis=0), g.R_tilde, kind)
     k = g.kappa[:, None]
     B = scatter_edge_rows(g.n, g.I, g.J, -(k * g_i), -(k * g_j))
     return B, float(np.sum(g.kappa * rho))
@@ -286,7 +287,7 @@ def laplacian_weights(g: MeasurementGraph, kind: Distance) -> WeightedGraph:
 
 
 def _apply_update(R: RotationState, V: np.ndarray) -> RotationState:
-    out = RotationState(exp_map_batch(V) @ R.mats)
+    out = RotationState(stack_matmul(exp_map_batch(V), R.mats))
     out.renormalize()
     return out
 

@@ -34,7 +34,7 @@ def translation_weights(g: MeasurementGraph) -> WeightedGraph:
 
 def _rotated_measurements(g: MeasurementGraph, R_hat: RotationState) -> np.ndarray:
     """R_hat_i t_tilde for every edge, as (m, d) rows."""
-    return (R_hat.mats[g.I] @ g.t_tilde[:, :, None])[:, :, 0]
+    return (np.take(R_hat.mats, g.I, axis=0) @ g.t_tilde[:, :, None])[:, :, 0]
 
 
 def assemble_translation_rhs(g: MeasurementGraph, R_hat: RotationState, rotated: np.ndarray | None = None) -> np.ndarray:
@@ -50,7 +50,8 @@ def assemble_translation_rhs(g: MeasurementGraph, R_hat: RotationState, rotated:
 def translation_cost(g: MeasurementGraph, R_hat: RotationState, t: np.ndarray,
                      rotated: np.ndarray | None = None) -> float:
     """Weighted squared consistency error of translations t (n x d); rotated as in assemble_translation_rhs."""
-    r = t[g.J] - t[g.I] - (_rotated_measurements(g, R_hat) if rotated is None else rotated)
+    r = np.take(t, g.J, axis=0) - np.take(t, g.I, axis=0)
+    r -= _rotated_measurements(g, R_hat) if rotated is None else rotated
     return float(np.sum(0.5 * g.tau * np.einsum("ki,ki->k", r, r)))
 
 

@@ -1,7 +1,8 @@
 """Batched per-edge kernels against the per-edge loops they replaced.
 
 The references below are the loop forms of the gradient, retraction,
-translation and RMSE code, built on the scalar exp_map and log_map. The
+translation and RMSE code, built on the scalar exp_map and log_map, and
+the batched gradient with its stack products taken by np.matmul. The
 batched code sums in another order in places, so results must agree to
 1e-12 relative rather than bit for bit. The dense robot elimination is
 kept as the reference for the sparse Schur routine, which does the same
@@ -28,7 +29,7 @@ from lapra.manifold import (
     random_rotation,
 )
 from lapra.metrics import rotation_rmse
-from lapra.pose_graph import GraphError, MeasurementGraph, Partition
+from lapra.pose_graph import GraphError, MeasurementGraph, Partition, scatter_edge_rows
 from lapra.rotation import CHORDAL, GEODESIC, _apply_update, _gradient_and_cost, edge_gradient
 from lapra.translation import assemble_translation_rhs, translation_cost
 from test_properties import _assert_exp_matches_reference, _ref_log_map
@@ -79,6 +80,24 @@ def _ref_apply_update(R, V):
         mats[i] = exp_map(V[i]) @ mats[i]
     _ref_renormalize(mats)
     return mats
+
+
+def _matmul_gradient_and_cost(g, R, kind):
+    """The batched gradient and cost with every stack product taken by np.matmul."""
+    R_i, R_j, R_tilde = R.mats[g.I], R.mats[g.J], g.R_tilde
+    V = log_map_batch(np.swapaxes(R_tilde, 1, 2) @ np.swapaxes(R_i, 1, 2) @ R_j)
+    theta = np.linalg.norm(V, axis=1)
+    moving = theta >= 1e-8
+    t = np.where(moving, theta, 1.0)
+    U = V / t[:, None]
+    rd = np.where(moving, kind.rho_dot(t), 0.0)[:, None]
+    if g.p == 1:
+        g_i, g_j = -rd * U, rd * U
+    else:
+        U = U[:, :, None]
+        g_i, g_j = -rd * (R_i @ R_tilde @ U)[:, :, 0], rd * (R_j @ U)[:, :, 0]
+    k = g.kappa[:, None]
+    return scatter_edge_rows(g.n, g.I, g.J, -(k * g_i), -(k * g_j)), float(np.sum(g.kappa * kind.rho(theta)))
 
 
 def _ref_translation_rhs(g, R_hat):
@@ -173,6 +192,22 @@ def test_gradient_and_cost_match_edge_loop(d, kind, seed):
     B, cost = _gradient_and_cost(g, R, kind)
     _close(B, B_ref)
     _close(cost, cost_ref)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", [GEODESIC, CHORDAL], ids=lambda k: k.name)
+@pytest.mark.parametrize("seed", range(4))
+def test_gradient_and_retraction_match_matmul_stack_products(d, kind, seed):
+    g, R = _random_problem(d, seed)  # zero-residual edges and residuals of 2.95 and 3.1 rad
+    B_ref, cost_ref = _matmul_gradient_and_cost(g, R, kind)
+    B, cost = _gradient_and_cost(g, R, kind)
+    _close(B, B_ref)
+    _close(cost, cost_ref)
+    V = solve_grounded(laplacian(WeightedGraph.from_edge_list(g.n, g.pairs, g.kappa)), B)
+    for step in (V, 3.0 * V / np.abs(V).max()):  # the solver's step, and one with entries up to 3 rad
+        ref = exp_map_batch(step) @ R.mats
+        _ref_renormalize(ref)
+        _close(_apply_update(R, step).mats, ref)
 
 
 def test_problem_covers_every_residual_branch():

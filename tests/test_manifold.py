@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapra.manifold import (
     NumericalError,
     RotationState,
     exp_map,
+    exp_map_batch,
     geodesic_dist,
     hat,
     log_map,
+    orthonormality_drift,
     project_to_rotation,
     random_rotation,
+    stack_matmul,
     tangent_dim,
 )
 
@@ -164,3 +169,76 @@ def test_d2_rotations():
     assert np.allclose(R, expected)
     assert abs(log_map(R)[0] - th) < 1e-14
     assert abs(geodesic_dist(np.eye(2), R) - th) < 1e-14
+
+
+def _stack(rng, k, shape, layout, scale=1.0):
+    """k random matrices of the given shape: contiguous, a swapaxes view, or every second one of 2k."""
+    if layout == "swapaxes":
+        return np.swapaxes(scale * rng.standard_normal((k, shape[1], shape[0])), 1, 2)
+    if layout == "every-second":
+        return (scale * rng.standard_normal((2 * k, *shape)))[::2]
+    return scale * rng.standard_normal((k, *shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 50), d=st.sampled_from([2, 3]), square=st.booleans(), transpose_a=st.booleans(),
+       layouts=st.tuples(*[st.sampled_from(["contiguous", "swapaxes", "every-second"])] * 2),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_stack_matmul_matches_matmul(k, d, square, transpose_a, layouts, seed, scale):
+    rng = np.random.default_rng(seed)
+    e = d if square else 1
+    A = _stack(rng, k, (d, d), layouts[0], scale)
+    B = _stack(rng, k, (d, e), layouts[1])
+    out = stack_matmul(A, B, transpose_a=transpose_a)
+    ref = np.matmul(np.swapaxes(A, 1, 2) if transpose_a else A, B)
+    assert out.shape == (k, d, e) and out.flags.c_contiguous
+    entry_scale = np.abs(A).max(initial=0.0) * np.abs(B).max(initial=0.0)
+    assert np.abs(out - ref).max(initial=0.0) <= 1e-14 * entry_scale
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_stack_matmul_of_no_matrices_is_empty(d, e):
+    out = stack_matmul(np.zeros((0, d, d)), np.zeros((0, d, e)), transpose_a=e == 1)
+    assert out.shape == (0, d, e) and out.dtype == float
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_orthonormality_drift_matches_the_gram_norm(d):
+    """Within 1e-15 absolute up to unit drift, and relative to the drift above it."""
+    rng = np.random.default_rng(9)
+    near = np.stack([random_rotation(d, rng) for _ in range(400)])
+    near += 10.0 ** rng.uniform(-13, -2, size=(400, 1, 1)) * rng.standard_normal(near.shape)
+    for R in (near, rng.uniform(-1.0, 1.0, size=(400, d, d))):
+        ref = np.array([np.linalg.norm(M.T @ M - np.eye(d)) for M in R])
+        assert np.all(np.abs(orthonormality_drift(R) - ref) <= 1e-15 * np.maximum(1.0, ref))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_renormalize_snaps_drifted_blocks_and_keeps_fresh_products(d):
+    rng = np.random.default_rng(10)
+    R = np.stack([random_rotation(d, rng) for _ in range(6)])
+    V = rng.uniform(-3.0, 3.0, size=(6, d * (d - 1) // 2))
+    S = RotationState(stack_matmul(exp_map_batch(V), R))
+    fresh = S.mats.copy()
+    S.mats[2] *= 1.0 + 5e-11  # drift of about 1e-10 * sqrt(d)
+    drifted = S.mats[2].copy()
+    assert 1e-10 < orthonormality_drift(S.mats)[2] < 2e-10
+    S.renormalize()
+    assert np.array_equal(S.mats[2], project_to_rotation(drifted))
+    assert orthonormality_drift(S.mats[2:3])[0] < 1e-12
+    keep = np.arange(6) != 2
+    assert np.array_equal(S.mats[keep], fresh[keep])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_valid_rejects_non_finite_and_reflected_blocks(d):
+    for i, bad in enumerate([np.nan, np.inf, "reflection"]):
+        S = RotationState.identity(3, d)
+        if bad == "reflection":
+            S.mats[1, 0, 0] = -1.0  # orthonormal, determinant -1
+            assert orthonormality_drift(S.mats)[1] == 0.0
+        else:
+            S.mats[1, d - 1, 0] = bad
+        with pytest.raises(NumericalError, match=r"^matrix 1 is not a rotation"):
+            S.check_valid()
