@@ -8,14 +8,13 @@ and seeded synthetic grid problems.
 
 from __future__ import annotations
 
-from array import array
-from collections import deque
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .manifold import (
     RotationState,
@@ -38,8 +37,6 @@ __all__ = [
     "generate_grid",
     "grid_positions",
     "spanning_tree_init",
-    "quat_to_rot",
-    "rot_to_quat",
 ]
 
 
@@ -114,8 +111,8 @@ class MeasurementGraph:
         if m == 0:
             return
         lo, hi = np.minimum(I, J), np.maximum(I, J)
-        _, first, inverse = np.unique(np.stack([lo, hi], axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
+        # keys of distinct in-range pairs differ; a pair that collides is out of range and fails that check first
+        _, first, inverse = np.unique(lo * self.n + hi, return_index=True, return_inverse=True)
         R = self.R_tilde
         finite = (np.isfinite(R).all(axis=(1, 2)) & np.isfinite(self.t_tilde).all(axis=1)
                   & np.isfinite(self.kappa) & np.isfinite(self.tau))
@@ -125,7 +122,7 @@ class MeasurementGraph:
             (I == J, lambda k: f"edge {k} is a self loop at vertex {I[k]}"),
             ((I < 0) | (I >= self.n) | (J < 0) | (J >= self.n),
              lambda k: f"edge {k} touches a vertex outside 0..{self.n - 1}"),
-            (first[inverse.ravel()] != np.arange(m),
+            (first[inverse] != np.arange(m),
              lambda k: f"duplicate measurement between {lo[k]} and {hi[k]}"),
             (~finite, lambda k: f"edge {k} has a non-finite rotation, translation or weight"),
             (not_rotation, lambda k: f"edge {k} rotation is not orthonormal within {rot_tol}"),
@@ -199,11 +196,6 @@ def _quats_to_rots(Q: np.ndarray, lines: list[int] | None = None) -> np.ndarray:
                      2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)], axis=1).reshape(-1, 3, 3)
 
 
-def quat_to_rot(qx: float, qy: float, qz: float, qw: float) -> np.ndarray:
-    """Rotation matrix from an (x, y, z, w) quaternion: the one-row case of _quats_to_rots."""
-    return _quats_to_rots(np.array([[qx, qy, qz, qw]]))[0]
-
-
 def _rots_to_quats(R: np.ndarray) -> np.ndarray:
     """(x, y, z, w) quaternions with non-negative w of a (k, 3, 3) rotation stack.
 
@@ -233,27 +225,58 @@ def _rots_to_quats(R: np.ndarray) -> np.ndarray:
     return q / row_norms(q)[:, None]
 
 
-def rot_to_quat(R: np.ndarray) -> np.ndarray:
-    """Quaternion (x, y, z, w) with non-negative w from a rotation matrix: the one-row case of _rots_to_quats."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {R.shape}")
-    return _rots_to_quats(R[None])[0]
-
-
 def _equalish_row_means(A: np.ndarray) -> np.ndarray:
     """Mean of each row of A, or exactly its first entry where the row's entries are all equal."""
     # keeps the exact value of an isotropic information matrix
     return np.where((A == A[:, :1]).all(axis=1), A[:, 0], A.mean(axis=1))
 
 
-def _convert_records(rec: _Record, vals: array, lines: list[int]) -> tuple:
-    """(rotations, translations), and for an edge tag (kappa, tau), of one tag's records."""
-    X = np.frombuffer(vals, dtype=float).reshape(-1, rec.floats)
+def _convert_records(rec: _Record, X: np.ndarray, lines: list[int]) -> tuple:
+    """(rotations, translations), and for an edge tag (kappa, tau), of one tag's (k, rec.floats) numbers."""
     R = exp_map_batch(X[:, rec.rot]) if rec.d == 2 else _quats_to_rots(X[:, rec.rot], lines)
     info = X[:, rec.rot.stop:]
     weights = [_equalish_row_means(info[:, slots]) for slots in (rec.r_info, rec.t_info) if slots]
     return R, X[:, :rec.d].copy(), *weights
+
+
+def _read_block(rec: _Record, rows: list[str]) -> tuple | None:
+    """(ids, numbers) of one tag's record payloads in one numpy read, or None where the reader refuses them.
+
+    On ASCII text the reader splits where str.split does and takes a subset
+    of Python's int and float syntax, to the same values, but skips a blank
+    payload. Its integer parser reads out of bounds on some non-ASCII text.
+    """
+    dtype = [("ids", np.intp, (rec.ids,)), ("vals", float, (rec.floats,))]
+    if not all(map(str.isascii, rows)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.x warns, and goes on, when it takes 1.0 as an id
+            X = np.loadtxt(rows, dtype, comments=None, ndmin=1) if rows else np.zeros(0, dtype)
+    except (ValueError, Warning):
+        return None
+    return (X["ids"], np.ascontiguousarray(X["vals"])) if X.shape == (len(rows),) else None
+
+
+def _read_tokens(tables: list[tuple]) -> list[tuple]:
+    """(ids, numbers) of each (layout, payloads, line numbers) table by Python's int and float, in line order.
+
+    Raises GraphError at the first bad line. An id beyond intp becomes -1: neither is contiguous from 0.
+    """
+    out = [([], []) for _ in tables]
+    for ln, t, row in sorted((ln, t, row) for t, (_, rows, lines) in enumerate(tables) for ln, row in zip(lines, rows)):
+        rec, parts = tables[t][0], row.split()
+        try:
+            ids = [int(parts[k]) for k in range(rec.ids)]
+            vals = [float(s) for s in parts[rec.ids:]]
+            if len(vals) != rec.floats:
+                raise ValueError("field count")
+        except (ValueError, IndexError) as exc:
+            raise GraphError(f"line {ln}: {exc}") from exc
+        out[t][0].append([v if 0 <= v <= np.iinfo(np.intp).max else -1 for v in ids])
+        out[t][1].append(vals)
+    return [(np.array(ids, dtype=np.intp).reshape(-1, rec.ids), np.array(vals).reshape(-1, rec.floats))
+            for (rec, _, _), (ids, vals) in zip(tables, out)]
 
 
 def load_g2o(path: str) -> tuple[MeasurementGraph, tuple[RotationState, np.ndarray] | None]:
@@ -261,53 +284,50 @@ def load_g2o(path: str) -> tuple[MeasurementGraph, tuple[RotationState, np.ndarr
 
     Returns the measurement graph and, when every vertex had a VERTEX
     record, the stored poses as (rotations, translations); of repeated
-    records for one vertex the last wins. Raises GraphError on malformed
-    lines (with the line number), mixed dimensions, duplicate edges or a
+    records for one vertex the last wins. Numbers follow Python's int and
+    float syntax. Raises GraphError on malformed lines (with the line
+    number of the first), mixed dimensions, duplicate edges or a
     disconnected graph.
     """
-    # per tag: its layout, and the ids, numbers and line numbers of its records
-    records = {tag: (rec, [], array("d"), []) for tag, rec in _G2O.items()}
-    dim: int | None = None
+    # per tag: its layout, and the payload (the text after the tag) and line number of each record
+    records = {tag: (rec, [], []) for tag, rec in _G2O.items()}
+    dim, stop = None, None  # stop ends the scan: a line that is no record of the file's dimension, or undecodable text
     with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            try:
-                if parts[0] not in records:
-                    raise ValueError(f"unknown record {parts[0]}")
-                rec, tag_ids, tag_vals, tag_lines = records[parts[0]]
-                dim = rec.d if dim is None else dim
-                if rec.d != dim:
-                    raise ValueError("mixes 2D and 3D records")
-                ids = [int(parts[k]) for k in range(1, 1 + rec.ids)]
-                vals = [float(s) for s in parts[1 + rec.ids:]]
-                if len(vals) != rec.floats:
-                    raise ValueError("field count")
-            except (ValueError, IndexError) as exc:
-                raise GraphError(f"line {ln}: {exc}") from exc
-            tag_ids.extend(ids)
-            tag_vals.extend(vals)
-            tag_lines.append(ln)
-
+        try:
+            for ln, line in enumerate(fh, start=1):
+                head = line.split(None, 1)
+                if not head or head[0].startswith("#"):
+                    continue
+                rec, rows, lines = records.get(head[0], (None, None, None))
+                if rec is None or rec.d != (dim or rec.d):
+                    problem = f"unknown record {head[0]}" if rec is None else "mixes 2D and 3D records"
+                    stop = GraphError(f"line {ln}: {problem}")
+                    break
+                dim = rec.d
+                rows.append(head[1] if len(head) > 1 else "")
+                lines.append(ln)
+        except UnicodeDecodeError as exc:  # the lines before it were read, so their bad records come first
+            stop = exc
+    tables = [r for r in records.values() if r[0].d == dim]  # the vertex tag, then the edge tag
+    blocks = [None] if stop else [_read_block(rec, rows) for rec, rows, _ in tables]
+    if None in blocks:
+        blocks = _read_tokens(tables)
+    if stop is not None:
+        raise stop
     if dim is None:
         raise GraphError("file contains no vertices or edges")
-    (v_rec, vertex_ids, *vertex), (e_rec, edge_ids, *edge) = (r for r in records.values() if r[0].d == dim)
-    vertex_R, vertex_t = _convert_records(v_rec, *vertex)
-    R_tilde, t_tilde, kappa, tau = _convert_records(e_rec, *edge)
-    ids = set(vertex_ids).union(edge_ids)
-    n = max(ids) + 1
-    if min(ids) != 0 or len(ids) != n:
+    (vertex_ids, _), (edge_ids, _) = blocks
+    (vertex_R, vertex_t), (R_tilde, t_tilde, kappa, tau) = (
+        _convert_records(rec, X, lines) for (rec, _, lines), (_, X) in zip(tables, blocks))
+    ids = np.unique(np.concatenate([vertex_ids.ravel(), edge_ids.ravel()]))
+    n = int(ids[-1]) + 1
+    if ids[0] != 0 or ids.size != n:
         raise GraphError("vertex ids are not contiguous from 0")
-    I, J = np.array(edge_ids, dtype=np.intp).reshape(-1, 2).T.copy()
-    g = MeasurementGraph(dim, n, I, J, R_tilde, t_tilde, kappa, tau)
+    g = MeasurementGraph(dim, n, *np.ascontiguousarray(edge_ids.T), R_tilde, t_tilde, kappa, tau)
     g.validate()
-    last = {v: k for k, v in enumerate(vertex_ids)}  # a repeated vertex id keeps its last record
-    poses = None
-    if len(last) == n:
-        rows = [last[v] for v in range(n)]
-        poses = (RotationState(vertex_R[rows]), vertex_t[rows])
-    return g, poses
+    seen, first = np.unique(vertex_ids[::-1, 0], return_index=True)  # a repeated vertex id keeps its last record
+    last = len(vertex_ids) - 1 - first
+    return g, ((RotationState(vertex_R[last]), vertex_t[last]) if seen.size == n else None)
 
 
 def _fmt(x: float) -> str:
@@ -491,25 +511,30 @@ def generate_grid(spec: SyntheticSpec) -> tuple[MeasurementGraph, RotationState]
 
 
 def spanning_tree_init(g: MeasurementGraph) -> RotationState:
-    """Initial rotations by chaining measurements along a BFS tree from vertex 0."""
-    # neighbours in edge order: (w, k, True) when edge k runs from w to v
-    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(g.n)]
-    for k, (i, j) in enumerate(zip(g.I.tolist(), g.J.tolist())):
-        adj[i].append((j, k, False))
-        adj[j].append((i, k, True))
-    mats = np.zeros((g.n, g.d, g.d))
-    mats[0] = np.eye(g.d)
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w, k, backward in adj[v]:
-            if seen[w]:
-                continue
-            mats[w] = mats[v] @ (g.R_tilde[k].T if backward else g.R_tilde[k])
-            seen[w] = True
-            queue.append(w)
-    if not seen.all():
+    """Initial rotations by chaining measurements along a BFS tree from vertex 0.
+
+    The search takes each vertex's edges in edge order and chains a whole
+    BFS level at once, giving the tree and products of a queue walk.
+    """
+    # slot 2k is edge k seen from I[k]; slot 2k + 1 is edge k seen from J[k], run backward
+    ends = np.stack([g.I, g.J], axis=1).ravel()
+    slots = np.argsort(ends, kind="stable")  # each vertex's slots in edge order
+    heads = ends[slots ^ 1]
+    adj = csr_matrix((np.ones(slots.size), heads, np.searchsorted(ends[slots], np.arange(g.n + 1))), shape=(g.n, g.n))
+    order, pred = breadth_first_order(adj, 0, directed=True, return_predecessors=True)
+    if order.size < g.n:
         raise GraphError("measurement graph is not connected")
+    hits = np.flatnonzero(pred[heads] == ends[slots])
+    _, first = np.unique(heads[hits], return_index=True)  # vertices 1..n-1, each by its parent's first slot to it
+    reach = np.concatenate([[-1], slots[hits[first]]])
+    parent_pos = np.argsort(order)[pred[order[1:]]]  # non-decreasing: BFS queues children in their parents' order
+    mats = np.broadcast_to(np.eye(g.d), (g.n, g.d, g.d)).copy()
+    start, stop = 0, 1
+    while stop < g.n:
+        start, stop = stop, 1 + np.searchsorted(parent_pos, stop)
+        level = order[start:stop]
+        for backward in (0, 1):
+            w = level[reach[level] & 1 == backward]
+            R = g.R_tilde[reach[w] >> 1]
+            mats[w] = mats[pred[w]] @ (np.swapaxes(R, 1, 2) if backward else R)
     return RotationState(mats)

@@ -9,12 +9,12 @@ from lapra.pose_graph import (
     MeasurementGraph,
     Partition,
     SyntheticSpec,
+    _quats_to_rots,
+    _rots_to_quats,
     generate_grid,
     grid_positions,
     load_g2o,
     partition_contiguous,
-    quat_to_rot,
-    rot_to_quat,
     spanning_tree_init,
     write_g2o,
 )
@@ -47,16 +47,16 @@ def test_quaternion_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(50):
         R = random_rotation(3, rng)
-        q = rot_to_quat(R)
+        q = _rots_to_quats(R[None])[0]
         assert q[3] >= 0.0
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
-        assert np.linalg.norm(quat_to_rot(*q) - R) < 1e-12
+        assert np.linalg.norm(_quats_to_rots(q[None])[0] - R) < 1e-12
 
 
 def test_quat_known_value():
     # 90 degrees about x
     s = math.sqrt(0.5)
-    R = quat_to_rot(s, 0.0, 0.0, s)
+    R = _quats_to_rots(np.array([[s, 0.0, 0.0, s]]))[0]
     expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     assert np.allclose(R, expected, atol=1e-15)
 

@@ -14,6 +14,7 @@ import math
 import os
 import re
 import tempfile
+from collections import deque
 
 import numpy as np
 import pytest
@@ -44,8 +45,7 @@ from lapra.pose_graph import (
     load_g2o,
     _quats_to_rots,
     _rots_to_quats,
-    quat_to_rot,
-    rot_to_quat,
+    spanning_tree_init,
     write_g2o,
 )
 from lapra.rotation import CHORDAL, GEODESIC, _edge_hessians, edge_hessian, separator_rows_by_owner
@@ -432,6 +432,30 @@ def _ref_load_g2o(path):
     return g, poses
 
 
+def _ref_spanning_tree_init(g):
+    """The queue walk: neighbours in edge order, one product per vertex."""
+    adj = [[] for _ in range(g.n)]
+    for k, (i, j) in enumerate(zip(g.I.tolist(), g.J.tolist())):
+        adj[i].append((j, k, False))
+        adj[j].append((i, k, True))
+    mats = np.zeros((g.n, g.d, g.d))
+    mats[0] = np.eye(g.d)
+    seen = np.zeros(g.n, dtype=bool)
+    seen[0] = True
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w, k, backward in adj[v]:
+            if seen[w]:
+                continue
+            mats[w] = mats[v] @ (g.R_tilde[k].T if backward else g.R_tilde[k])
+            seen[w] = True
+            queue.append(w)
+    if not seen.all():
+        raise GraphError("measurement graph is not connected")
+    return RotationState(mats)
+
+
 def _assert_same_csr(A, B):
     assert A.shape == B.shape
     for name in ("indptr", "indices", "data"):
@@ -485,6 +509,32 @@ def measurement_graphs(draw):
     tau = draw(st.lists(_weights, min_size=m, max_size=m))
     I, J = np.array(pairs).T
     return MeasurementGraph(d, n, I, J, R_tilde, t_tilde, kappa, tau)
+
+
+@st.composite
+def tree_init_graphs(draw):
+    """A random connected graph, a path or a star over n vertices, or n = 1, with its edges in
+    random order and orientation, and sometimes an isolated vertex added."""
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["random"] * 3 + ["path", "star", "single"]))
+    n = 1 if kind == "single" else draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":  # a random tree, then up to 2n extra edges
+        pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+        pairs |= {(min(a, b), max(a, b)) for a, b in rng.integers(0, n, (2 * n, 2)).tolist() if a != b}
+    elif kind == "path":
+        pairs = {(v, v + 1) for v in range(n - 1)}
+    else:
+        centre = int(rng.integers(n))
+        pairs = {(centre, v) for v in range(n) if v != centre}
+    pairs = sorted(pairs)
+    pairs = [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, rng.random(len(pairs)) < 0.5)]
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    n += draw(st.integers(0, 3)) == 3
+    m = len(pairs)
+    R_tilde = exp_map_batch(2.0 * rng.standard_normal((m, d * (d - 1) // 2))) if m else np.zeros((0, d, d))
+    I, J = np.array(pairs, dtype=int).reshape(m, 2).T
+    return MeasurementGraph(d, n, I, J, R_tilde, np.zeros((m, d)), np.ones(m), np.ones(m))
 
 
 @st.composite
@@ -731,6 +781,103 @@ def test_malformed_g2o_gives_the_per_record_loader_message(case, fault, data):
         if ref == "zero quaternion":
             ref = f"line {record_lines[k]}: zero quaternion"
     _assert_same_load(ref, got)
+
+
+# Spellings of a number token that Python's int or float reads and numpy's reader
+# may not: digit-group underscores, Arabic-Indic digits, an implied zero before
+# the point, special values, a '#' inside the payload and a non-BMP character.
+# Whitespace is ASCII, or in some files Unicode spaces too.
+_RESPELLINGS = {
+    "underscore": lambda t: re.sub(r"^([+-]?)(?=\d)", r"\g<1>0_", t),
+    "unicode digits": lambda t: "".join(chr(0x660 + int(c)) if c.isdigit() else c for c in t),
+    "implied zero": lambda t: re.sub(r"^([+-]?)0\.", lambda m: (m.group(1) or "+") + ".", t),
+    "hash": lambda t: "#" + t,
+    "astral": lambda t: "\U0010ffff" + t,
+}
+_SPECIALS = ["Infinity", "-Infinity", "-nan", "+NaN", "inf"]
+_SEPARATORS = [" ", "\t", "  ", " \t ", "\x0b", "\x0c"]
+_UNICODE_SPACES = ["\xa0", "\u2003"]
+
+
+@FEW
+@given(g2o_records(), st.sampled_from(["\n", "\r\n", "\r"]), st.data())
+def test_load_g2o_matches_the_per_record_loader_on_any_number_syntax(case, newline, data):
+    """Respelled numbers, a tag without its fields, any whitespace between and before the tokens,
+    and CRLF or CR line ends: the same arrays, or the same message, as the per-record loader.
+    Special values go only into translation slots, where neither loader computes with them."""
+    d, records, fillers = case
+    kinds = data.draw(st.lists(st.sampled_from([*_RESPELLINGS, "special"]), max_size=2, unique=True))  # per file
+    spaces = _SEPARATORS + (_UNICODE_SPACES if data.draw(st.booleans()) else [])
+    bare = data.draw(st.none() | st.none() | st.none() | st.integers(0, len(records) - 1))  # a record as its tag alone
+    lines = []
+    for r, (filler, record) in enumerate(zip(fillers, records + [None])):
+        if filler is not None:
+            lines.append(filler)
+        if record is None:
+            continue
+        tokens = record[:1] if r == bare else list(record)
+        id_count = 2 if tokens[0].startswith("EDGE") else 1
+        for k in range(1, len(tokens)):
+            how = data.draw(st.sampled_from([None] * 2 + kinds))
+            if how == "special" and id_count < k <= id_count + d:
+                tokens[k] = data.draw(st.sampled_from(_SPECIALS))
+            elif how in _RESPELLINGS:
+                tokens[k] = _RESPELLINGS[how](tokens[k])
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += data.draw(st.sampled_from(spaces)) + token
+        lines.append(data.draw(st.sampled_from(["", *spaces])) + line)
+    _assert_same_load(*_load_both(newline.join(lines) + newline))
+
+
+_EDGE = "1 0 0.3 2 0 0 2 0 4"  # the numbers of an EDGE_SE2 record
+
+
+@pytest.mark.parametrize("text", [
+    "VERTEX_SE2 0 0 0 0\nVERTEX_SE2\nVERTEX_SE2 1 0 0 0\n",  # a tag alone among plain records
+    "VERTEX_SE2 0 0 0 0\nVERTEX_SE2  \t\nVERTEX_SE2 1 0 0 0\n",
+    f"EDGE_SE2 0 1 {_EDGE} x\nVERTEX_SE2 0 y 0 0\n",  # both tags refused; the edge's line comes first
+    f"VERTEX_SE2 0 0_0 0 0\nEDGE_SE2 0 1 {_EDGE} #\nVERTEX_SE2 1 y 0 0\n",
+    f"EDGE_SE2 0 1 {_EDGE[:-1]}x\nFIX 0\n",  # a bad number before an unknown tag
+    f"FIX 0\nEDGE_SE2 0 1 {_EDGE[:-1]}x\n",
+    f"EDGE_SE2 0 0_1 {_EDGE}\r\nVERTEX_SE2\t0\t+.5\t\u0661\t-nan\r\n",  # Python's syntax, numpy refuses
+    f"EDGE_SE2 0 1\t{_EDGE}\n\t VERTEX_SE2 1 Infinity 0 0\n# VERTEX_SE2 2 0 0 0\n",  # ASCII only: numpy reads it
+    "VERTEX_SE2 \U0010ffff0 0 0 0\n",  # a non-BMP character where numpy's integer parser would read out of bounds
+])
+def test_load_g2o_matches_the_per_record_loader_on_irregular_files(text):
+    _assert_same_load(*_load_both(text))
+
+
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_load_g2o_reports_what_comes_first_before_undecodable_text(tmp_path, bad_first):
+    """A bad record before text that does not decode is reported, after it the decode error, as by the
+    per-record loader. The plain records push the undecodable byte past the first block the reader decodes."""
+    bad, plain = b"VERTEX_SE2 0 x 0 0\n", b"VERTEX_SE2 0 0 0 0\n" * 2000
+    p = tmp_path / "f.g2o"
+    p.write_bytes(bad + plain + b"\xff\n" if bad_first else plain + b"\xff\n" + bad)
+    outcomes = []
+    for load in (_ref_load_g2o, load_g2o):
+        try:
+            load(str(p))
+            outcomes.append(None)
+        except (GraphError, UnicodeError) as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("vertex_id", [str(2**63), "-" + str(2**70), "1" + "0" * 30])
+def test_g2o_id_beyond_intp_is_not_contiguous(tmp_path, vertex_id):
+    p = tmp_path / "huge.g2o"
+    p.write_text(f"VERTEX_SE2 0 0 0 0\nVERTEX_SE2 {vertex_id} 0 0 0\n")
+    with pytest.raises(GraphError, match="^vertex ids are not contiguous from 0$"):
+        load_g2o(str(p))
+
+
+@FEW
+@given(tree_init_graphs())
+def test_spanning_tree_init_matches_the_queue_walk(g):
+    """The same tree and products, byte for byte, or the same error for a disconnected graph."""
+    _same_outcome(lambda: spanning_tree_init(g).mats, lambda: _ref_spanning_tree_init(g).mats)
 
 
 @FEW
@@ -1029,7 +1176,7 @@ def test_rots_to_quats_rows_match_the_scalar_reference(Q):
     Rs = _quats_to_rots(np.array(Q))
     quats = _rots_to_quats(Rs)
     for R, q in zip(Rs, quats):
-        assert np.array_equal(q, _ref_rot_to_quat(R)) and np.array_equal(rot_to_quat(R), q)
+        assert np.array_equal(q, _ref_rot_to_quat(R)) and np.array_equal(_rots_to_quats(R[None])[0], q)
 
 
 @FEW
@@ -1054,9 +1201,9 @@ def test_edge_hessians_match_the_scalar_reference(cases):
 @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda q: np.linalg.norm(q) > 1e-3))
 def test_quaternion_round_trip_up_to_sign(q):
     q = np.array(q) / np.linalg.norm(q)
-    R = quat_to_rot(*q)
+    R = _quats_to_rots(q[None])[0]
     assert np.abs(R.T @ R - np.eye(3)).max() <= 1e-12 and np.linalg.det(R) > 0
-    q2 = rot_to_quat(R)
+    q2 = _rots_to_quats(R[None])[0]
     assert q2[3] >= 0
     assert min(np.abs(q2 - q).max(), np.abs(q2 + q).max()) <= 1e-12  # q and -q are one rotation
-    assert np.abs(quat_to_rot(*q2) - R).max() <= 1e-12
+    assert np.abs(_quats_to_rots(q2[None])[0] - R).max() <= 1e-12
