@@ -38,7 +38,6 @@ from .pose_graph import (
 from .rotation import (
     RunTrace,
     SolverConfig,
-    centralized_solve,
     collaborative_solve,
     distance_by_name,
     hessian_report,
@@ -313,7 +312,7 @@ def cmd_validate_hessian(args) -> int:
                 seed=base_seed + k,
             )
             g, _ = generate_grid(spec)
-            R, _ = centralized_solve(g, spanning_tree_init(g), warm_up)
+            R, _ = collaborative_solve(g, partition_contiguous(g, 1), spanning_tree_init(g), warm_up)
             rep = hessian_report(g, R, kind, epsilon=args.epsilon)
             lines.append(
                 f"{sigma_deg},{base_seed + k},{rep.delta_empirical!r},{rep.lambda2!r},"

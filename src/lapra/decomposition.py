@@ -109,7 +109,8 @@ class RobotBlock:
     Lcc_local is this robot's local-edge contribution to the separator
     block, so that the per-robot pieces plus the cross-edge part add up
     to the full reduced matrix, and adj_sep flags the separators its
-    interior actually touches. factor is spd_factor's solve for L_aa.
+    interior actually touches. factor is spd_factor's solve for L_aa, or
+    grounded_solver's when a single robot holds the whole Laplacian.
     """
 
     alpha: int
@@ -140,7 +141,6 @@ class ServerState:
     S_tilde: sp.csr_matrix | None = None
     _solve: object | None = None
     _grounded: bool = True
-    _solve_whole: object | None = field(default=None, init=False)  # single robot: grounded_solver(L)
 
     def set_reduced(self, S: sp.csr_matrix) -> None:
         """Factor the separator system S, grounding its lowest-index separator if S is Laplacian-like (singular)."""
@@ -165,8 +165,10 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
     """Slice a connected Laplacian into per-robot blocks plus server state.
 
     Interior factorizations are computed once here and reused by every
-    later solve. With a single robot there are no separators and the
-    server just keeps a grounded factorization of the whole system.
+    later solve. With a single robot the interior is every vertex and
+    there are no separators, so its block is the whole singular
+    Laplacian and takes a grounded factorization; with several robots
+    every interior component must touch a separator.
     """
     L = sp.csr_matrix(L)
     n = L.shape[0]
@@ -183,29 +185,11 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
     nc = C.size
     L_Gc = laplacian(WeightedGraph(nc, pos_in_C[g.edges[cross]], g.weights[cross]))
 
-    if partition.m == 1 or nc == 0:
-        if partition.m > 1:
-            raise NumericalError("multi-robot partition with no separators on a connected graph")
-        # single robot: no decomposition, keep a grounded whole-problem
-        # factorization on the server and a stub block for the robot
-        stub = RobotBlock(
-            alpha=0,
-            interior=np.arange(n),
-            L_aa=sp.csc_matrix((0, 0)),
-            L_ac=sp.csr_matrix((n, 0)),
-            L_acT=sp.csr_matrix((0, n)),
-            Lcc_local=sp.csr_matrix((0, 0)),
-            adj_sep=np.zeros(0, dtype=bool),
-        )
-        server = ServerState(separators=C, L_Gc=L_Gc, n=n)
-        server.S_tilde = sp.csr_matrix((0, 0))
-        server._solve_whole = grounded_solver(L)
-        return [stub], server
-
-    detached = _detached(L, ~is_sep)
-    if detached.size:
-        a = owner[detached].min()
-        raise NumericalError(f"robot {a} interior block is singular (a component touches no separator)")
+    if partition.m > 1:
+        detached = _detached(L, ~is_sep)
+        if detached.size:
+            a = owner[detached].min()
+            raise NumericalError(f"robot {a} interior block is singular (a component touches no separator)")
     blocks = []
     for a in range(partition.m):
         F = partition.interiors[a]
@@ -223,7 +207,10 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
         Lcc_local = sp.csr_matrix((np.concatenate([-w, -w, diag]), (rows, cols)), shape=(nc, nc))
         Lcc_local.eliminate_zeros()
         adj = np.asarray((abs(L_ac) > 0).sum(axis=0)).ravel() > 0
-        factor = spd_factor(L_aa, f"robot {a} interior solve") if F.size > 0 else None
+        if partition.m == 1:  # the only robot with no separator to ground against
+            factor = grounded_solver(L_aa)
+        else:
+            factor = spd_factor(L_aa, f"robot {a} interior solve") if F.size > 0 else None
         blocks.append(
             RobotBlock(
                 alpha=a,
@@ -260,8 +247,6 @@ def sparsified_schur(
     """
     if mode not in SCHUR_MODES:
         raise ValueError(f"mode must be one of {SCHUR_MODES}")
-    if server.separators.size == 0:
-        return  # single robot, nothing to exchange
     rngs = rng.spawn(len(blocks))
 
     def one(idx: int) -> sp.csr_matrix:
@@ -297,9 +282,10 @@ def solve(
     B must be n x k with every column orthogonal to the all-ones vector
     (the system is singular and anything else is infeasible). Robots
     upload reduced right-hand sides (metered, separator-adjacent rows
-    only); the server solves the separator system and robots
-    back-substitute. Returns the full X with the separator rows
-    normalized to zero column means.
+    only); the server solves the separator system and robots whose
+    interior touches a separator back-substitute. Returns the full X
+    with the separator rows normalized to zero column means; a single
+    robot has no separators and returns its grounded, zero-mean solve.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
@@ -307,8 +293,6 @@ def solve(
     n = server.n
     if B.shape[0] != n:
         raise ValueError("rhs size does not match system")
-    if server._solve_whole is not None:
-        return server._solve_whole(B)  # checks the rhs itself
     colsums = B.sum(axis=0)
     if np.linalg.norm(colsums) > 1e-8 * max(1.0, np.linalg.norm(B)):
         raise NumericalError("rhs not orthogonal to the all-ones vector")
@@ -323,12 +307,9 @@ def solve(
     U = np.take(B, C, axis=0)
     Ys = []
     for blk in blocks:
-        if blk.interior.size == 0:
-            Ys.append(np.zeros((0, k)))
-        else:
-            Y = blk.interior_solve(np.take(B, blk.interior, axis=0))
-            Ys.append(Y)
-            U -= blk.L_acT @ Y
+        Y = blk.interior_solve(np.take(B, blk.interior, axis=0))
+        Ys.append(Y)
+        U -= blk.L_acT @ Y
         if ledger is not None:
             ledger.record(round_idx, blk.alpha, "rhs", int(blk.adj_sep.sum()) * k)
 
@@ -337,7 +318,5 @@ def solve(
     X = np.zeros((n, k))
     X[C] = X_c
     for blk, Y in zip(blocks, Ys):
-        if blk.interior.size == 0:
-            continue
-        X[blk.interior] = Y - blk.interior_solve((blk.L_ac @ X_c))
+        X[blk.interior] = Y - blk.interior_solve(blk.L_ac @ X_c) if blk.adj_sep.any() else Y
     return X

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "NumericalError",
-    "hat",
     "hat_batch",
     "exp_map",
     "log_map",
@@ -40,18 +39,6 @@ def tangent_dim(d: int) -> int:
     if d not in (2, 3):
         raise ValueError(f"only d=2 and d=3 are supported, got {d}")
     return d * (d - 1) // 2
-
-
-def hat(v: np.ndarray) -> np.ndarray:
-    """Map a tangent vector to the corresponding skew-symmetric matrix.
-
-    For p = 1 the input is a single angle rate and the output is 2x2;
-    for p = 3 the output is the usual 3x3 cross-product matrix.
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape not in ((1,), (3,)):
-        raise ValueError(f"tangent vector must have length 1 or 3, got shape {v.shape}")
-    return hat_batch(v[None])[0]
 
 
 def exp_map(v: np.ndarray) -> np.ndarray:
@@ -103,7 +90,11 @@ def log_map(R: np.ndarray) -> np.ndarray:
 
 
 def hat_batch(V: np.ndarray) -> np.ndarray:
-    """hat applied row by row: (k, p) tangent vectors to (k, d, d) matrices."""
+    """Skew-symmetric matrix of each row: (k, p) tangent vectors to (k, d, d) matrices.
+
+    For p = 1 each row is an angle rate and gives a 2x2 matrix; for
+    p = 3 each gives the usual 3x3 cross-product matrix.
+    """
     k, p = V.shape
     if p == 1:
         K = np.zeros((k, 2, 2))

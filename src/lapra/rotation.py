@@ -23,7 +23,6 @@ from . import decomposition as dd
 from .laplacians import (
     DEFAULT_OVERSAMPLING,
     WeightedGraph,
-    grounded_solver,
     laplacian,
     schur_update,
     solve_grounded,
@@ -48,7 +47,6 @@ __all__ = [
     "iterate",
     "split_setup",
     "centralized_step",
-    "centralized_solve",
     "collaborative_solve",
     "exact_newton_step",
     "newton_solve",
@@ -335,21 +333,6 @@ def centralized_step(g: MeasurementGraph, R: RotationState, kind: Distance) -> R
     return _apply_update(R, V)
 
 
-def centralized_solve(
-    g: MeasurementGraph, R0: RotationState, config: SolverConfig
-) -> tuple[RotationState, RunTrace]:
-    """Iterate centralized_step until config's stop test; nothing is uploaded."""
-    kind = distance_by_name(config.distance)
-    solve = grounded_solver(laplacian(laplacian_weights(g, kind)))
-    return iterate(
-        R0.copy(),
-        lambda R: _gradient_and_cost(g, R, kind),
-        lambda R, B, _: _apply_update(R, solve(B)),
-        config,
-        dd.CommsLedger(),
-    )
-
-
 def collaborative_solve(
     g: MeasurementGraph,
     partition: Partition,
@@ -370,7 +353,7 @@ def collaborative_solve(
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
     blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
-    upload_rows = separator_rows_by_owner(g, partition) if partition.separators.size else None
+    upload_rows = separator_rows_by_owner(g, partition)
 
     def step(R, B, round_idx):
         V = dd.solve(blocks, server, B, ledger=ledger, round_idx=round_idx)

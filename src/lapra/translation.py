@@ -88,7 +88,7 @@ def collaborative_translation_solve(
     blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
     rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
     B = assemble_translation_rhs(g, R_hat, rotated)
-    upload_rows = separator_rows_by_owner(g, partition) if partition.separators.size else None
+    upload_rows = separator_rows_by_owner(g, partition)
 
     M, trace = iterate(
         np.zeros((g.n, g.d)),

@@ -147,6 +147,24 @@ def test_detached_interior_raises():
         build_blocks(laplacian(g), part)
 
 
+def test_partition_edge_cases_raise_before_any_solve():
+    # one robot of two owning every vertex leaves no separators, so its
+    # interior has nothing to ground against
+    rng = np.random.default_rng(5)
+    L, _ = _instance(rng, m=1)
+    n = L.shape[0]
+    pairs = np.argwhere(sp.triu(L, k=1).toarray() != 0)
+    owned_by_one = Partition.from_owner(np.ones(n, dtype=int), pairs)
+    assert owned_by_one.m == 2 and owned_by_one.separators.size == 0
+    with pytest.raises(NumericalError, match=r"^robot 1 interior block is singular"):
+        build_blocks(L, owned_by_one)
+    # a single robot on a disconnected Laplacian
+    L2 = sp.block_diag([L, L], format="csr")
+    single = Partition.from_owner(np.zeros(2 * n, dtype=int), np.concatenate([pairs, pairs + n]))
+    with pytest.raises(NumericalError, match=r"^grounded Laplacian is singular \(graph disconnected\)$"):
+        build_blocks(L2, single)
+
+
 def test_sparsified_schur_meters_uploads():
     rng = np.random.default_rng(5)
     L, part = _instance(rng, n=60, m=3, p_edge=0.5)

@@ -31,6 +31,7 @@ from lapra.laplacians import (
     WeightedGraph,
     effective_resistances,
     graph_from_laplacian,
+    grounded_solver,
     heuristic_sparsify,
     laplacian,
     solve_grounded,
@@ -48,7 +49,21 @@ from lapra.pose_graph import (
     spanning_tree_init,
     write_g2o,
 )
-from lapra.rotation import CHORDAL, GEODESIC, _edge_hessians, edge_hessian, separator_rows_by_owner
+from lapra.rotation import (
+    CHORDAL,
+    GEODESIC,
+    SolverConfig,
+    _apply_update,
+    _edge_hessians,
+    _gradient_and_cost,
+    collaborative_solve,
+    distance_by_name,
+    edge_hessian,
+    iterate,
+    laplacian_weights,
+    separator_rows_by_owner,
+)
+from lapra.translation import collaborative_translation_solve, exact_translation_solve
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -177,6 +192,19 @@ def _ref_single_robot_solve(L, B):
         if resid > 1e-10 * (spla.norm(L_g) * np.linalg.norm(X[1:]) + np.linalg.norm(B[1:])):
             raise NumericalError(f"grounded solve residual {resid:.3e}")
     return X - X.mean(axis=0, keepdims=True)
+
+
+def _ref_centralized_solve(g, R0, config):
+    """The whole-graph rotation loop: one grounded factor of the surrogate Laplacian, nothing uploaded."""
+    kind = distance_by_name(config.distance)
+    solve = grounded_solver(laplacian(laplacian_weights(g, kind)))
+    return iterate(
+        R0.copy(),
+        lambda R: _gradient_and_cost(g, R, kind),
+        lambda R, B, _: _apply_update(R, solve(B)),
+        config,
+        dd.CommsLedger(),
+    )
 
 
 def _ref_effective_resistances(L, pairs):
@@ -986,10 +1014,50 @@ def test_build_blocks_split_matches_coo_loop(case):
 def test_single_robot_solve_matches_grounded_loop(case, k, seed):
     n, pairs, L = case
     blocks, server = dd.build_blocks(L, Partition.from_owner(np.zeros(n, dtype=int), pairs))
-    B = np.random.default_rng(seed).standard_normal((n, k))
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, k))
     B -= B.mean(axis=0)
+    dd.sparsified_schur(blocks, server, 0.0, rng)
     _same_outcome(lambda: dd.solve(blocks, server, B), lambda: _ref_single_robot_solve(L, B))
     _same_outcome(lambda: solve_grounded(L, B), lambda: _ref_single_robot_solve(L, B))
+
+
+@FEW
+@given(measurement_graphs(), st.sampled_from(["geodesic", "chordal"]), st.integers(0, 99))
+def test_single_robot_collaborative_solve_is_the_centralized_loop(g, distance, seed):
+    p = g.d * (g.d - 1) // 2
+    R0 = RotationState(exp_map_batch(np.random.default_rng(seed).standard_normal((g.n, p))))
+    config = SolverConfig(distance=distance, grad_tol=1e-8, max_iters=3)
+    one_robot = Partition.from_owner(np.zeros(g.n, dtype=int), g.pairs)
+    try:
+        R_ref, ref = _ref_centralized_solve(g, R0, config)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as got:
+            collaborative_solve(g, one_robot, R0, config)
+        assert str(got.value) == str(exc)
+        return
+    R, trace = collaborative_solve(g, one_robot, R0, config)
+    assert R.mats.tobytes() == R_ref.mats.tobytes()
+    assert trace.to_csv() == ref.to_csv()
+    assert (trace.converged, trace.iterations) == (ref.converged, ref.iterations)
+
+
+@FEW
+@given(measurement_graphs())
+def test_single_robot_translation_sweep_is_the_exact_solve(g):
+    # one sweep from zero is one grounded solve; only the final re-centring moves the last bits
+    R_hat = spanning_tree_init(g)
+    one_robot = Partition.from_owner(np.zeros(g.n, dtype=int), g.pairs)
+    config = SolverConfig(grad_tol=0.0, max_iters=1)
+    try:
+        ref = exact_translation_solve(g, R_hat)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as got:
+            collaborative_translation_solve(g, one_robot, R_hat, config)
+        assert str(got.value) == str(exc)
+        return
+    M, _ = collaborative_translation_solve(g, one_robot, R_hat, config)
+    assert np.abs(M - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 @FEW
