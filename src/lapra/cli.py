@@ -13,6 +13,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -111,15 +112,7 @@ def _write_staged_csv(path: str, stages: list[tuple[str, str]]) -> None:
 
 
 def _trace_dicts(trace: RunTrace) -> list[dict]:
-    return [
-        {
-            "iter": r.iter,
-            "grad_norm": r.grad_norm,
-            "cost": r.cost,
-            "cum_upload_bytes": r.cum_upload_bytes,
-        }
-        for r in trace.rows
-    ]
+    return [dataclasses.asdict(r) for r in trace.rows]
 
 
 # ---------------------------------------------------------------------------

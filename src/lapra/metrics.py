@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import RotationState
+from .manifold import RotationState, project_to_rotation
 
 __all__ = [
     "c_epsilon",
@@ -61,11 +61,7 @@ def rotation_rmse(R_a, R_b) -> RotationRMSE:
     if A.shape != B.shape:
         raise ValueError("shape mismatch")
     n, d = A.shape[0], A.shape[1]
-    M = np.einsum("nij,nkj->ik", B, A)  # sum_i B_i A_i^T
-    U, _, Vt = np.linalg.svd(M)
-    D = np.eye(d)
-    D[-1, -1] = np.sign(np.linalg.det(U @ Vt))
-    S = U @ D @ Vt
+    S = project_to_rotation(np.einsum("nij,nkj->ik", B, A))  # nearest rotation to sum_i B_i A_i^T
 
     SA = S @ A
     frob_sq = np.sum((SA - B) ** 2)

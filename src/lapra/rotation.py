@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, eigh, null_space
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from . import decomposition as dd
 from .laplacians import (
@@ -26,6 +26,7 @@ from .laplacians import (
     laplacian,
     schur_update,
     solve_grounded,
+    spd_factor,
 )
 from .manifold import NumericalError, RotationState, exp_map_batch, hat_batch, log_map_batch, row_norms, stack_matmul
 from .metrics import gamma_factor
@@ -58,14 +59,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Distance:
-    """A reshaped per-edge distance: value, first and second derivative in the angle."""
+    """A reshaped per-edge distance: value, first and second derivative in the angle.
+
+    rho_ddot(0) scales the surrogate Laplacian's weights and every edge's Hessian block at zero residual.
+    """
 
     name: str
     rho: callable
     rho_dot: callable
     rho_ddot: callable
-    laplacian_scale: float  # weight multiplier for the surrogate Laplacian
-    hessian_limit_scale: float  # per-edge Hessian scale at zero residual
 
 
 GEODESIC = Distance(
@@ -73,8 +75,6 @@ GEODESIC = Distance(
     rho=lambda t: 0.5 * t * t,
     rho_dot=lambda t: t,
     rho_ddot=lambda t: 1.0,
-    laplacian_scale=1.0,
-    hessian_limit_scale=1.0,
 )
 
 CHORDAL = Distance(
@@ -82,8 +82,6 @@ CHORDAL = Distance(
     rho=lambda t: 2.0 - 2.0 * np.cos(t),
     rho_dot=lambda t: 2.0 * np.sin(t),
     rho_ddot=lambda t: 2.0 * np.cos(t),
-    laplacian_scale=2.0,
-    hessian_limit_scale=2.0,
 )
 
 
@@ -238,7 +236,7 @@ def _edge_hessians(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
     t = np.where(moving, theta, 1.0)
     U = V / t[:, None]
     rd = kind.rho_dot(t)
-    alpha = np.where(moving, rd / (2.0 * np.tan(t / 2.0)), kind.hessian_limit_scale)
+    alpha = np.where(moving, rd / (2.0 * np.tan(t / 2.0)), kind.rho_ddot(0.0))
     gamma = np.where(moving, kind.rho_ddot(t) - alpha, 0.0)[:, None, None]
     beta = np.where(moving, rd / 2.0, 0.0)[:, None, None]
     Sym = alpha[:, None, None] * np.eye(3) + gamma * (U[:, :, None] * U[:, None, :])
@@ -280,8 +278,8 @@ def assemble_gradient_rhs(g: MeasurementGraph, R: RotationState, kind: Distance)
 
 
 def laplacian_weights(g: MeasurementGraph, kind: Distance) -> WeightedGraph:
-    """Weights of the surrogate Laplacian: kappa per measurement, doubled for the chordal cost."""
-    return WeightedGraph.from_edge_list(g.n, g.pairs, kind.laplacian_scale * g.kappa)
+    """Weights of the surrogate Laplacian: rho''(0) times kappa per measurement."""
+    return WeightedGraph.from_edge_list(g.n, g.pairs, kind.rho_ddot(0.0) * g.kappa)
 
 
 def _apply_update(R: RotationState, V: np.ndarray) -> RotationState:
@@ -366,6 +364,21 @@ def collaborative_solve(
     )
 
 
+def _gauge_fixed(A: np.ndarray, p: int, shift: float) -> np.ndarray:
+    """Ph A Ph + shift Pn for a dense np x np A, where Pn = (1 1ᵀ / n) ⊗ I_p projects onto the gauge.
+
+    No projector is formed: Ph = I - Pn centres the vertex means of the
+    (n, p, n, p) view of A over its row and its column blocks.
+    """
+    n = A.shape[0] // p
+    K = A.reshape(n, p, n, p)
+    K = K - K.mean(axis=0, keepdims=True)
+    K -= K.mean(axis=2, keepdims=True)
+    for c in range(p):
+        K[:, c, :, c] += shift / n
+    return K.reshape(n * p, n * p)
+
+
 def exact_newton_step(
     g: MeasurementGraph,
     R: RotationState,
@@ -374,33 +387,27 @@ def exact_newton_step(
     ledger: dd.CommsLedger | None = None,
     round_idx: int | None = None,
 ) -> RotationState:
-    """One exact second-order step on the full (projected) Hessian.
+    """One exact second-order step on the full Hessian, projected off the gauge.
 
-    Dense solve, intended for small problems and as a baseline. When a
-    partition and ledger are given, the per-robot separator-space
-    contributions of the true Hessian are formed and their upload sizes
-    metered (kind "schur", one event per robot per call). A partition
-    without separators uploads nothing.
+    That is the quotient-manifold Hessian (Absil, Mahony & Sepulchre,
+    2008, ch. 7). Dense solve, intended for small problems and as a
+    baseline. When a partition and ledger are given, the per-robot
+    separator-space contributions of the true Hessian are formed and
+    their upload sizes metered (kind "schur", one event per robot per
+    call). A partition without separators uploads nothing.
     """
     n, p = g.n, g.p
     if n * p > 6000:
         raise NumericalError("problem too large for the dense second-order step")
     H = assemble_full_hessian(g, R, kind)
     B = assemble_gradient_rhs(g, R, kind)
-    b = B.reshape(-1)
-
-    ones_dir = np.tile(np.eye(p), (n, 1)) / math.sqrt(n)  # np x p, orthonormal columns
-    Pn = ones_dir @ ones_dir.T
-    Ph = np.eye(n * p) - Pn
-    K = Ph @ H @ Ph
     sigma = max(np.trace(H) / (n * p), 1.0)
     try:
-        cf = cho_factor(K + sigma * Pn)
+        cf = cho_factor(_gauge_fixed(H, p, sigma), overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"projected Hessian is not positive definite: {exc}") from exc
-    v = cho_solve(cf, b)
-    v = v - ones_dir @ (ones_dir.T @ v)  # clean round-off along the gauge direction
-    V = v.reshape(n, p)
+    V = cho_solve(cf, B.reshape(-1)).reshape(n, p)
+    V -= V.mean(axis=0)  # clean round-off along the gauge direction
 
     if partition is not None and ledger is not None and partition.separators.size > 0:
         if round_idx is None:
@@ -467,14 +474,7 @@ def _newton_schur_blocks(g, R, kind, partition) -> list[sp.csr_matrix]:
         nf, size = F.size * p, (F.size + C.size) * p
         H = sp.csr_matrix((_weighted_edge_hessians(g, R, kind, mine).ravel(), (rows.ravel(), cols.ravel())),
                           shape=(size, size))
-        Hff = H[:nf, :nf].toarray()
-
-        def solve(B):
-            try:
-                return np.linalg.solve(Hff, B)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"robot {a} local Hessian interior block singular: {exc}") from exc
-
+        solve = spd_factor(H[:nf, :nf], f"robot {a} local Hessian interior solve")
         out.append(schur_update(solve, H[:nf, nf:], H[nf:, nf:]))
     return out
 
@@ -509,38 +509,15 @@ def hessian_report(
     H = assemble_full_hessian(g, R, kind)
     L = laplacian(laplacian_weights(g, kind)).toarray()
     M = np.kron(L, np.eye(p))
-
-    Q = null_space(np.tile(np.eye(p), (1, n)))  # orthonormal basis orthogonal to the gauge
-    Ap = Q.T @ H @ Q
-    Bp = Q.T @ M @ Q
-    lam = eigh((Ap + Ap.T) / 2.0, (Bp + Bp.T) / 2.0, eigvals_only=True)
+    # Both forms are the identity on the gauge, which only adds p eigenvalues equal to 1.
+    lam = eigh(_gauge_fixed(H, p, 1.0), _gauge_fixed(M, p, 1.0), eigvals_only=True)
     ev_L = np.linalg.eigvalsh(L)
     lambda2, lambda_max = float(ev_L[1]), float(ev_L[-1])
-    scale = max(abs(lam).max(), 1.0)
-    if lam.min() <= 1e-12 * scale:
-        return HessianReport(
-            delta_empirical=float("inf"),
-            kernel_match=False,
-            lambda2=lambda2,
-            lambda_max=lambda_max,
-            mu=0.0,
-            lipschitz=float("inf"),
-            kappa=float("inf"),
-            gamma=float("inf"),
-            epsilon=epsilon,
-        )
-    delta = float(np.max(np.abs(np.log(lam))))
-    mu = math.exp(-delta) * lambda2
-    lip = math.exp(delta) * lambda_max
-    kappa = lip / mu
-    return HessianReport(
-        delta_empirical=delta,
-        kernel_match=True,
-        lambda2=lambda2,
-        lambda_max=lambda_max,
-        mu=mu,
-        lipschitz=lip,
-        kappa=kappa,
-        gamma=gamma_factor(kappa, delta + epsilon),
-        epsilon=epsilon,
-    )
+    if lam.min() > 1e-12 * max(abs(lam).max(), 1.0):
+        delta = float(np.max(np.abs(np.log(lam))))
+        mu, lip = math.exp(-delta) * lambda2, math.exp(delta) * lambda_max
+        kappa, gamma = lip / mu, gamma_factor(lip / mu, delta + epsilon)
+    else:
+        delta = lip = kappa = gamma = float("inf")
+        mu = 0.0
+    return HessianReport(delta, math.isfinite(delta), lambda2, lambda_max, mu, lip, kappa, gamma, epsilon)

@@ -89,11 +89,18 @@ def collaborative_translation_solve(
     rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
     B = assemble_translation_rhs(g, R_hat, rotated)
     upload_rows = separator_rows_by_owner(g, partition)
+    b_sums = B.sum(axis=0)
+
+    def sweep(M, E, round_idx):
+        # L @ M adds round-off of |L| |M| to E's column sums, which once the sweeps converge is as large
+        # as E itself and fails the split solve's feasibility check. Taking it off row 0 leaves B's own.
+        E[0] -= E.sum(axis=0) - b_sums
+        return M + dd.solve(blocks, server, E, ledger=ledger, round_idx=round_idx)
 
     M, trace = iterate(
         np.zeros((g.n, g.d)),
         lambda M: (B - L @ M, translation_cost(g, R_hat, M, rotated)),
-        lambda M, E, round_idx: M + dd.solve(blocks, server, E, ledger=ledger, round_idx=round_idx),
+        sweep,
         config,
         ledger,
         upload_rows,

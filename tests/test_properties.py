@@ -7,7 +7,9 @@ loops it replaced, kept below as references; both sum in the same order,
 so results must agree bit for bit. The exp/log maps and the quaternion
 conversion must round trip in every branch, and the batch kernels that
 replaced the scalar maps and the scalar edge Hessian are checked against
-those scalar forms, kept below as references.
+those scalar forms, kept below as references. The gauge-fixed Newton step
+and curvature report are checked against the explicit-projector forms
+they replaced, also kept below.
 """
 
 import math
@@ -23,7 +25,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh, null_space
 
 from lapra import decomposition as dd
 from lapra.laplacians import (
@@ -34,6 +36,7 @@ from lapra.laplacians import (
     grounded_solver,
     heuristic_sparsify,
     laplacian,
+    schur_update,
     solve_grounded,
 )
 from lapra.manifold import NumericalError, RotationState, exp_map, exp_map_batch, log_map, log_map_batch
@@ -46,6 +49,7 @@ from lapra.pose_graph import (
     load_g2o,
     _quats_to_rots,
     _rots_to_quats,
+    partition_contiguous,
     spanning_tree_init,
     write_g2o,
 )
@@ -54,11 +58,18 @@ from lapra.rotation import (
     GEODESIC,
     SolverConfig,
     _apply_update,
+    _block_index,
     _edge_hessians,
+    _gauge_fixed,
     _gradient_and_cost,
+    _weighted_edge_hessians,
+    assemble_full_hessian,
+    assemble_gradient_rhs,
     collaborative_solve,
     distance_by_name,
     edge_hessian,
+    exact_newton_step,
+    hessian_report,
     iterate,
     laplacian_weights,
     separator_rows_by_owner,
@@ -354,7 +365,7 @@ def _ref_edge_hessian(R_i, R_j, R_tilde, kind):
     P[3:, 3:] = R_j
     if theta < 1e-8:
         base = np.block([[np.eye(3), -np.eye(3)], [-np.eye(3), np.eye(3)]])
-        return kind.hessian_limit_scale * (P @ base @ P.T)
+        return kind.rho_ddot(0.0) * (P @ base @ P.T)
     u = v / theta
     rd = kind.rho_dot(theta)
     alpha = rd / (2.0 * math.tan(theta / 2.0))
@@ -364,6 +375,62 @@ def _ref_edge_hessian(R_i, R_j, R_tilde, kind):
     Sym = alpha * np.eye(3) + gamma * np.outer(u, u)
     M = np.block([[Sym, -Ht], [-Ht.T, Sym]])
     return P @ M @ P.T
+
+
+def _ref_newton_schur_blocks(g, R, kind, partition):
+    """Per-robot Schur blocks of the local Hessian, with a dense solve of the interior block."""
+    p, C = g.p, partition.separators
+    out = []
+    for a in range(partition.m):
+        F = partition.interiors[a]
+        slot = np.full(g.n, -1)
+        slot[np.concatenate([F, C])] = np.arange(F.size + C.size)
+        mine = np.flatnonzero((partition.owner[g.I] == a) & (partition.owner[g.J] == a))
+        rows, cols = np.broadcast_arrays(*_block_index(slot[g.I[mine]], slot[g.J[mine]], p))
+        nf, size = F.size * p, (F.size + C.size) * p
+        H = sp.csr_matrix((_weighted_edge_hessians(g, R, kind, mine).ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(size, size))
+        Hff = H[:nf, :nf].toarray()
+        out.append(schur_update(lambda B: np.linalg.solve(Hff, B), H[:nf, nf:], H[nf:, nf:]))
+    return out
+
+
+def _ref_exact_newton_step(g, R, kind, partition, ledger):
+    """The Newton step with explicit np x np gauge projectors, and its per-robot metering."""
+    n, p = g.n, g.p
+    H = assemble_full_hessian(g, R, kind)
+    b = assemble_gradient_rhs(g, R, kind).reshape(-1)
+    ones_dir = np.tile(np.eye(p), (n, 1)) / math.sqrt(n)  # np x p, orthonormal columns
+    Pn = ones_dir @ ones_dir.T
+    Ph = np.eye(n * p) - Pn
+    sigma = max(np.trace(H) / (n * p), 1.0)
+    try:
+        cf = cho_factor(Ph @ H @ Ph + sigma * Pn)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"projected Hessian is not positive definite: {exc}") from exc
+    v = cho_solve(cf, b)
+    v = v - ones_dir @ (ones_dir.T @ v)
+    round_idx = ledger.begin_round()
+    for a, S_h in enumerate(_ref_newton_schur_blocks(g, R, kind, partition)):
+        thr = 1e-12 * max(1.0, np.abs(S_h.data).max(initial=0.0))
+        ledger.record(round_idx, a, "schur", int(np.count_nonzero(np.abs(sp.triu(S_h).data) > thr)))
+    return _apply_update(R, v.reshape(n, p))
+
+
+def _ref_hessian_delta_kappa(g, R, kind):
+    """(delta, kappa) from the generalized eigenproblem on an orthonormal basis of the gauge complement."""
+    n, p = g.n, g.p
+    H = assemble_full_hessian(g, R, kind)
+    L = laplacian(laplacian_weights(g, kind)).toarray()
+    M = np.kron(L, np.eye(p))
+    Q = null_space(np.tile(np.eye(p), (1, n)))
+    Ap, Bp = Q.T @ H @ Q, Q.T @ M @ Q
+    lam = eigh((Ap + Ap.T) / 2.0, (Bp + Bp.T) / 2.0, eigvals_only=True)
+    if lam.min() <= 1e-12 * max(abs(lam).max(), 1.0):
+        return math.inf, math.inf
+    ev_L = np.linalg.eigvalsh(L)
+    delta = float(np.max(np.abs(np.log(lam))))
+    return delta, math.exp(2.0 * delta) * ev_L[-1] / ev_L[1]
 
 
 def _ref_unpack_upper(vals, k):
@@ -1275,3 +1342,63 @@ def test_quaternion_round_trip_up_to_sign(q):
     assert q2[3] >= 0
     assert min(np.abs(q2 - q).max(), np.abs(q2 + q).max()) <= 1e-12  # q and -q are one rotation
     assert np.abs(_quats_to_rots(q2[None])[0] - R).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The gauge-fixed second-order path: the Newton step and the curvature report
+# against the explicit-projector forms they replaced.
+
+def _noisy_problem(side, d, sigma_deg, seed):
+    g, _ = generate_grid(SyntheticSpec(side=side, d=d, sigma_rot=np.deg2rad(sigma_deg), edge_prob=0.3, seed=seed))
+    return g, spanning_tree_init(g)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_gauge_fixed_is_the_dense_projection(p, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    A = rng.standard_normal((n * p, n * p))
+    A = A + A.T
+    shift = float(rng.uniform(0.1, 10.0))
+    ones_dir = np.tile(np.eye(p), (n, 1)) / math.sqrt(n)
+    Pn = ones_dir @ ones_dir.T
+    Ph = np.eye(n * p) - Pn
+    ref = Ph @ A @ Ph + shift * Pn
+    assert np.abs(_gauge_fixed(A, p, shift) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("sigma_deg", [5.0, 15.0])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("side", [3, 4, 5, 6])
+def test_newton_step_matches_the_explicit_projector_step(side, d, sigma_deg):
+    """Equal steps and ledgers, or the same indefinite-Hessian error (3D at 15 degrees from side 4 up)."""
+    g, R = _noisy_problem(side, d, sigma_deg, side)
+    part = partition_contiguous(g, 3)
+    for kind in (GEODESIC, CHORDAL):
+        ledger, ref_ledger = dd.CommsLedger(), dd.CommsLedger()
+        try:
+            ref = _ref_exact_newton_step(g, R, kind, part, ref_ledger)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as got:
+                exact_newton_step(g, R, kind, part, ledger)
+            assert str(got.value) == str(exc)
+            continue
+        got = exact_newton_step(g, R, kind, part, ledger)
+        assert np.abs(got.mats - ref.mats).max() <= 1e-12
+        assert ledger.to_csv() == ref_ledger.to_csv() and ledger.total_scalars() > 0
+
+
+@pytest.mark.parametrize("d, side", [(2, 5), (3, 3), (3, 4)])
+@pytest.mark.parametrize("sigma_deg", [0.0, 5.0, 20.0, 60.0])
+def test_hessian_report_matches_the_orthonormal_basis_report(d, side, sigma_deg):
+    g, R = _noisy_problem(side, d, sigma_deg, 5)
+    for kind in (GEODESIC, CHORDAL):
+        rep = hessian_report(g, R, kind)
+        delta, kappa = _ref_hessian_delta_kappa(g, R, kind)
+        assert rep.kernel_match == math.isfinite(delta)
+        if rep.kernel_match:
+            assert abs(rep.delta_empirical - delta) <= 1e-12 * max(delta, 0.1)
+            assert rep.kappa == pytest.approx(kappa, rel=1e-12)
+        else:
+            assert rep.delta_empirical == rep.kappa == math.inf

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
 from lapra import decomposition as dd
 from lapra.laplacians import laplacian
 from lapra.manifold import RotationState
 from lapra.pose_graph import (
+    MeasurementGraph,
     SyntheticSpec,
     generate_grid,
     grid_positions,
@@ -130,3 +132,18 @@ def test_translation_weights_use_tau():
     assert np.all(wg.weights == 2.5)
     L = laplacian(wg)
     assert float(L.diagonal().sum()) == 2.5 * 2 * g.m
+
+
+@pytest.mark.parametrize("robots", [1, 2])
+def test_sweeps_at_round_off_residual_stay_feasible(robots):
+    """A heavy edge makes L @ M's column sums round-off of |L| |M|, far above the residual they belong to."""
+    eye = np.tile(np.eye(2), (4, 1, 1))
+    t_tilde = np.zeros((4, 2))
+    t_tilde[3] = (0.0, 622321.2)
+    g = MeasurementGraph(2, 5, [0, 0, 0, 0], [1, 2, 3, 4], eye, t_tilde, np.ones(4), np.array([1.0, 7.0, 6.35e5, 1.0]))
+    R_hat = RotationState(np.tile(np.eye(2), (5, 1, 1)))
+    cfg = SolverConfig(grad_tol=1e-10, max_iters=5)
+    M, trace = collaborative_translation_solve(g, partition_contiguous(g, robots), R_hat, cfg)
+    assert trace.iterations == 5 and not trace.converged
+    t_ref = exact_translation_solve(g, R_hat)
+    assert np.abs(M - t_ref).max() <= 1e-11 * np.abs(t_ref).max()
