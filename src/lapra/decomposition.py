@@ -22,6 +22,7 @@ from .laplacians import (
     WeightedGraph,
     _detached,
     _is_laplacian_like,
+    _require_feasible,
     graph_from_laplacian,
     grounded_solver,
     heuristic_sparsify,
@@ -69,14 +70,14 @@ class CommsLedger:
     events: list[LedgerEvent] = field(default_factory=list)
     current_round: int = 0
 
-    def record(self, round: int, robot: int, kind: str, scalars: int) -> None:
+    def record(self, robot: int, kind: str, scalars: int) -> None:
+        """Log an upload in the current round (0 until the first begin_round)."""
         if kind not in ("schur", "rhs", "partial_grad"):
             raise ValueError(f"unknown event kind {kind!r}")
-        self.events.append(LedgerEvent(round, robot, kind, int(scalars)))
+        self.events.append(LedgerEvent(self.current_round, robot, kind, int(scalars)))
 
-    def begin_round(self) -> int:
+    def begin_round(self) -> None:
         self.current_round += 1
-        return self.current_round
 
     def total_scalars(self) -> int:
         return sum(e.scalars for e in self.events)
@@ -140,25 +141,21 @@ class ServerState:
     n: int  # size of the whole system
     S_tilde: sp.csr_matrix | None = None
     _solve: object | None = None
-    _grounded: bool = True
 
     def set_reduced(self, S: sp.csr_matrix) -> None:
-        """Factor the separator system S, grounding its lowest-index separator if S is Laplacian-like (singular)."""
+        """Factor S with grounded_solver if it is Laplacian-like (it must then be connected), else with spd_factor."""
         self.S_tilde = sp.csr_matrix(S)
-        self._grounded = _is_laplacian_like(self.S_tilde)
-        M = self.S_tilde[1:, 1:] if self._grounded else self.S_tilde
-        self._solve = spd_factor(M, "reduced solve") if M.shape[0] else None
+        if self.S_tilde.shape[0] == 0:  # one robot: nothing to solve
+            self._solve = None
+        elif _is_laplacian_like(self.S_tilde):
+            self._solve = grounded_solver(self.S_tilde, "reduced solve")
+        else:
+            factor = spd_factor(self.S_tilde, "reduced solve")
+            self._solve = lambda U: (X := factor(U)) - X.mean(axis=0, keepdims=True)
 
     def reduced_solve(self, U: np.ndarray) -> np.ndarray:
         """Solve the separator system; result has zero column means."""
-        if self._solve is None:  # no separators, or a single grounded one
-            return np.zeros_like(U)
-        if self._grounded:
-            X = np.zeros_like(U)
-            X[1:] = self._solve(U[1:])
-        else:
-            X = self._solve(U)
-        return X - X.mean(axis=0, keepdims=True)
+        return np.zeros_like(U) if self._solve is None else self._solve(U)
 
 
 def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock], ServerState]:
@@ -242,8 +239,9 @@ def sparsified_schur(
 
     Each robot eliminates its interior, compresses the result according
     to `mode` (spectral sampling at quality epsilon, or one of the
-    heuristic patterns) and uploads it. The server accumulates the
-    reduced matrix and factors it for reuse across later solves.
+    heuristic patterns) and uploads it, metered in the ledger's current
+    round (round 0 of a fresh ledger). The server accumulates the reduced
+    matrix and factors it for reuse across later solves.
     """
     if mode not in SCHUR_MODES:
         raise ValueError(f"mode must be one of {SCHUR_MODES}")
@@ -266,7 +264,7 @@ def sparsified_schur(
         blk.S_tilde = S_t
         total = total + S_t
         if ledger is not None:
-            ledger.record(0, blk.alpha, "schur", upper_triangle_nnz(S_t))
+            ledger.record(blk.alpha, "schur", upper_triangle_nnz(S_t))
     server.set_reduced(sp.csr_matrix(total))
 
 
@@ -275,17 +273,17 @@ def solve(
     server: ServerState,
     B: np.ndarray,
     ledger: CommsLedger | None = None,
-    round_idx: int | None = None,
 ) -> np.ndarray:
     """Solve L X = B through the robot/server split.
 
     B must be n x k with every column orthogonal to the all-ones vector
     (the system is singular and anything else is infeasible). Robots
-    upload reduced right-hand sides (metered, separator-adjacent rows
-    only); the server solves the separator system and robots whose
-    interior touches a separator back-substitute. Returns the full X
-    with the separator rows normalized to zero column means; a single
-    robot has no separators and returns its grounded, zero-mean solve.
+    upload reduced right-hand sides (metered in the ledger's current
+    round, separator-adjacent rows only); the server solves the separator
+    system and robots whose interior touches a separator back-substitute.
+    Returns the full X with the separator rows normalized to zero column
+    means; a single robot has no separators and returns its grounded,
+    zero-mean solve.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
@@ -293,16 +291,12 @@ def solve(
     n = server.n
     if B.shape[0] != n:
         raise ValueError("rhs size does not match system")
-    colsums = B.sum(axis=0)
-    if np.linalg.norm(colsums) > 1e-8 * max(1.0, np.linalg.norm(B)):
-        raise NumericalError("rhs not orthogonal to the all-ones vector")
+    _require_feasible(B)
 
     C = server.separators
     k = B.shape[1]
     if server.S_tilde is None:
         raise RuntimeError("call sparsified_schur before solve")
-    if ledger is not None and round_idx is None:
-        round_idx = ledger.begin_round()
 
     U = np.take(B, C, axis=0)
     Ys = []
@@ -311,7 +305,7 @@ def solve(
         Ys.append(Y)
         U -= blk.L_acT @ Y
         if ledger is not None:
-            ledger.record(round_idx, blk.alpha, "rhs", int(blk.adj_sep.sum()) * k)
+            ledger.record(blk.alpha, "rhs", int(blk.adj_sep.sum()) * k)
 
     X_c = server.reduced_solve(U)
 

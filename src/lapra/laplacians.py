@@ -197,16 +197,9 @@ def effective_resistances(L: sp.spmatrix, pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _support(L: sp.spmatrix) -> sp.csr_matrix:
-    C = sp.coo_matrix(sp.triu(L, k=1))
-    mask = C.data != 0
-    return sp.csr_matrix(
-        (np.ones(mask.sum()), (C.row[mask], C.col[mask])), shape=L.shape
-    )
-
-
 def _component_labels_of(L: sp.spmatrix) -> np.ndarray:
-    return csgraph.connected_components(_support(L), directed=False)[1]
+    # the upper triangle only, as graph_from_laplacian reads it: a lower entry whose mirror is zero is no edge
+    return csgraph.connected_components(sp.triu(L, k=1) != 0, directed=False)[1]
 
 
 def sparsify(
@@ -371,29 +364,32 @@ def spd_factor(A: sp.spmatrix, what: str):
     return solve
 
 
-def grounded_solver(L: sp.spmatrix):
+def _require_feasible(B: np.ndarray) -> None:
+    """Raise NumericalError unless B's column sums are zero to 1e-8 max(1, ||B||): L X = B is infeasible otherwise."""
+    if np.linalg.norm(B.sum(axis=0)) > 1e-8 * max(1.0, np.linalg.norm(B)):
+        raise NumericalError("rhs not orthogonal to the all-ones vector")
+
+
+def grounded_solver(L: sp.spmatrix, what: str = "grounded solve"):
     """Factor a connected Laplacian once and return solve(B), the minimum-norm X with L X = B.
 
-    Each column of B must be orthogonal to the all-ones vector. Vertex 0
-    is grounded for the factorization and the result is shifted to zero
-    column means, which for a connected Laplacian is exactly the
-    minimum-norm representative. A 1-D B gives a 1-D X.
+    Vertex 0 is grounded for the factorization (errors name `what`) and
+    the result is shifted to zero column means, which for a connected
+    Laplacian is exactly the minimum-norm representative. A 1-D B gives a
+    1-D X. B's column sums are not checked here; see _require_feasible.
     """
     if _detached(L, np.arange(L.shape[0]) > 0).size:
         raise NumericalError("grounded Laplacian is singular (graph disconnected)")
-    solve_g = spd_factor(sp.csr_matrix(L)[1:, 1:], "grounded solve") if L.shape[0] > 1 else None
+    solve_g = spd_factor(sp.csr_matrix(L)[1:, 1:], what) if L.shape[0] > 1 else None
 
     def solve(B: np.ndarray) -> np.ndarray:
         B = np.asarray(B, dtype=float)
         squeeze = B.ndim == 1
         if squeeze:
             B = B[:, None]
-        colsums = B.sum(axis=0)
-        if np.linalg.norm(colsums) > 1e-8 * max(1.0, np.linalg.norm(B)):
-            raise NumericalError("rhs not orthogonal to the all-ones vector")
         X = np.zeros_like(B)
         if solve_g is not None:
-            X[1:] = solve_g(B[1:])  # row 0 of L X - B is -colsums, checked above
+            X[1:] = solve_g(B[1:])  # row 0 of L X - B is minus B's column sums
         X = X - X.mean(axis=0, keepdims=True)
         return X[:, 0] if squeeze else X
 
@@ -401,8 +397,10 @@ def grounded_solver(L: sp.spmatrix):
 
 
 def solve_grounded(L: sp.spmatrix, B: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of the singular system L X = B; see grounded_solver."""
-    return grounded_solver(L)(B)
+    """Minimum-norm solution of the singular system L X = B, whose column sums must be zero; see grounded_solver."""
+    solve = grounded_solver(L)
+    _require_feasible(np.asarray(B, dtype=float))
+    return solve(B)
 
 
 def upper_triangle_nnz(A: sp.spmatrix) -> int:

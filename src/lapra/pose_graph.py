@@ -255,7 +255,7 @@ def _read_block(rec: _Record, rows: list[str]) -> tuple | None:
             X = np.loadtxt(rows, dtype, comments=None, ndmin=1) if rows else np.zeros(0, dtype)
     except (ValueError, Warning):
         return None
-    return (X["ids"], np.ascontiguousarray(X["vals"])) if X.shape == (len(rows),) else None
+    return (X["ids"], X["vals"]) if X.shape == (len(rows),) else None
 
 
 def _read_tokens(tables: list[tuple]) -> list[tuple]:
@@ -464,47 +464,24 @@ def generate_grid(spec: SyntheticSpec) -> tuple[MeasurementGraph, RotationState]
     pos = grid_positions(side, d)
     n = pos.shape[0]
 
-    def vid(coord) -> int:
-        out = 0
-        for c in coord:
-            out = out * side + int(c)
-        return out
-
     truth = np.stack([random_rotation(d, rng) for _ in range(n)])
 
-    # spanning tree: link each vertex to its predecessor along the last
-    # nonzero axis (a deterministic comb through the lattice)
-    tree_pairs = set()
-    for v in range(n):
-        coord = pos[v].astype(int)
-        for ax in range(d - 1, -1, -1):
-            if coord[ax] > 0:
-                pc = coord.copy()
-                pc[ax] -= 1
-                tree_pairs.add((min(vid(pc), v), max(vid(pc), v)))
-                break
+    # candidates join each vertex to its lattice successor along each axis, in (vertex, axis) order.
+    # The spanning tree links each vertex to its predecessor along its last nonzero axis (a
+    # deterministic comb through the lattice), so a candidate is a tree edge iff the coordinates
+    # after its axis, the low digits of its vertex id, are all zero; every other one draws once.
+    I, axis = np.nonzero(pos + 1 < side)
+    stride = side ** (d - 1 - axis)
+    keep = I % stride == 0
+    keep[~keep] = rng.random(np.count_nonzero(~keep)) < spec.edge_prob
+    I, J, axis = I[keep], (I + stride)[keep], axis[keep]
 
-    candidates = []
-    for v in range(n):
-        coord = pos[v].astype(int)
-        for ax in range(d):
-            if coord[ax] + 1 < side:
-                nc = coord.copy()
-                nc[ax] += 1
-                candidates.append((v, vid(nc)))
-    chosen = []
-    for (a, b) in candidates:
-        key = (min(a, b), max(a, b))
-        if key in tree_pairs or rng.random() < spec.edge_prob:
-            chosen.append((a, b))
-
-    I, J = np.array(chosen).T
     noise = np.eye(d)  # Exp(v) with v drawn from an isotropic Gaussian of scale sigma_rot
     if spec.sigma_rot > 0:
-        noise = exp_map_batch(spec.sigma_rot * rng.standard_normal((len(chosen), tangent_dim(d))))
+        noise = exp_map_batch(spec.sigma_rot * rng.standard_normal((I.size, tangent_dim(d))))
     R_tilde = np.swapaxes(truth[I], 1, 2) @ truth[J] @ noise
-    t_tilde = [truth[i].T @ (pos[j] - pos[i]) for i, j in chosen]
-    ones = np.ones(len(chosen))
+    t_tilde = truth[I, axis]  # Rbar_iᵀ times the unit step along the axis
+    ones = np.ones(I.size)
     g = MeasurementGraph(d, n, I, J, R_tilde, t_tilde, spec.kappa * ones, spec.tau * ones)
     g.validate()
     return g, RotationState(truth)

@@ -151,7 +151,8 @@ def iterate(
     or after config.max_iters steps; non-convergence is reported in the
     trace, not raised. Each step opens a ledger round, meters robot a's
     upload of upload_rows[a] residual rows as "partial_grad" (nothing if
-    upload_rows is None), then takes x = step(x, residual, round_idx).
+    upload_rows is None), then takes x = step(x, residual), which meters
+    its own uploads into the same round.
     keep_iterates=True keeps a copy of the iterate behind every row.
     """
     x = x0
@@ -167,11 +168,11 @@ def iterate(
             break
         if k == config.max_iters:
             break
-        round_idx = ledger.begin_round()
+        ledger.begin_round()
         if upload_rows is not None:
             for a, rows in enumerate(upload_rows):
-                ledger.record(round_idx, a, "partial_grad", int(rows) * residual.shape[1])
-        x = step(x, residual, round_idx)
+                ledger.record(a, "partial_grad", int(rows) * residual.shape[1])
+        x = step(x, residual)
         trace.iterations = k + 1
     return x, trace
 
@@ -353,8 +354,8 @@ def collaborative_solve(
     blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
     upload_rows = separator_rows_by_owner(g, partition)
 
-    def step(R, B, round_idx):
-        V = dd.solve(blocks, server, B, ledger=ledger, round_idx=round_idx)
+    def step(R, B):
+        V = dd.solve(blocks, server, B, ledger=ledger)
         if config.project_horizontal:
             V = V - V.mean(axis=0, keepdims=True)
         return _apply_update(R, V)
@@ -385,7 +386,6 @@ def exact_newton_step(
     kind: Distance,
     partition: Partition | None = None,
     ledger: dd.CommsLedger | None = None,
-    round_idx: int | None = None,
 ) -> RotationState:
     """One exact second-order step on the full Hessian, projected off the gauge.
 
@@ -393,8 +393,9 @@ def exact_newton_step(
     2008, ch. 7). Dense solve, intended for small problems and as a
     baseline. When a partition and ledger are given, the per-robot
     separator-space contributions of the true Hessian are formed and
-    their upload sizes metered (kind "schur", one event per robot per
-    call). A partition without separators uploads nothing.
+    their upload sizes metered in the ledger's current round (kind
+    "schur", one event per robot per call). A partition without
+    separators uploads nothing.
     """
     n, p = g.n, g.p
     if n * p > 6000:
@@ -410,11 +411,9 @@ def exact_newton_step(
     V -= V.mean(axis=0)  # clean round-off along the gauge direction
 
     if partition is not None and ledger is not None and partition.separators.size > 0:
-        if round_idx is None:
-            round_idx = ledger.begin_round()
         for a, S_h in enumerate(_newton_schur_blocks(g, R, kind, partition)):
             thr = 1e-12 * max(1.0, np.abs(S_h.data).max(initial=0.0))
-            ledger.record(round_idx, a, "schur", int(np.count_nonzero(np.abs(sp.triu(S_h).data) > thr)))
+            ledger.record(a, "schur", int(np.count_nonzero(np.abs(sp.triu(S_h).data) > thr)))
     return _apply_update(R, V)
 
 
@@ -431,7 +430,7 @@ def newton_solve(
     return iterate(
         R0.copy(),
         lambda R: _gradient_and_cost(g, R, kind),
-        lambda R, _, round_idx: exact_newton_step(g, R, kind, partition, ledger, round_idx),
+        lambda R, _: exact_newton_step(g, R, kind, partition, ledger),
         config,
         ledger,
     )

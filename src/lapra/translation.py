@@ -91,11 +91,11 @@ def collaborative_translation_solve(
     upload_rows = separator_rows_by_owner(g, partition)
     b_sums = B.sum(axis=0)
 
-    def sweep(M, E, round_idx):
+    def sweep(M, E):
         # L @ M adds round-off of |L| |M| to E's column sums, which once the sweeps converge is as large
         # as E itself and fails the split solve's feasibility check. Taking it off row 0 leaves B's own.
         E[0] -= E.sum(axis=0) - b_sums
-        return M + dd.solve(blocks, server, E, ledger=ledger, round_idx=round_idx)
+        return M + dd.solve(blocks, server, E, ledger=ledger)
 
     M, trace = iterate(
         np.zeros((g.n, g.d)),

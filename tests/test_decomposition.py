@@ -17,8 +17,10 @@ from lapra.laplacians import (
     solve_grounded,
     upper_triangle_nnz,
 )
-from lapra.manifold import NumericalError
-from lapra.pose_graph import Partition
+from lapra.manifold import NumericalError, RotationState
+from lapra.pose_graph import MeasurementGraph, Partition
+from lapra.rotation import SolverConfig
+from lapra.translation import collaborative_translation_solve
 
 
 def _instance(rng, n=40, m=3, p_edge=0.3):
@@ -40,10 +42,10 @@ def _feasible_rhs(rng, n, k=3):
 
 def test_ledger_accounting():
     led = CommsLedger()
-    led.record(0, 0, "schur", 10)
-    led.record(0, 1, "schur", 5)
-    r = led.begin_round()
-    led.record(r, 0, "rhs", 7)
+    led.record(0, "schur", 10)
+    led.record(1, "schur", 5)
+    led.begin_round()
+    led.record(0, "rhs", 7)
     assert led.total_scalars() == 22
     assert led.total_bytes() == 22 * BYTES_PER_SCALAR
     assert led.bytes_by_kind("schur") == 15 * BYTES_PER_SCALAR
@@ -103,7 +105,7 @@ def test_split_solve_single_robot():
     ledger = CommsLedger()
     sparsified_schur(blocks, server, 0.5, np.random.default_rng(0), ledger=ledger)
     B = _feasible_rhs(rng, L.shape[0])
-    X = split_solve(blocks, server, B, ledger=ledger, round_idx=0)
+    X = split_solve(blocks, server, B, ledger=ledger)
     assert np.abs(X - solve_grounded(L, B)).max() < 1e-10
     assert ledger.total_scalars() == 0  # nothing leaves the single robot
 
@@ -165,6 +167,34 @@ def test_partition_edge_cases_raise_before_any_solve():
         build_blocks(L2, single)
 
 
+# two disjoint copies of a 6-vertex path with chords (0, 2) and (1, 4)
+_PATH = [(i, i + 1) for i in range(5)] + [(0, 2), (1, 4)]
+_TWO_PATHS = np.array(_PATH + [(a + 6, b + 6) for a, b in _PATH])
+_OWNERS = {1: [0] * 12, 2: [0, 0, 0, 1, 1, 1] * 2, 3: [0, 0, 1, 1, 2, 2] * 2}
+
+
+@pytest.mark.parametrize("robots", [1, 2, 3])
+def test_disconnected_graph_fails_on_every_partition(robots):
+    # with several robots the reduced system is disconnected too; on this weight draw its grounded
+    # factor does not fail, and without the connectivity check the split solve returned an X whose
+    # residual L X - B was as large as B
+    rng = np.random.default_rng(0)
+    w = 10.0 ** rng.uniform(-3, 3, len(_TWO_PATHS))
+    L = laplacian(WeightedGraph.from_edge_list(12, _TWO_PATHS, w))
+    B = _feasible_rhs(rng, 12, k=2)
+    part = Partition.from_owner(np.array(_OWNERS[robots]), _TWO_PATHS)
+    with pytest.raises(NumericalError, match=r"^grounded Laplacian is singular \(graph disconnected\)$"):
+        blocks, server = build_blocks(L, part)
+        sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+        split_solve(blocks, server, B)
+    m = len(_TWO_PATHS)
+    g = MeasurementGraph(2, 12, *_TWO_PATHS.T, np.broadcast_to(np.eye(2), (m, 2, 2)), rng.standard_normal((m, 2)),
+                         np.ones(m), w)
+    R_hat = RotationState(np.broadcast_to(np.eye(2), (12, 2, 2)).copy())
+    with pytest.raises(NumericalError, match=r"^grounded Laplacian is singular \(graph disconnected\)$"):
+        collaborative_translation_solve(g, part, R_hat, SolverConfig(grad_tol=1e-10, max_iters=20))
+
+
 def test_sparsified_schur_meters_uploads():
     rng = np.random.default_rng(5)
     L, part = _instance(rng, n=60, m=3, p_edge=0.5)
@@ -184,7 +214,7 @@ def test_solve_meters_rhs_per_adjacent_separator():
     sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
     ledger = CommsLedger()
     B = _feasible_rhs(rng, L.shape[0], k=2)
-    split_solve(blocks, server, B, ledger=ledger, round_idx=0)
+    split_solve(blocks, server, B, ledger=ledger)
     # each robot uploads one reduced right-hand-side row per separator its
     # interior touches, for each of the k=2 columns
     expect = 0

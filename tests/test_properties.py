@@ -212,7 +212,7 @@ def _ref_centralized_solve(g, R0, config):
     return iterate(
         R0.copy(),
         lambda R: _gradient_and_cost(g, R, kind),
-        lambda R, B, _: _apply_update(R, solve(B)),
+        lambda R, B: _apply_update(R, solve(B)),
         config,
         dd.CommsLedger(),
     )
@@ -410,10 +410,9 @@ def _ref_exact_newton_step(g, R, kind, partition, ledger):
         raise NumericalError(f"projected Hessian is not positive definite: {exc}") from exc
     v = cho_solve(cf, b)
     v = v - ones_dir @ (ones_dir.T @ v)
-    round_idx = ledger.begin_round()
     for a, S_h in enumerate(_ref_newton_schur_blocks(g, R, kind, partition)):
         thr = 1e-12 * max(1.0, np.abs(S_h.data).max(initial=0.0))
-        ledger.record(round_idx, a, "schur", int(np.count_nonzero(np.abs(sp.triu(S_h).data) > thr)))
+        ledger.record(a, "schur", int(np.count_nonzero(np.abs(sp.triu(S_h).data) > thr)))
     return _apply_update(R, v.reshape(n, p))
 
 

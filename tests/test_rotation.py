@@ -305,7 +305,7 @@ def test_iterate_meters_steps_and_keeps_iterates():
     ledger = CommsLedger()
     cfg = SolverConfig(grad_tol=0.2, max_iters=10)
     x, trace = iterate(
-        np.ones((1, 2)), lambda x: (x, 0.0), lambda x, r, k: x / 2, cfg, ledger,
+        np.ones((1, 2)), lambda x: (x, 0.0), lambda x, r: x / 2, cfg, ledger,
         upload_rows=np.array([2, 0]), keep_iterates=True,
     )
     assert trace.converged and trace.iterations == 3  # norms sqrt(2) * (1, 1/2, 1/4, 1/8)
@@ -320,7 +320,7 @@ def test_iterate_meters_steps_and_keeps_iterates():
 
 def test_iterate_without_upload_rows_records_nothing():
     ledger = CommsLedger()
-    _, trace = iterate(np.ones((3, 1)), lambda x: (x, 0.0), lambda x, r, k: x / 2,
+    _, trace = iterate(np.ones((3, 1)), lambda x: (x, 0.0), lambda x, r: x / 2,
                        SolverConfig(grad_tol=0.0, max_iters=4), ledger)
     assert not trace.converged and trace.iterations == 4
     assert trace.iterates is None
