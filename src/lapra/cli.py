@@ -37,7 +37,6 @@ from .pose_graph import (
     write_g2o,
 )
 from .rotation import (
-    RunTrace,
     SolverConfig,
     collaborative_solve,
     distance_by_name,
@@ -94,25 +93,17 @@ def _write_report(report: dict, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _maybe(path: str | None, writer) -> None:
-    if path is not None:
-        writer(path)
-
-
 def _write_staged_csv(path: str, stages: list[tuple[str, str]]) -> None:
-    """Concatenate per-stage CSV texts under one header with a leading stage column."""
+    """Concatenate per-stage CSV texts under one header; several stages get a leading stage column."""
     lines = []
     for stage, text in stages:
         header, *rows = text.splitlines()
+        column = f"{stage}," if len(stages) > 1 else ""
         if not lines:
-            lines.append("stage," + header)
-        lines += [f"{stage},{row}" for row in rows]
+            lines.append(("stage," if column else "") + header)
+        lines += [column + row for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _trace_dicts(trace: RunTrace) -> list[dict]:
-    return [dataclasses.asdict(r) for r in trace.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +126,21 @@ def cmd_synth(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# solve-rotation
+# solve-rotation, solve-translation, pipeline
+
+# The solve stages each command runs, and the config keys its report echoes, in order.
+_STAGES = {"solve-rotation": ("rotation",), "solve-translation": ("translation",),
+           "pipeline": ("rotation", "translation")}
+_ROTATION_KEYS = ("input", "robots", "epsilon", "distance", "method", "grad_tol", "max_iters", "seed",
+                  "oversampling", "threads")
+_CONFIG_KEYS = {
+    "solve-rotation": _ROTATION_KEYS,
+    "solve-translation": ("input", "rotations", "robots", "epsilon", "resid_tol", "max_iters", "seed",
+                          "oversampling", "threads"),
+    "pipeline": _ROTATION_KEYS + ("resid_tol", "reference"),
+}
+_NORM_KEY = {"rotation": "grad_norm", "translation": "residual_norm"}
+
 
 def _split_args(g, args):
     """The partition, seed and thread count every solve stage of one command shares.
@@ -178,48 +183,8 @@ def _rotation_run(g, args, partition, seed, threads):
             oversampling=args.oversampling,
             threads=threads,
         )
-    wall = time.perf_counter() - t0
-    config_echo = {
-        "input": args.input,
-        "robots": args.robots,
-        "epsilon": args.epsilon,
-        "distance": args.distance,
-        "method": args.method,
-        "grad_tol": args.grad_tol,
-        "max_iters": args.max_iters,
-        "seed": seed,
-        "oversampling": args.oversampling,
-        "threads": threads,
-    }
-    return R, trace, config_echo, wall
+    return R, trace, time.perf_counter() - t0
 
-
-def cmd_solve_rotation(args) -> int:
-    g, _ = _load_graph(args.input)
-    R, trace, config_echo, wall = _rotation_run(g, args, *_split_args(g, args))
-    final = {
-        "converged": trace.converged,
-        "iterations": trace.iterations,
-        "grad_norm": trace.final_grad_norm,
-        "cost": trace.rows[-1].cost,
-        "total_upload_bytes": trace.ledger.total_bytes(),
-        "wall_time_sec": wall,
-    }
-    if args.truth is not None:
-        _, (R_true, _) = _load_poses(args.truth)
-        final["rotation_rmse_deg"] = rotation_rmse(R, R_true).degrees
-    report = {"command": "solve-rotation", "config": config_echo, "final": final,
-              "trace": _trace_dicts(trace)}
-    _maybe(args.trace, trace.to_csv)
-    _maybe(args.ledger, trace.ledger.to_csv)
-    if args.save_rotations is not None:
-        write_g2o(args.save_rotations, MeasurementGraph(g.d, g.n), poses=(R, np.zeros((g.n, g.d))))
-    _write_report(report, args.report)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# solve-translation
 
 def _translation_run(g, args, R_hat, partition, seed, threads):
     config = SolverConfig(
@@ -235,52 +200,67 @@ def _translation_run(g, args, R_hat, partition, seed, threads):
     return M, trace, time.perf_counter() - t0
 
 
-def cmd_solve_translation(args) -> int:
-    g, poses = _load_graph(args.input)
-    if args.rotations is not None:
-        _, (R_hat, _) = _load_poses(args.rotations)
+def _rotation_source(g, poses, path):
+    """Rotation estimates for a translation-only solve: the --rotations file, else the input's vertices."""
+    if path is not None:
+        _, (R_hat, _) = _load_poses(path)
     elif poses is not None:
         R_hat = poses[0]
     else:
         raise GraphError("no rotation estimates: pass --rotations or a g2o file with vertices")
     if R_hat.n != g.n:
         raise GraphError(f"rotation count {R_hat.n} does not match graph size {g.n}")
+    return R_hat
+
+
+def cmd_solve(args) -> int:
+    """Run the command's solve stages, then write its report, CSVs and saved poses."""
+    stages = _STAGES[args.command]
+    g, poses = _load_graph(args.input)
+    R = None if "rotation" in stages else _rotation_source(g, poses, args.rotations)
     partition, seed, threads = _split_args(g, args)
-    M, trace, wall = _translation_run(g, args, R_hat, partition, seed, threads)
-    final = {
-        "converged": trace.converged,
-        "iterations": trace.iterations,
-        "residual_norm": trace.final_grad_norm,
-        "cost": translation_cost(g, R_hat, M),
-        "total_upload_bytes": trace.ledger.total_bytes(),
-        "wall_time_sec": wall,
-    }
-    if args.truth is not None:
-        _, (R_true, t_true) = _load_poses(args.truth)
-        # positions are recovered in the frame of the rotation estimates,
-        # so carry them through the aligning rotation before comparing
-        S = rotation_rmse(R_hat, R_true).alignment
-        final["translation_rmse"] = translation_rmse(M @ S.T, t_true)
-    report = {
-        "command": "solve-translation",
-        "config": {
-            "input": args.input,
-            "rotations": args.rotations,
-            "robots": args.robots,
-            "epsilon": args.epsilon,
-            "resid_tol": args.resid_tol,
-            "max_iters": args.max_iters,
-            "seed": seed,
-            "oversampling": args.oversampling,
-            "threads": threads,
-        },
-        "final": final,
-        "trace": _trace_dicts(trace),
-    }
-    _maybe(args.trace, trace.to_csv)
-    _maybe(args.ledger, trace.ledger.to_csv)
-    if args.save_positions is not None:
-        write_g2o(args.save_positions, MeasurementGraph(g.d, g.n), poses=(R_hat, M))
+    M = None
+    runs = []  # (stage, trace, wall)
+    if "rotation" in stages:
+        R, trace, wall = _rotation_run(g, args, partition, seed, threads)
+        runs.append(("rotation", trace, wall))
+    if "translation" in stages:
+        M, trace, wall = _translation_run(g, args, R, partition, seed, threads)
+        runs.append(("translation", trace, wall))
+
+    single = len(runs) == 1
+    final = {}
+    for stage, trace, _ in runs:
+        prefix = "" if single else f"{stage}_"
+        final[prefix + "converged"] = trace.converged
+        final[prefix + "iterations"] = trace.iterations
+        final[prefix + _NORM_KEY[stage]] = trace.final_grad_norm
+    if single:
+        final["cost"] = trace.rows[-1].cost if M is None else translation_cost(g, R, M)
+    final["total_upload_bytes"] = sum(trace.ledger.total_bytes() for _, trace, _ in runs)
+    final["wall_time_sec"] = sum(wall for _, _, wall in runs)
+    truth = args.reference if "reference" in args else args.truth
+    if truth is not None:
+        _, (R_true, t_true) = _load_poses(truth)
+        err = rotation_rmse(R, R_true)
+        if "rotation" in stages:
+            final["rotation_rmse_deg"] = err.degrees
+        if M is not None:
+            # positions are recovered in the frame of the rotation estimates,
+            # so carry them through the aligning rotation before comparing
+            final["translation_rmse"] = translation_rmse(M @ err.alignment.T, t_true)
+
+    resolved = dict(vars(args), seed=seed, threads=threads)
+    report = {"command": args.command, "config": {key: resolved[key] for key in _CONFIG_KEYS[args.command]},
+              "final": final}
+    for stage, trace, _ in runs:
+        report["trace" if single else f"{stage}_trace"] = [dataclasses.asdict(row) for row in trace.rows]
+    if args.trace is not None:
+        _write_staged_csv(args.trace, [(stage, trace.to_csv()) for stage, trace, _ in runs])
+    if args.ledger is not None:
+        _write_staged_csv(args.ledger, [(stage, trace.ledger.to_csv()) for stage, trace, _ in runs])
+    if args.save is not None:
+        write_g2o(args.save, MeasurementGraph(g.d, g.n), poses=(R, np.zeros((g.n, g.d)) if M is None else M))
     _write_report(report, args.report)
     return 0
 
@@ -321,48 +301,10 @@ def cmd_validate_hessian(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pipeline
-
-def cmd_pipeline(args) -> int:
-    g, _ = _load_graph(args.input)
-    partition, seed, threads = _split_args(g, args)
-    R, rot_trace, config_echo, rot_wall = _rotation_run(g, args, partition, seed, threads)
-    M, tr_trace, tr_wall = _translation_run(g, args, R, partition, seed, threads)
-    final = {
-        "rotation_converged": rot_trace.converged,
-        "rotation_iterations": rot_trace.iterations,
-        "rotation_grad_norm": rot_trace.final_grad_norm,
-        "translation_converged": tr_trace.converged,
-        "translation_iterations": tr_trace.iterations,
-        "translation_residual_norm": tr_trace.final_grad_norm,
-        "total_upload_bytes": rot_trace.ledger.total_bytes() + tr_trace.ledger.total_bytes(),
-        "wall_time_sec": rot_wall + tr_wall,
-    }
-    if args.reference is not None:
-        _, (R_ref, t_ref) = _load_poses(args.reference)
-        err = rotation_rmse(R, R_ref)
-        final["rotation_rmse_deg"] = err.degrees
-        final["translation_rmse"] = translation_rmse(M @ err.alignment.T, t_ref)
-    report = {
-        "command": "pipeline",
-        "config": dict(config_echo, resid_tol=args.resid_tol, reference=args.reference),
-        "final": final,
-        "rotation_trace": _trace_dicts(rot_trace),
-        "translation_trace": _trace_dicts(tr_trace),
-    }
-    if args.save_poses is not None:
-        write_g2o(args.save_poses, MeasurementGraph(g.d, g.n), poses=(R, M))
-    stages = (("rotation", rot_trace), ("translation", tr_trace))
-    _maybe(args.trace, lambda path: _write_staged_csv(path, [(s, t.to_csv()) for s, t in stages]))
-    _maybe(args.ledger, lambda path: _write_staged_csv(path, [(s, t.ledger.to_csv()) for s, t in stages]))
-    _write_report(report, args.report)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 
-def _add_common_solver_flags(p, translation: bool = False) -> None:
+def _add_solver_flags(p, command: str) -> None:
+    """The flags of a solve command: shared ones plus those of each stage it runs."""
     p.add_argument("--input", required=True, help="g2o measurement file")
     p.add_argument("--robots", type=int, default=1, help="number of robots (contiguous id blocks)")
     p.add_argument("--epsilon", type=float, default=0.0, help="sparsification parameter")
@@ -376,13 +318,13 @@ def _add_common_solver_flags(p, translation: bool = False) -> None:
     p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
     p.add_argument("--trace", default=None, help="per-iteration CSV trace path")
     p.add_argument("--ledger", default=None, help="per-upload CSV ledger path")
-    if translation:
-        p.add_argument("--resid-tol", type=float, default=1e-10, help="residual stop tolerance")
-    else:
+    if "rotation" in _STAGES[command]:
         p.add_argument("--distance", choices=("geodesic", "chordal"), default="geodesic")
         p.add_argument("--grad-tol", type=float, default=1e-5)
         p.add_argument("--method", choices=METHODS, default="sparsified")
-        p.add_argument("--truth", default=None, help="g2o file with reference poses for RMSE")
+    if "translation" in _STAGES[command]:
+        p.add_argument("--resid-tol", type=float, default=1e-10, help="translation residual stop tolerance")
+    p.set_defaults(func=cmd_solve)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,17 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("solve-rotation", help="rotation averaging on a g2o file")
-    _add_common_solver_flags(p)
-    p.add_argument("--save-rotations", default=None, help="write solved rotations as a vertex-only g2o")
-    p.set_defaults(func=cmd_solve_rotation)
+    _add_solver_flags(p, "solve-rotation")
+    p.add_argument("--truth", default=None, help="g2o file with reference poses for RMSE")
+    p.add_argument("--save-rotations", dest="save", default=None,
+                   help="write solved rotations as a vertex-only g2o")
 
     p = sub.add_parser("solve-translation", help="translation recovery given rotation estimates")
-    _add_common_solver_flags(p, translation=True)
+    _add_solver_flags(p, "solve-translation")
     p.add_argument("--rotations", default=None,
                    help="vertex-only g2o with rotation estimates (default: input file vertices)")
     p.add_argument("--truth", default=None, help="g2o file with reference poses for RMSE")
-    p.add_argument("--save-positions", default=None, help="write solved positions as a vertex-only g2o")
-    p.set_defaults(func=cmd_solve_translation)
+    p.add_argument("--save-positions", dest="save", default=None,
+                   help="write solved positions as a vertex-only g2o")
 
     p = sub.add_parser("validate-hessian", help="curvature agreement sweep on synthetic grids")
     p.add_argument("--side", type=int, default=4)
@@ -424,11 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate_hessian)
 
     p = sub.add_parser("pipeline", help="rotation averaging followed by translation recovery")
-    _add_common_solver_flags(p)
-    p.add_argument("--resid-tol", type=float, default=1e-10, help="translation residual tolerance")
+    _add_solver_flags(p, "pipeline")
     p.add_argument("--reference", default=None, help="g2o file with reference poses for RMSE")
-    p.add_argument("--save-poses", default=None, help="write solved poses as a vertex-only g2o")
-    p.set_defaults(func=cmd_pipeline)
+    p.add_argument("--save-poses", dest="save", default=None, help="write solved poses as a vertex-only g2o")
 
     return ap
 

@@ -88,17 +88,13 @@ class CommsLedger:
     def bytes_by_kind(self, kind: str) -> int:
         return BYTES_PER_SCALAR * sum(e.scalars for e in self.events if e.kind == kind)
 
-    def to_csv(self, path: str | None = None) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["round", "robot", "kind", "scalars", "bytes"])
         for e in self.events:
             w.writerow([e.round, e.robot, e.kind, e.scalars, e.bytes])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return buf.getvalue()
 
 
 @dataclass

@@ -122,17 +122,13 @@ class RunTrace:
     def final_grad_norm(self) -> float:
         return self.rows[-1].grad_norm if self.rows else float("nan")
 
-    def to_csv(self, path: str | None = None) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["iter", "grad_norm", "cost", "cum_upload_bytes"])
         for r in self.rows:
             w.writerow([r.iter, repr(r.grad_norm), repr(r.cost), r.cum_upload_bytes])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return buf.getvalue()
 
 
 def iterate(

@@ -89,12 +89,13 @@ def collaborative_translation_solve(
     rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
     B = assemble_translation_rhs(g, R_hat, rotated)
     upload_rows = separator_rows_by_owner(g, partition)
-    b_sums = B.sum(axis=0)
 
     def sweep(M, E):
-        # L @ M adds round-off of |L| |M| to E's column sums, which once the sweeps converge is as large
-        # as E itself and fails the split solve's feasibility check. Taking it off row 0 leaves B's own.
-        E[0] -= E.sum(axis=0) - b_sums
+        # Once the sweeps converge, the round-off in E's column sums (B's own, plus what L @ M adds, of
+        # order |L| |M|) is as large as E itself and fails the split solve's feasibility check. Later
+        # sweeps take it all off row 0; the first (M = 0) solves against B itself.
+        if M.any():
+            E[0] -= E.sum(axis=0)
         return M + dd.solve(blocks, server, E, ledger=ledger)
 
     M, trace = iterate(

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from lapra.cli import main
-from lapra.pose_graph import load_g2o
+from lapra.pose_graph import load_g2o, partition_contiguous, spanning_tree_init
+from lapra.rotation import SolverConfig, collaborative_solve
+from lapra.translation import collaborative_translation_solve
 
 
 def _synth(tmp_path, name="prob", side=4, sigma=5.0, seed=9, edge_prob=0.3):
@@ -204,6 +206,60 @@ def test_pipeline_writes_staged_trace_and_ledger(tmp_path):
         assert [int(r["iter"]) for r in rows] == list(range(len(rows)))
     assert {r["stage"] for r in ledger_rows} == {"rotation", "translation"}
     assert sum(int(r["bytes"]) for r in ledger_rows) == final["total_upload_bytes"]
+
+
+@pytest.mark.parametrize(
+    "command, save_flag",
+    [("solve-rotation", "--save-rotations"), ("solve-translation", "--save-positions"), ("pipeline", "--save-poses")],
+)
+def test_solve_command_artifacts_match_the_report_and_the_solve(tmp_path, command, save_flag):
+    """One-stage CSVs have no stage column and the pipeline's lead with one; --save-* holds the solved poses."""
+    graph, truth = _synth(tmp_path, side=3)
+    report, trace, ledger, saved = (tmp_path / f for f in ("rep.json", "trace.csv", "ledger.csv", "saved.g2o"))
+    rotations = ["--rotations", truth] if command == "solve-translation" else []
+    rc = main([command, "--input", graph, *rotations, "--robots", "2", "--epsilon", "0.5", "--seed", "0",
+               "--report", str(report), "--trace", str(trace), "--ledger", str(ledger), save_flag, str(saved)])
+    assert rc == 0
+    rep = _report(report)
+    stages = ["rotation", "translation"] if command == "pipeline" else [command.removeprefix("solve-")]
+    staged = ["stage"] if command == "pipeline" else []
+    with open(trace) as fh:
+        reader = csv.DictReader(fh)
+        trace_rows = list(reader)
+    assert reader.fieldnames == staged + ["iter", "grad_norm", "cost", "cum_upload_bytes"]
+    with open(ledger) as fh:
+        reader = csv.DictReader(fh)
+        ledger_rows = list(reader)
+    assert reader.fieldnames == staged + ["round", "robot", "kind", "scalars", "bytes"]
+    assert sum(int(r["bytes"]) for r in ledger_rows) == rep["final"]["total_upload_bytes"] > 0
+    for stage in stages:
+        rows = [r for r in trace_rows if r.get("stage", stage) == stage]
+        parsed = [{"iter": int(r["iter"]), "grad_norm": float(r["grad_norm"]), "cost": float(r["cost"]),
+                   "cum_upload_bytes": int(r["cum_upload_bytes"])} for r in rows]
+        assert parsed == rep[f"{stage}_trace" if staged else "trace"]
+
+    g, _ = load_g2o(graph)
+    _, (R, _) = load_g2o(truth)
+    t = np.zeros((g.n, g.d))
+    partition = partition_contiguous(g, 2)
+    if "rotation" in stages:
+        R, _ = collaborative_solve(g, partition, spanning_tree_init(g), SolverConfig(epsilon=0.5))
+    if "translation" in stages:
+        t, _ = collaborative_translation_solve(g, partition, R, SolverConfig(epsilon=0.5, grad_tol=1e-10))
+    _, (R_saved, t_saved) = load_g2o(str(saved))
+    np.testing.assert_allclose(R_saved.mats, R.mats, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t_saved, t, rtol=0, atol=1e-12)
+
+
+def test_pipeline_rejects_truth(tmp_path, capsys):
+    """The pipeline compares against --reference; --truth belongs to the one-stage commands."""
+    graph, truth = _synth(tmp_path, side=3)
+    report = tmp_path / "pipe.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--input", graph, "--truth", truth, "--report", str(report)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --truth" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_newton_method(tmp_path):

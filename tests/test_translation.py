@@ -147,3 +147,21 @@ def test_sweeps_at_round_off_residual_stay_feasible(robots):
     assert trace.iterations == 5 and not trace.converged
     t_ref = exact_translation_solve(g, R_hat)
     assert np.abs(M - t_ref).max() <= 1e-11 * np.abs(t_ref).max()
+
+
+@pytest.mark.parametrize("robots", [1, 2, 3])
+def test_sweeps_with_large_rhs_round_off_stay_feasible(robots):
+    """Measurements near 1e6 and weights near 1e6 give B column sums of round-off far above 1e-8 of later residuals."""
+    edges = np.array([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (1, 4), (3, 5)])
+    m = len(edges)
+    R_hat = RotationState(np.tile(np.eye(2), (6, 1, 1)))
+    cfg = SolverConfig(grad_tol=0.0, max_iters=4)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        t_tilde = rng.uniform(-1e6, 1e6, (m, 2))
+        tau = rng.uniform(1e5, 1e6, m)
+        g = MeasurementGraph(2, 6, edges[:, 0], edges[:, 1], np.tile(np.eye(2), (m, 1, 1)), t_tilde, np.ones(m), tau)
+        M, trace = collaborative_translation_solve(g, partition_contiguous(g, robots), R_hat, cfg)
+        assert trace.iterations == 4
+        t_ref = exact_translation_solve(g, R_hat)
+        assert np.abs(M - t_ref).max() <= 1e-14 * np.abs(t_ref).max()
