@@ -46,6 +46,9 @@ DEFAULT_OVERSAMPLING = 4.0
 # columns alike, and no row pivoting, which such matrices do not need for stability.
 SPD_SUPERLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
+_LAPLACIAN_RTOL = 1e-8  # largest row sum of a Laplacian-like matrix, relative to its largest entry
+_KERNEL_TOL = 1e-10  # eigenvalues up to this times the largest are check_epsilon's kernel
+
 
 @dataclass
 class WeightedGraph:
@@ -114,12 +117,9 @@ def graph_from_laplacian(L: sp.spmatrix, tol: float = 0.0) -> WeightedGraph:
     return WeightedGraph.from_edge_list(L.shape[0], np.stack([a, b], axis=1), -v)
 
 
-def _is_laplacian_like(A: sp.spmatrix, rtol: float = 1e-8) -> bool:
-    scale = abs(A).max() if A.nnz else 0.0
-    if scale == 0.0:
-        return True
-    rowsums = np.asarray(A.sum(axis=1)).ravel()
-    return bool(np.max(np.abs(rowsums)) <= rtol * scale)
+def _is_laplacian_like(A: sp.spmatrix) -> bool:
+    rowsums = np.abs(np.asarray(A.sum(axis=1)).ravel())
+    return bool(rowsums.max(initial=0.0) <= _LAPLACIAN_RTOL * (abs(A).max() if A.nnz else 0.0))
 
 
 def schur_update(solve, L_fc: sp.spmatrix, L_cc: sp.spmatrix) -> sp.csr_matrix:
@@ -225,13 +225,10 @@ def sparsify(
     if epsilon == 0.0:
         return S.copy()
     g = graph_from_laplacian(S, tol=1e-12)
-    m = g.edges.shape[0]
-    if m == 0:
-        return S.copy()
     n_c = int(np.count_nonzero(np.bincount(g.edges.ravel(), minlength=g.n)))
     eps_prime = 1.0 - math.exp(-epsilon)
     q = math.ceil(oversampling * n_c * math.log(max(n_c, 2)) / eps_prime**2)
-    if q >= m:
+    if q >= g.edges.shape[0]:
         return S.copy()
 
     resist = effective_resistances(S, g.edges)
@@ -256,7 +253,7 @@ class EpsilonReport:
     kernel_match: bool
 
 
-def check_epsilon(A, B, kernel_tol: float = 1e-10) -> EpsilonReport:
+def check_epsilon(A, B) -> EpsilonReport:
     """Measure how far two PSD matrices are from spectral equivalence.
 
     Returns the smallest eps with exp(-eps) B <= A <= exp(eps) B on the
@@ -274,7 +271,7 @@ def check_epsilon(A, B, kernel_tol: float = 1e-10) -> EpsilonReport:
     def kernel(M):
         w, V = np.linalg.eigh((M + M.T) / 2.0)
         scale = max(abs(w).max(), 1.0)
-        return V[:, w <= kernel_tol * scale]
+        return V[:, w <= _KERNEL_TOL * scale]
 
     Ka, Kb = kernel(A), kernel(B)
     if Ka.shape[1] != Kb.shape[1]:

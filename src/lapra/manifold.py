@@ -258,6 +258,7 @@ def orthonormality_drift(R: np.ndarray) -> np.ndarray:
 
 
 _ORTHO_DRIFT_TOL = 1e-12
+_ROTATION_TOL = 1e-9  # largest orthonormality drift that validity checks accept
 
 
 @dataclass
@@ -292,13 +293,13 @@ class RotationState:
     def identity(cls, n: int, d: int) -> "RotationState":
         return cls(np.tile(np.eye(d), (n, 1, 1)))
 
-    def check_valid(self, tol: float = 1e-9) -> None:
+    def check_valid(self) -> None:
         """Raise naming the first block that is non-finite or off the rotation group."""
         with np.errstate(invalid="ignore"):
-            bad = (~np.isfinite(self.mats).all(axis=(1, 2)) | (orthonormality_drift(self.mats) > tol)
+            bad = (~np.isfinite(self.mats).all(axis=(1, 2)) | (orthonormality_drift(self.mats) > _ROTATION_TOL)
                    | (np.linalg.det(self.mats) < 0))
         if bad.any():
-            raise NumericalError(f"matrix {np.argmax(bad)} is not a rotation within tol {tol}")
+            raise NumericalError(f"matrix {np.argmax(bad)} is not a rotation within tol {_ROTATION_TOL}")
 
     def renormalize(self) -> None:
         """Snap blocks back onto the group when round-off has accumulated.

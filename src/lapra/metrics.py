@@ -19,6 +19,8 @@ __all__ = [
     "rate_estimate",
 ]
 
+_RATE_TAIL = 5  # ratios the tail rate of rate_estimate averages
+
 
 def c_epsilon(eps: float) -> float:
     """Energy-norm amplification factor of an eps-quality approximate solve.
@@ -91,10 +93,10 @@ class RateEstimate:
     tail_rate: float  # geometric mean of the last few ratios
 
 
-def rate_estimate(values, tail: int = 5) -> RateEstimate:
+def rate_estimate(values) -> RateEstimate:
     """Per-step contraction ratios of a decaying positive sequence.
 
-    The tail rate is the geometric mean of the last `tail` well-defined
+    The tail rate is the geometric mean of the last five well-defined
     ratios; steps where the sequence has already hit zero are skipped.
     """
     v = np.asarray(values, dtype=float)
@@ -106,5 +108,5 @@ def rate_estimate(values, tail: int = 5) -> RateEstimate:
     finite = ratios[np.isfinite(ratios) & (ratios > 0)]
     if finite.size == 0:
         return RateEstimate(ratios=ratios, tail_rate=float("nan"))
-    tail_vals = finite[-tail:]
+    tail_vals = finite[-_RATE_TAIL:]
     return RateEstimate(ratios=ratios, tail_rate=float(np.exp(np.mean(np.log(tail_vals)))))

@@ -17,6 +17,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .manifold import (
+    _ROTATION_TOL,
     RotationState,
     exp_map_batch,
     orthonormality_drift,
@@ -98,7 +99,7 @@ class MeasurementGraph:
         """(m, 2) array of the endpoints (I[k], J[k])."""
         return np.stack([self.I, self.J], axis=1)
 
-    def validate(self, rot_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check array shapes, index ranges, rotation validity, duplicates and connectivity.
 
         A misshapen array is reported first. Otherwise errors name the
@@ -117,7 +118,7 @@ class MeasurementGraph:
         finite = (np.isfinite(R).all(axis=(1, 2)) & np.isfinite(self.t_tilde).all(axis=1)
                   & np.isfinite(self.kappa) & np.isfinite(self.tau))
         with np.errstate(invalid="ignore"):  # a non-finite rotation gets its own message below
-            not_rotation = (orthonormality_drift(R) > rot_tol) | (np.linalg.det(R) < 0)
+            not_rotation = (orthonormality_drift(R) > _ROTATION_TOL) | (np.linalg.det(R) < 0)
         checks = [
             (I == J, lambda k: f"edge {k} is a self loop at vertex {I[k]}"),
             ((I < 0) | (I >= self.n) | (J < 0) | (J >= self.n),
@@ -125,7 +126,7 @@ class MeasurementGraph:
             (first[inverse] != np.arange(m),
              lambda k: f"duplicate measurement between {lo[k]} and {hi[k]}"),
             (~finite, lambda k: f"edge {k} has a non-finite rotation, translation or weight"),
-            (not_rotation, lambda k: f"edge {k} rotation is not orthonormal within {rot_tol}"),
+            (not_rotation, lambda k: f"edge {k} rotation is not orthonormal within {_ROTATION_TOL}"),
             ((self.kappa <= 0) | (self.tau <= 0), lambda k: f"edge {k} has non-positive weight"),
         ]
         failed = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
@@ -427,8 +428,6 @@ class SyntheticSpec:
     d: int = 3
     sigma_rot: float = 0.0  # radians, tangent-space noise scale
     edge_prob: float = 0.3
-    kappa: float = 1.0
-    tau: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -454,10 +453,10 @@ def generate_grid(spec: SyntheticSpec) -> tuple[MeasurementGraph, RotationState]
 
     Vertices form a side^d lattice. A deterministic lattice spanning tree
     is always included; each remaining lattice-adjacent pair joins with
-    probability edge_prob. Measurements follow the right-multiplied
-    noise model R_tilde = Rbar_i^T Rbar_j Exp(eps). Translation
-    measurements are exact given the ground-truth poses, so translation
-    error reflects only rotation error.
+    probability edge_prob. Measurements follow the right-multiplied noise
+    model R_tilde = Rbar_i^T Rbar_j Exp(eps), with unit weights kappa and
+    tau. Translation measurements are exact given the ground-truth poses,
+    so translation error reflects only rotation error.
     """
     rng = np.random.default_rng(spec.seed)
     side, d = spec.side, spec.d
@@ -482,7 +481,7 @@ def generate_grid(spec: SyntheticSpec) -> tuple[MeasurementGraph, RotationState]
     R_tilde = np.swapaxes(truth[I], 1, 2) @ truth[J] @ noise
     t_tilde = truth[I, axis]  # Rbar_iᵀ times the unit step along the axis
     ones = np.ones(I.size)
-    g = MeasurementGraph(d, n, I, J, R_tilde, t_tilde, spec.kappa * ones, spec.tau * ones)
+    g = MeasurementGraph(d, n, I, J, R_tilde, t_tilde, ones, ones)
     g.validate()
     return g, RotationState(truth)
 

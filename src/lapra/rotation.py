@@ -305,15 +305,22 @@ def split_setup(L, partition: Partition, config: SolverConfig, schur_mode: str,
                 oversampling: float, threads: int):
     """Split L across the robots and upload each one's compressed separator block.
 
-    Returns (blocks, server, ledger); the uploads are round 0 of the
-    ledger, and sampling draws from a generator seeded with config.seed.
+    Returns (solve, ledger); the uploads are round 0 of the ledger, and
+    sampling draws from a generator seeded with config.seed. solve(E)
+    takes E's column sums, zero up to round-off, off its row 0 in place
+    and solves L X = E through the split, metering the uploads.
     """
     blocks, server = dd.build_blocks(L, partition)
     ledger = dd.CommsLedger()
     rng = np.random.default_rng(config.seed)
     dd.sparsified_schur(blocks, server, config.epsilon, rng, ledger=ledger, mode=schur_mode,
                         oversampling=oversampling, threads=threads)
-    return blocks, server, ledger
+
+    def solve(E: np.ndarray) -> np.ndarray:
+        E[0] -= E.sum(axis=0)
+        return dd.solve(blocks, server, E, ledger=ledger)
+
+    return solve, ledger
 
 
 def centralized_step(g: MeasurementGraph, R: RotationState, kind: Distance) -> RotationState:
@@ -347,11 +354,11 @@ def collaborative_solve(
     """
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
-    blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
+    solve, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
     upload_rows = separator_rows_by_owner(g, partition)
 
     def step(R, B):
-        V = dd.solve(blocks, server, B, ledger=ledger)
+        V = solve(B)
         if config.project_horizontal:
             V = V - V.mean(axis=0, keepdims=True)
         return _apply_update(R, V)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import decomposition as dd
 from .laplacians import DEFAULT_OVERSAMPLING, WeightedGraph, laplacian, solve_grounded
 from .manifold import RotationState
 from .pose_graph import MeasurementGraph, Partition, scatter_edge_rows
@@ -85,23 +84,15 @@ def collaborative_translation_solve(
     estimate (before the zero-mean shift) for offline analysis.
     """
     L = laplacian(translation_weights(g))
-    blocks, server, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
+    solve, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
     rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
     B = assemble_translation_rhs(g, R_hat, rotated)
     upload_rows = separator_rows_by_owner(g, partition)
 
-    def sweep(M, E):
-        # Once the sweeps converge, the round-off in E's column sums (B's own, plus what L @ M adds, of
-        # order |L| |M|) is as large as E itself and fails the split solve's feasibility check. Later
-        # sweeps take it all off row 0; the first (M = 0) solves against B itself.
-        if M.any():
-            E[0] -= E.sum(axis=0)
-        return M + dd.solve(blocks, server, E, ledger=ledger)
-
     M, trace = iterate(
         np.zeros((g.n, g.d)),
         lambda M: (B - L @ M, translation_cost(g, R_hat, M, rotated)),
-        sweep,
+        lambda M, E: M + solve(E),
         config,
         ledger,
         upload_rows,

@@ -39,7 +39,7 @@ from lapra.laplacians import (
     schur_update,
     solve_grounded,
 )
-from lapra.manifold import NumericalError, RotationState, exp_map, exp_map_batch, log_map, log_map_batch
+from lapra.manifold import NumericalError, RotationState, exp_map, exp_map_batch, log_map, log_map_batch, row_norms
 from lapra.pose_graph import (
     GraphError,
     MeasurementGraph,
@@ -59,6 +59,7 @@ from lapra.rotation import (
     SolverConfig,
     _apply_update,
     _block_index,
+    _edge_gradients,
     _edge_hessians,
     _gauge_fixed,
     _gradient_and_cost,
@@ -74,7 +75,12 @@ from lapra.rotation import (
     laplacian_weights,
     separator_rows_by_owner,
 )
-from lapra.translation import collaborative_translation_solve, exact_translation_solve
+from lapra.translation import (
+    _rotated_measurements,
+    assemble_translation_rhs,
+    collaborative_translation_solve,
+    exact_translation_solve,
+)
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -1124,6 +1130,24 @@ def test_single_robot_translation_sweep_is_the_exact_solve(g):
         return
     M, _ = collaborative_translation_solve(g, one_robot, R_hat, config)
     assert np.abs(M - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+_unit_weights = st.floats(min_value=1e-4, max_value=1e10)
+
+
+@given(measurement_graphs(), st.data(), st.integers(0, 2**32 - 1), st.sampled_from([GEODESIC, CHORDAL]))
+def test_rhs_column_sums_are_round_off_of_the_edge_terms(g, data, seed, kind):
+    """The split solve takes each rhs's column sums off its row 0. That removes round-off only: for both stages the
+    sums stay within a few ulps of the summed magnitudes of the per-edge terms the rhs adds up, at any weight scale."""
+    weights = st.lists(_unit_weights, min_size=g.m, max_size=g.m)
+    g.kappa, g.tau = np.array(data.draw(weights)), np.array(data.draw(weights))
+    R = RotationState(exp_map_batch(2.0 * np.random.default_rng(seed).standard_normal((g.n, g.p))))
+    ulps = 16 * np.finfo(float).eps
+    B, _ = _gradient_and_cost(g, R, kind)
+    _, g_i, g_j = _edge_gradients(R.mats[g.I], R.mats[g.J], g.R_tilde, kind)
+    assert np.abs(B.sum(axis=0)).max() <= ulps * np.sum(g.kappa * (row_norms(g_i) + row_norms(g_j)))
+    T = assemble_translation_rhs(g, R)
+    assert np.abs(T.sum(axis=0)).max() <= ulps * np.sum(2 * g.tau * row_norms(_rotated_measurements(g, R)))
 
 
 @FEW
