@@ -186,7 +186,7 @@ def _rotation_run(g, args, partition, seed, threads):
     return R, trace, time.perf_counter() - t0
 
 
-def _translation_run(g, args, R_hat, partition, seed, threads):
+def _translation_run(g, args, R_hat, partition, seed, threads, prior):
     config = SolverConfig(
         epsilon=args.epsilon,
         grad_tol=args.resid_tol,
@@ -195,7 +195,7 @@ def _translation_run(g, args, R_hat, partition, seed, threads):
     )
     t0 = time.perf_counter()
     M, trace = collaborative_translation_solve(
-        g, partition, R_hat, config, oversampling=args.oversampling, threads=threads
+        g, partition, R_hat, config, oversampling=args.oversampling, threads=threads, prior=prior
     )
     return M, trace, time.perf_counter() - t0
 
@@ -225,7 +225,8 @@ def cmd_solve(args) -> int:
         R, trace, wall = _rotation_run(g, args, partition, seed, threads)
         runs.append(("rotation", trace, wall))
     if "translation" in stages:
-        M, trace, wall = _translation_run(g, args, R, partition, seed, threads)
+        prior = runs[0][1].split if runs else None
+        M, trace, wall = _translation_run(g, args, R, partition, seed, threads, prior)
         runs.append(("translation", trace, wall))
 
     single = len(runs) == 1
@@ -237,6 +238,8 @@ def cmd_solve(args) -> int:
         final[prefix + _NORM_KEY[stage]] = trace.final_grad_norm
     if single:
         final["cost"] = trace.rows[-1].cost if M is None else translation_cost(g, R, M)
+    else:  # the pipeline: whether translation kept the rotation stage's robot-side set-up
+        final["translation_split_reused"] = runs[1][1].split is runs[0][1].split
     final["total_upload_bytes"] = sum(trace.ledger.total_bytes() for _, trace, _ in runs)
     final["wall_time_sec"] = sum(wall for _, _, wall in runs)
     truth = args.reference if "reference" in args else args.truth

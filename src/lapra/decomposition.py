@@ -42,6 +42,7 @@ __all__ = [
     "RobotBlock",
     "ServerState",
     "build_blocks",
+    "compress_blocks",
     "sparsified_schur",
     "solve",
     "SCHUR_MODES",
@@ -221,23 +222,20 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
     return blocks, server
 
 
-def sparsified_schur(
+def compress_blocks(
     blocks: list[RobotBlock],
-    server: ServerState,
     epsilon: float,
     rng: np.random.Generator,
-    ledger: CommsLedger | None = None,
     mode: str = "spectral",
     oversampling: float = DEFAULT_OVERSAMPLING,
     threads: int = 1,
 ) -> None:
-    """One-time upload phase: robots send separator-space contributions.
+    """Robot side of the one-time phase: each robot eliminates its interior and compresses the result.
 
-    Each robot eliminates its interior, compresses the result according
-    to `mode` (spectral sampling at quality epsilon, or one of the
-    heuristic patterns) and uploads it, metered in the ledger's current
-    round (round 0 of a fresh ledger). The server accumulates the reduced
-    matrix and factors it for reuse across later solves.
+    The compression follows `mode`: spectral sampling at quality epsilon
+    with robot a drawing from the a-th generator spawned from rng, or one
+    of the heuristic patterns. Each block keeps its result as S_tilde for
+    sparsified_schur to upload.
     """
     if mode not in SCHUR_MODES:
         raise ValueError(f"mode must be one of {SCHUR_MODES}")
@@ -254,13 +252,22 @@ def sparsified_schur(
             results = list(pool.map(one, range(len(blocks))))
     else:
         results = [one(i) for i in range(len(blocks))]
-
-    total = sp.csr_matrix(server.L_Gc, copy=True)
     for blk, S_t in zip(blocks, results):
         blk.S_tilde = S_t
-        total = total + S_t
+
+
+def sparsified_schur(blocks: list[RobotBlock], server: ServerState, ledger: CommsLedger | None = None) -> None:
+    """Upload phase: robots send their compressed separator blocks (see compress_blocks).
+
+    Each upload is metered in the ledger's current round (round 0 of a
+    fresh ledger). The server adds them to its cross-edge block and
+    factors the sum for reuse across later solves.
+    """
+    total = sp.csr_matrix(server.L_Gc, copy=True)
+    for blk in blocks:
+        total = total + blk.S_tilde
         if ledger is not None:
-            ledger.record(blk.alpha, "schur", upper_triangle_nnz(S_t))
+            ledger.record(blk.alpha, "schur", upper_triangle_nnz(blk.S_tilde))
     server.set_reduced(sp.csr_matrix(total))
 
 

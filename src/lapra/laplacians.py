@@ -161,15 +161,18 @@ def schur_complement(L: sp.spmatrix, eliminate: np.ndarray) -> sp.csr_matrix:
     return schur_update(spd_factor(L[elim][:, elim], "eliminated block solve"), L[elim][:, keep], L[keep][:, keep])
 
 
-def effective_resistances(L: sp.spmatrix, pairs: np.ndarray) -> np.ndarray:
+def effective_resistances(L: sp.spmatrix, pairs: np.ndarray, *, labels: np.ndarray | None = None) -> np.ndarray:
     """Effective resistance across each requested vertex pair.
 
     Exact dense computation per connected component (grounded inverse).
     Pairs spanning two components have infinite resistance and raise.
+    labels, if given, must be L's component labels from
+    _component_labels_of, for a caller that needs them too.
     """
     L = sp.csr_matrix(L)
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    labels = _component_labels_of(L)
+    if labels is None:
+        labels = _component_labels_of(L)
     la, lb = labels[pairs[:, 0]], labels[pairs[:, 1]]
     split = np.flatnonzero(la != lb)
     if split.size:
@@ -231,10 +234,9 @@ def sparsify(
     if q >= g.edges.shape[0]:
         return S.copy()
 
-    resist = effective_resistances(S, g.edges)
-    mass = g.weights * resist
-    probs = mass / mass.sum()
     labels_ref = _component_labels_of(S)
+    mass = g.weights * effective_resistances(S, g.edges, labels=labels_ref)
+    probs = mass / mass.sum()
 
     for _ in range(10):
         counts = rng.multinomial(q, probs)

@@ -46,6 +46,7 @@ __all__ = [
     "assemble_gradient_rhs",
     "laplacian_weights",
     "iterate",
+    "Split",
     "split_setup",
     "centralized_step",
     "collaborative_solve",
@@ -117,6 +118,7 @@ class RunTrace:
     iterations: int = 0
     ledger: dd.CommsLedger | None = None
     iterates: list | None = None  # populated only on request
+    split: "Split | None" = None  # the stage's robot-side set-up, which a later stage may reuse
 
     @property
     def final_grad_norm(self) -> float:
@@ -301,26 +303,62 @@ def separator_rows_by_owner(g: MeasurementGraph, partition: Partition) -> np.nda
 # ---------------------------------------------------------------------------
 # Solvers
 
+@dataclass
+class Split:
+    """The robot side of a one-time phase, and everything it was computed from.
+
+    blocks hold each robot's slices of L, its interior factor and its
+    compressed S_tilde; L_Gc is the server's cross-edge block. inputs is
+    (epsilon, seed, schur mode, oversampling). No factored server is kept.
+    """
+
+    L: sp.csr_matrix
+    partition: Partition
+    inputs: tuple
+    blocks: list
+    L_Gc: sp.csr_matrix
+
+    def built_from(self, L: sp.csr_matrix, partition: Partition, inputs: tuple) -> bool:
+        """Whether L (entry for entry), the partition and the inputs are the ones this split was built from."""
+        def same(a, b, keys):
+            return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in keys)
+
+        return (self.inputs == inputs and self.L.shape == L.shape and same(self.L, L, ("indptr", "indices", "data"))
+                and same(self.partition, partition, ("owner", "is_separator")))
+
+
 def split_setup(L, partition: Partition, config: SolverConfig, schur_mode: str,
-                oversampling: float, threads: int):
+                oversampling: float, threads: int, prior: Split | None = None):
     """Split L across the robots and upload each one's compressed separator block.
 
-    Returns (solve, ledger); the uploads are round 0 of the ledger, and
-    sampling draws from a generator seeded with config.seed. solve(E)
-    takes E's column sums, zero up to round-off, off its row 0 in place
-    and solves L X = E through the split, metering the uploads.
+    Returns (solve, ledger, split). When prior was built from the same L,
+    partition, epsilon, seed, schur mode and oversampling, split is prior
+    and the robots keep its blocks, interior factors and compressed
+    blocks, which a new set-up would repeat bit for bit. Otherwise each
+    robot eliminates and compresses anew, sampling from a generator seeded
+    with config.seed. Either way every robot uploads its block in round 0
+    of a fresh ledger and the server factors the sum anew. solve(E) takes
+    E's column sums, zero up to round-off, off its row 0 in place and
+    solves L X = E through the split, metering the uploads.
     """
-    blocks, server = dd.build_blocks(L, partition)
+    L = sp.csr_matrix(L)
+    inputs = (config.epsilon, config.seed, schur_mode, oversampling)
+    split = prior
+    if split is None or not split.built_from(L, partition, inputs):
+        blocks, server = dd.build_blocks(L, partition)
+        dd.compress_blocks(blocks, config.epsilon, np.random.default_rng(config.seed), mode=schur_mode,
+                           oversampling=oversampling, threads=threads)
+        split = Split(L, partition, inputs, blocks, server.L_Gc)
+    blocks = split.blocks
+    server = dd.ServerState(separators=partition.separators, L_Gc=split.L_Gc, n=L.shape[0])
     ledger = dd.CommsLedger()
-    rng = np.random.default_rng(config.seed)
-    dd.sparsified_schur(blocks, server, config.epsilon, rng, ledger=ledger, mode=schur_mode,
-                        oversampling=oversampling, threads=threads)
+    dd.sparsified_schur(blocks, server, ledger)
 
     def solve(E: np.ndarray) -> np.ndarray:
         E[0] -= E.sum(axis=0)
         return dd.solve(blocks, server, E, ledger=ledger)
 
-    return solve, ledger
+    return solve, ledger, split
 
 
 def centralized_step(g: MeasurementGraph, R: RotationState, kind: Distance) -> RotationState:
@@ -350,11 +388,12 @@ def collaborative_solve(
     iteration then uploads per-robot gradient partial sums for separator
     rows plus reduced right-hand sides, all metered. Stops when the
     gradient norm falls below config.grad_tol or after config.max_iters
-    updates; non-convergence is reported in the trace, not raised.
+    updates; non-convergence is reported in the trace, not raised. The
+    trace's split is the robot-side set-up, for a later stage to reuse.
     """
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
-    solve, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
+    solve, ledger, split = split_setup(L, partition, config, schur_mode, oversampling, threads)
     upload_rows = separator_rows_by_owner(g, partition)
 
     def step(R, B):
@@ -363,9 +402,11 @@ def collaborative_solve(
             V = V - V.mean(axis=0, keepdims=True)
         return _apply_update(R, V)
 
-    return iterate(
+    R, trace = iterate(
         R0.copy(), lambda R: _gradient_and_cost(g, R, kind), step, config, ledger, upload_rows
     )
+    trace.split = split
+    return R, trace
 
 
 def _gauge_fixed(A: np.ndarray, p: int, shift: float) -> np.ndarray:

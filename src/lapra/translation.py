@@ -15,7 +15,7 @@ import numpy as np
 from .laplacians import DEFAULT_OVERSAMPLING, WeightedGraph, laplacian, solve_grounded
 from .manifold import RotationState
 from .pose_graph import MeasurementGraph, Partition, scatter_edge_rows
-from .rotation import RunTrace, SolverConfig, iterate, separator_rows_by_owner, split_setup
+from .rotation import RunTrace, SolverConfig, Split, iterate, separator_rows_by_owner, split_setup
 
 __all__ = [
     "translation_weights",
@@ -70,6 +70,7 @@ def collaborative_translation_solve(
     oversampling: float = DEFAULT_OVERSAMPLING,
     threads: int = 1,
     keep_iterates: bool = False,
+    prior: Split | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Iterative refinement of the translation system through the split solver.
 
@@ -81,10 +82,14 @@ def collaborative_translation_solve(
     sweeps. The returned estimate has zero column means.
 
     With keep_iterates=True the trace carries every intermediate
-    estimate (before the zero-mean shift) for offline analysis.
+    estimate (before the zero-mean shift) for offline analysis. prior is
+    an earlier stage's split (RunTrace.split), whose robot-side set-up is
+    reused when it was built from the same Laplacian and inputs (see
+    split_setup); the ledger meters the uploads either way. The trace's
+    split is this stage's.
     """
     L = laplacian(translation_weights(g))
-    solve, ledger = split_setup(L, partition, config, schur_mode, oversampling, threads)
+    solve, ledger, split = split_setup(L, partition, config, schur_mode, oversampling, threads, prior)
     rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
     B = assemble_translation_rhs(g, R_hat, rotated)
     upload_rows = separator_rows_by_owner(g, partition)
@@ -98,4 +103,5 @@ def collaborative_translation_solve(
         upload_rows,
         keep_iterates,
     )
+    trace.split = split
     return M - M.mean(axis=0, keepdims=True), trace

@@ -221,6 +221,8 @@ def test_solve_command_artifacts_match_the_report_and_the_solve(tmp_path, comman
                "--report", str(report), "--trace", str(trace), "--ledger", str(ledger), save_flag, str(saved)])
     assert rc == 0
     rep = _report(report)
+    # only the pipeline has a split to hand on; geodesic unit weights make its two Laplacians equal
+    assert rep["final"].get("translation_split_reused") is (True if command == "pipeline" else None)
     stages = ["rotation", "translation"] if command == "pipeline" else [command.removeprefix("solve-")]
     staged = ["stage"] if command == "pipeline" else []
     with open(trace) as fh:
@@ -249,6 +251,16 @@ def test_solve_command_artifacts_match_the_report_and_the_solve(tmp_path, comman
     _, (R_saved, t_saved) = load_g2o(str(saved))
     np.testing.assert_allclose(R_saved.mats, R.mats, rtol=0, atol=1e-12)
     np.testing.assert_allclose(t_saved, t, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flags", [["--distance", "chordal"], ["--method", "block-tree"], ["--method", "newton"]])
+def test_pipeline_sets_up_translation_anew_when_the_split_differs(tmp_path, flags):
+    """Chordal weights double the rotation Laplacian, block-tree compresses differently and Newton has no split."""
+    graph, _ = _synth(tmp_path, side=3)
+    report = tmp_path / "pipe.json"
+    rc = main(["pipeline", "--input", graph, "--robots", "2", "--epsilon", "0.5", *flags, "--report", str(report)])
+    assert rc == 0
+    assert _report(report)["final"]["translation_split_reused"] is False
 
 
 def test_pipeline_rejects_truth(tmp_path, capsys):

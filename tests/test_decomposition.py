@@ -6,6 +6,7 @@ from lapra.decomposition import (
     BYTES_PER_SCALAR,
     CommsLedger,
     build_blocks,
+    compress_blocks,
     solve as split_solve,
     sparsified_schur,
 )
@@ -87,7 +88,8 @@ def test_split_solve_exact_matches_grounded():
     rng = np.random.default_rng(2)
     L, part = _instance(rng)
     blocks, server = build_blocks(L, part)
-    sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+    compress_blocks(blocks, 0.0, np.random.default_rng(0))
+    sparsified_schur(blocks, server)
     B = _feasible_rhs(rng, L.shape[0])
     X = split_solve(blocks, server, B)
     X_ref = solve_grounded(L, B)
@@ -103,7 +105,8 @@ def test_split_solve_single_robot():
     assert part.separators.size == 0
     blocks, server = build_blocks(L, part)
     ledger = CommsLedger()
-    sparsified_schur(blocks, server, 0.5, np.random.default_rng(0), ledger=ledger)
+    compress_blocks(blocks, 0.5, np.random.default_rng(0))
+    sparsified_schur(blocks, server, ledger=ledger)
     B = _feasible_rhs(rng, L.shape[0])
     X = split_solve(blocks, server, B, ledger=ledger)
     assert np.abs(X - solve_grounded(L, B)).max() < 1e-10
@@ -121,7 +124,8 @@ def test_widely_weighted_path_solves_through_both_paths(big):
     B = _feasible_rhs(np.random.default_rng(0), n)
     X = solve_grounded(L, B)
     blocks, server = build_blocks(L, Partition.from_owner(np.arange(n) * 2 // n, pairs))
-    sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+    compress_blocks(blocks, 0.0, np.random.default_rng(0))
+    sparsified_schur(blocks, server)
     Y = split_solve(blocks, server, B)
     Y -= Y.mean(axis=0)  # split_solve centres only the separator rows
     norm_L = np.linalg.norm(L.toarray())
@@ -134,7 +138,8 @@ def test_split_solve_rejects_infeasible():
     rng = np.random.default_rng(4)
     L, part = _instance(rng)
     blocks, server = build_blocks(L, part)
-    sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+    compress_blocks(blocks, 0.0, np.random.default_rng(0))
+    sparsified_schur(blocks, server)
     with pytest.raises(NumericalError):
         split_solve(blocks, server, np.ones((L.shape[0], 1)))
 
@@ -185,7 +190,8 @@ def test_disconnected_graph_fails_on_every_partition(robots):
     part = Partition.from_owner(np.array(_OWNERS[robots]), _TWO_PATHS)
     with pytest.raises(NumericalError, match=r"^grounded Laplacian is singular \(graph disconnected\)$"):
         blocks, server = build_blocks(L, part)
-        sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+        compress_blocks(blocks, 0.0, np.random.default_rng(0))
+        sparsified_schur(blocks, server)
         split_solve(blocks, server, B)
     m = len(_TWO_PATHS)
     g = MeasurementGraph(2, 12, *_TWO_PATHS.T, np.broadcast_to(np.eye(2), (m, 2, 2)), rng.standard_normal((m, 2)),
@@ -200,7 +206,8 @@ def test_sparsified_schur_meters_uploads():
     L, part = _instance(rng, n=60, m=3, p_edge=0.5)
     blocks, server = build_blocks(L, part)
     ledger = CommsLedger()
-    sparsified_schur(blocks, server, 0.0, np.random.default_rng(0), ledger=ledger)
+    compress_blocks(blocks, 0.0, np.random.default_rng(0))
+    sparsified_schur(blocks, server, ledger=ledger)
     expect = sum(upper_triangle_nnz(b.S_tilde) for b in blocks)
     assert ledger.total_scalars() == expect
     assert all(ev.kind == "schur" and ev.round == 0 for ev in ledger.events)
@@ -211,7 +218,8 @@ def test_solve_meters_rhs_per_adjacent_separator():
     rng = np.random.default_rng(6)
     L, part = _instance(rng, n=60, m=3, p_edge=0.08)
     blocks, server = build_blocks(L, part)
-    sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+    compress_blocks(blocks, 0.0, np.random.default_rng(0))
+    sparsified_schur(blocks, server)
     ledger = CommsLedger()
     B = _feasible_rhs(rng, L.shape[0], k=2)
     split_solve(blocks, server, B, ledger=ledger)
@@ -232,8 +240,10 @@ def test_sparsified_schur_threads_match():
     L, part = _instance(rng, n=70, m=4, p_edge=0.6)
     b1, s1 = build_blocks(L, part)
     b2, s2 = build_blocks(L, part)
-    sparsified_schur(b1, s1, 1.0, np.random.default_rng(9), oversampling=0.5, threads=1)
-    sparsified_schur(b2, s2, 1.0, np.random.default_rng(9), oversampling=0.5, threads=4)
+    compress_blocks(b1, 1.0, np.random.default_rng(9), oversampling=0.5, threads=1)
+    sparsified_schur(b1, s1)
+    compress_blocks(b2, 1.0, np.random.default_rng(9), oversampling=0.5, threads=4)
+    sparsified_schur(b2, s2)
     assert (s1.S_tilde != s2.S_tilde).nnz == 0
 
 
@@ -243,19 +253,22 @@ def test_sparsified_schur_heuristic_modes_run():
     B = _feasible_rhs(rng, 40)
     for mode in ("block_diagonal", "tree"):
         blocks, server = build_blocks(L, part)
-        sparsified_schur(blocks, server, 0.5, np.random.default_rng(0), mode=mode)
+        compress_blocks(blocks, 0.5, np.random.default_rng(0), mode=mode)
+        sparsified_schur(blocks, server)
         X = split_solve(blocks, server, B)
         assert np.all(np.isfinite(X))
     with pytest.raises(ValueError):
         blocks, server = build_blocks(L, part)
-        sparsified_schur(blocks, server, 0.5, np.random.default_rng(0), mode="bogus")
+        compress_blocks(blocks, 0.5, np.random.default_rng(0), mode="bogus")
+        sparsified_schur(blocks, server)
 
 
 def test_compressed_reduced_system_quality():
     rng = np.random.default_rng(9)
     L, part = _instance(rng, n=90, m=3, p_edge=0.8)
     blocks, server = build_blocks(L, part)
-    sparsified_schur(blocks, server, 1.0, np.random.default_rng(2), oversampling=0.7)
+    compress_blocks(blocks, 1.0, np.random.default_rng(2), oversampling=0.7)
+    sparsified_schur(blocks, server)
     interior_all = np.concatenate([b.interior for b in blocks])
     S_exact = schur_complement(L, interior_all)
     rep = check_epsilon(server.S_tilde, S_exact)
@@ -268,7 +281,8 @@ def test_uniform_shift_in_separator_solution_propagates():
     rng = np.random.default_rng(10)
     L, part = _instance(rng, n=60, m=2, p_edge=0.08)
     blocks, server = build_blocks(L, part)
-    sparsified_schur(blocks, server, 0.0, np.random.default_rng(0))
+    compress_blocks(blocks, 0.0, np.random.default_rng(0))
+    sparsified_schur(blocks, server)
     b = max(blocks, key=lambda blk: blk.interior.size)
     assert b.interior.size > 0
     rhs = rng.standard_normal((b.interior.size, 1))

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lapra import decomposition as dd
-from lapra.laplacians import laplacian
+from lapra import laplacians
+from lapra.laplacians import laplacian, upper_triangle_nnz
 from lapra.manifold import RotationState
 from lapra.pose_graph import (
     MeasurementGraph,
@@ -10,8 +13,9 @@ from lapra.pose_graph import (
     generate_grid,
     grid_positions,
     partition_contiguous,
+    spanning_tree_init,
 )
-from lapra.rotation import SolverConfig
+from lapra.rotation import SolverConfig, collaborative_solve, newton_solve
 from lapra.translation import (
     assemble_translation_rhs,
     collaborative_translation_solve,
@@ -167,3 +171,92 @@ def test_sweeps_with_large_rhs_round_off_stay_feasible(robots):
         assert trace.iterations == 4
         t_ref = exact_translation_solve(g, R_hat)
         assert np.abs(M - t_ref).max() <= 1e-14 * np.abs(t_ref).max()
+
+
+# ---------------------------------------------------------------------------
+# Reusing the rotation stage's robot-side set-up
+
+_SPIED = [(dd, "build_blocks"), (dd.RobotBlock, "schur_contribution"), (dd, "sparsify"),
+          (laplacians, "effective_resistances"), (dd, "sparsified_schur")]
+
+
+def _counted_translation(monkeypatch, *args, **kwargs):
+    """collaborative_translation_solve's result, and the calls it made to each set-up step in _SPIED."""
+    calls = dict.fromkeys((name for _, name in _SPIED), 0)
+    for owner, name in _SPIED:
+        def spy(*a, _original=getattr(owner, name), _name=name, **kw):
+            calls[_name] += 1
+            return _original(*a, **kw)
+        monkeypatch.setattr(owner, name, spy)
+    try:
+        return collaborative_translation_solve(*args, **kwargs), calls
+    finally:
+        monkeypatch.undo()
+
+
+def _assert_same_run(a, b):
+    """Two translation solves agree bit for bit: estimate, trace rows and ledger events."""
+    (M_a, trace_a), (M_b, trace_b) = a, b
+    assert M_a.tobytes() == M_b.tobytes()
+    assert [dataclasses.astuple(r) for r in trace_a.rows] == [dataclasses.astuple(r) for r in trace_b.rows]
+    assert trace_a.ledger.events == trace_b.ledger.events
+    assert (trace_a.converged, trace_a.iterations) == (trace_b.converged, trace_b.iterations)
+
+
+def _rotation_stage(robots, epsilon, oversampling, distance="geodesic", schur_mode="spectral", newton=False):
+    g, _ = _grid(side=6, sigma_deg=5.0, seed=3)
+    part = partition_contiguous(g, g.n if robots == "n" else robots)
+    config = SolverConfig(epsilon=epsilon, distance=distance, max_iters=30)
+    if newton:
+        R, trace = newton_solve(g, part, spanning_tree_init(g), config)
+    else:
+        R, trace = collaborative_solve(g, part, spanning_tree_init(g), config, schur_mode=schur_mode,
+                                       oversampling=oversampling)
+    return g, part, R, trace
+
+
+@pytest.mark.parametrize("robots", [1, 3, "n"])
+@pytest.mark.parametrize("epsilon, oversampling", [(0.0, 4.0), (0.5, 0.2)])
+def test_translation_reuses_an_equal_split_bit_for_bit(monkeypatch, robots, epsilon, oversampling):
+    """Geodesic unit weights make tau equal rho''(0) kappa: translation keeps the rotation stage's robot side."""
+    g, part, R, rot = _rotation_stage(robots, epsilon, oversampling)
+    if robots == 3 and epsilon > 0:  # robots really sample
+        assert any(upper_triangle_nnz(b.S_tilde) < upper_triangle_nnz(b.schur_contribution()) for b in rot.split.blocks)
+    config = SolverConfig(epsilon=epsilon, grad_tol=1e-10, max_iters=60)
+    fresh = collaborative_translation_solve(g, part, R, config, oversampling=oversampling)
+    reused, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=rot.split)
+    assert calls == {"build_blocks": 0, "schur_contribution": 0, "sparsify": 0, "effective_resistances": 0,
+                     "sparsified_schur": 1}
+    assert reused[1].split is rot.split and fresh[1].split is not rot.split
+    _assert_same_run(reused, fresh)
+
+
+def _double_one_tau(g):
+    tau = g.tau.copy()
+    tau[len(tau) // 2] *= 2.0
+    return dataclasses.replace(g, tau=tau)
+
+
+# (rotation stage settings, change to the translation stage's graph, translation config fields, oversampling)
+_DIFFERENT_SPLITS = {
+    "chordal": (dict(distance="chordal"), None, {}, 0.2),  # L_rot = 2 L_trans
+    "one tau doubled": ({}, _double_one_tau, {}, 0.2),
+    "seed": ({}, None, dict(seed=1), 0.2),
+    "epsilon": ({}, None, dict(epsilon=0.4), 0.2),
+    "oversampling": ({}, None, {}, 0.3),
+    "block-tree": (dict(schur_mode="tree"), None, {}, 0.2),
+    "newton": (dict(newton=True), None, {}, 0.2),  # no split to hand on
+}
+
+
+@pytest.mark.parametrize("case", list(_DIFFERENT_SPLITS))
+def test_translation_sets_up_anew_when_the_split_differs(monkeypatch, case):
+    rotation_kw, change_graph, config_kw, oversampling = _DIFFERENT_SPLITS[case]
+    g, part, R, rot = _rotation_stage(3, 0.5, 0.2, **rotation_kw)
+    g = g if change_graph is None else change_graph(g)
+    config = SolverConfig(**{"epsilon": 0.5, "grad_tol": 1e-10, "max_iters": 60, **config_kw})
+    fresh = collaborative_translation_solve(g, part, R, config, oversampling=oversampling)
+    given, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=rot.split)
+    assert calls["build_blocks"] == 1 and calls["schur_contribution"] == 3 and calls["sparsified_schur"] == 1
+    assert given[1].split is not rot.split
+    _assert_same_run(given, fresh)
