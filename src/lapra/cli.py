@@ -50,24 +50,17 @@ _METHOD_MODE = {"sparsified": "spectral", "block-diagonal": "block_diagonal", "b
 
 
 def _resolve_seed(value: int | None) -> int:
-    """Explicit flag wins, then the LAPRA_SEED environment variable, then 0."""
-    if value is not None:
-        return value
-    env = os.environ.get("LAPRA_SEED")
-    if env is not None:
+    """Explicit flag wins, then the LAPRA_SEED environment variable, then 0. A negative seed is a usage error."""
+    source = "--seed"
+    if value is None:
+        source, env = "LAPRA_SEED", os.environ.get("LAPRA_SEED", "0")
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise GraphError(f"LAPRA_SEED is not an integer: {env!r}") from exc
-    return 0
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise GraphError("--threads must be at least 1")
-        return value
-    return os.cpu_count() or 1
+    if value < 0:
+        raise GraphError(f"{source} must be non-negative, got {value}")
+    return value
 
 
 def _load_graph(path: str):
@@ -132,18 +125,18 @@ def cmd_synth(args) -> int:
 _STAGES = {"solve-rotation": ("rotation",), "solve-translation": ("translation",),
            "pipeline": ("rotation", "translation")}
 _ROTATION_KEYS = ("input", "robots", "epsilon", "distance", "method", "grad_tol", "max_iters", "seed",
-                  "oversampling", "threads")
+                  "oversampling")
 _CONFIG_KEYS = {
     "solve-rotation": _ROTATION_KEYS,
     "solve-translation": ("input", "rotations", "robots", "epsilon", "resid_tol", "max_iters", "seed",
-                          "oversampling", "threads"),
+                          "oversampling"),
     "pipeline": _ROTATION_KEYS + ("resid_tol", "reference"),
 }
 _NORM_KEY = {"rotation": "grad_norm", "translation": "residual_norm"}
 
 
 def _split_args(g, args):
-    """The partition, seed and thread count every solve stage of one command shares.
+    """The partition and seed every solve stage of one command shares.
 
     Also rejects the solver flags no solve can run with.
     """
@@ -151,17 +144,15 @@ def _split_args(g, args):
         raise GraphError("--max-iters must be non-negative")
     if not args.epsilon >= 0:
         raise GraphError("--epsilon must be non-negative")
-    if not args.oversampling > 0:
-        raise GraphError("--oversampling must be positive")
+    if not 0 < args.oversampling < float("inf"):
+        raise GraphError("--oversampling must be positive and finite")
     for flag in ("grad_tol", "resid_tol"):
         if hasattr(args, flag) and not getattr(args, flag) >= 0:
             raise GraphError(f"--{flag.replace('_', '-')} must be non-negative")
-    seed = _resolve_seed(args.seed)
-    threads = _resolve_threads(args.threads)
-    return partition_contiguous(g, args.robots), seed, threads
+    return partition_contiguous(g, args.robots), _resolve_seed(args.seed)
 
 
-def _rotation_run(g, args, partition, seed, threads):
+def _rotation_run(g, args, partition, seed):
     config = SolverConfig(
         epsilon=args.epsilon,
         distance=args.distance,
@@ -181,12 +172,11 @@ def _rotation_run(g, args, partition, seed, threads):
             config,
             schur_mode=_METHOD_MODE[args.method],
             oversampling=args.oversampling,
-            threads=threads,
         )
     return R, trace, time.perf_counter() - t0
 
 
-def _translation_run(g, args, R_hat, partition, seed, threads, prior):
+def _translation_run(g, args, R_hat, partition, seed, prior):
     config = SolverConfig(
         epsilon=args.epsilon,
         grad_tol=args.resid_tol,
@@ -195,7 +185,7 @@ def _translation_run(g, args, R_hat, partition, seed, threads, prior):
     )
     t0 = time.perf_counter()
     M, trace = collaborative_translation_solve(
-        g, partition, R_hat, config, oversampling=args.oversampling, threads=threads, prior=prior
+        g, partition, R_hat, config, oversampling=args.oversampling, prior=prior
     )
     return M, trace, time.perf_counter() - t0
 
@@ -218,15 +208,15 @@ def cmd_solve(args) -> int:
     stages = _STAGES[args.command]
     g, poses = _load_graph(args.input)
     R = None if "rotation" in stages else _rotation_source(g, poses, args.rotations)
-    partition, seed, threads = _split_args(g, args)
+    partition, seed = _split_args(g, args)
     M = None
     runs = []  # (stage, trace, wall)
     if "rotation" in stages:
-        R, trace, wall = _rotation_run(g, args, partition, seed, threads)
+        R, trace, wall = _rotation_run(g, args, partition, seed)
         runs.append(("rotation", trace, wall))
     if "translation" in stages:
         prior = runs[0][1].split if runs else None
-        M, trace, wall = _translation_run(g, args, R, partition, seed, threads, prior)
+        M, trace, wall = _translation_run(g, args, R, partition, seed, prior)
         runs.append(("translation", trace, wall))
 
     single = len(runs) == 1
@@ -253,7 +243,7 @@ def cmd_solve(args) -> int:
             # so carry them through the aligning rotation before comparing
             final["translation_rmse"] = translation_rmse(M @ err.alignment.T, t_true)
 
-    resolved = dict(vars(args), seed=seed, threads=threads)
+    resolved = dict(vars(args), seed=seed)
     report = {"command": args.command, "config": {key: resolved[key] for key in _CONFIG_KEYS[args.command]},
               "final": final}
     for stage, trace, _ in runs:
@@ -317,7 +307,8 @@ def _add_solver_flags(p, command: str) -> None:
                    help="sampling budget multiplier; budgets at or above the exact "
                         "edge count fall back to the exact matrix")
     p.add_argument("--threads", type=int, default=None,
-                   help="robot-parallel workers (default: available cores)")
+                   help="accepted and ignored: robots are set up one after another "
+                        "(kept only until perfbench stops passing it)")
     p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
     p.add_argument("--trace", default=None, help="per-iteration CSV trace path")
     p.add_argument("--ledger", default=None, help="per-upload CSV ledger path")

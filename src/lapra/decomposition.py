@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,32 +227,20 @@ def compress_blocks(
     rng: np.random.Generator,
     mode: str = "spectral",
     oversampling: float = DEFAULT_OVERSAMPLING,
-    threads: int = 1,
 ) -> None:
     """Robot side of the one-time phase: each robot eliminates its interior and compresses the result.
 
-    The compression follows `mode`: spectral sampling at quality epsilon
-    with robot a drawing from the a-th generator spawned from rng, or one
-    of the heuristic patterns. Each block keeps its result as S_tilde for
-    sparsified_schur to upload.
+    Robots are set up one after another. The compression follows `mode`:
+    spectral sampling at quality epsilon with robot a drawing from the
+    a-th generator spawned from rng, or one of the heuristic patterns.
+    Each block keeps its result as S_tilde for sparsified_schur to upload.
     """
     if mode not in SCHUR_MODES:
         raise ValueError(f"mode must be one of {SCHUR_MODES}")
-    rngs = rng.spawn(len(blocks))
-
-    def one(idx: int) -> sp.csr_matrix:
-        S = blocks[idx].schur_contribution()
-        if mode == "spectral":
-            return sparsify(S, epsilon, rngs[idx], oversampling=oversampling)
-        return heuristic_sparsify(S, mode)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(len(blocks))))
-    else:
-        results = [one(i) for i in range(len(blocks))]
-    for blk, S_t in zip(blocks, results):
-        blk.S_tilde = S_t
+    for blk, robot_rng in zip(blocks, rng.spawn(len(blocks))):
+        S = blk.schur_contribution()
+        blk.S_tilde = (sparsify(S, epsilon, robot_rng, oversampling=oversampling) if mode == "spectral"
+                       else heuristic_sparsify(S, mode))
 
 
 def sparsified_schur(blocks: list[RobotBlock], server: ServerState, ledger: CommsLedger | None = None) -> None:

@@ -85,9 +85,6 @@ class WeightedGraph:
 
 def laplacian(g: WeightedGraph) -> sp.csr_matrix:
     """Weighted graph Laplacian as CSR."""
-    m = g.edges.shape[0]
-    if m == 0:
-        return sp.csr_matrix((g.n, g.n))
     i, j, w = g.edges[:, 0], g.edges[:, 1], g.weights
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([j, i, i, j])
@@ -220,11 +217,14 @@ def sparsify(
     merge. If the budget q already covers every edge, or epsilon is 0,
     the input comes back unchanged. Connectivity of each component is
     re-checked after sampling: on a kernel change the draw is retried up
-    to 10 times before falling back to the exact input.
+    to 10 times before falling back to the exact input. A negative
+    epsilon, or an oversampling outside (0, inf), raises ValueError.
     """
     S = sp.csr_matrix(S)
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
+    if not 0 < oversampling < math.inf:
+        raise ValueError(f"oversampling must be positive and finite, got {oversampling}")
     if epsilon == 0.0:
         return S.copy()
     g = graph_from_laplacian(S, tol=1e-12)

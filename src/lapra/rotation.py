@@ -328,7 +328,7 @@ class Split:
 
 
 def split_setup(L, partition: Partition, config: SolverConfig, schur_mode: str,
-                oversampling: float, threads: int, prior: Split | None = None):
+                oversampling: float, prior: Split | None = None):
     """Split L across the robots and upload each one's compressed separator block.
 
     Returns (solve, ledger, split). When prior was built from the same L,
@@ -347,7 +347,7 @@ def split_setup(L, partition: Partition, config: SolverConfig, schur_mode: str,
     if split is None or not split.built_from(L, partition, inputs):
         blocks, server = dd.build_blocks(L, partition)
         dd.compress_blocks(blocks, config.epsilon, np.random.default_rng(config.seed), mode=schur_mode,
-                           oversampling=oversampling, threads=threads)
+                           oversampling=oversampling)
         split = Split(L, partition, inputs, blocks, server.L_Gc)
     blocks = split.blocks
     server = dd.ServerState(separators=partition.separators, L_Gc=split.L_Gc, n=L.shape[0])
@@ -390,10 +390,12 @@ def collaborative_solve(
     gradient norm falls below config.grad_tol or after config.max_iters
     updates; non-convergence is reported in the trace, not raised. The
     trace's split is the robot-side set-up, for a later stage to reuse.
+    threads is accepted and ignored: robots are set up one after another.
+    It stays only because perfbench passes it, and goes once that stops.
     """
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
-    solve, ledger, split = split_setup(L, partition, config, schur_mode, oversampling, threads)
+    solve, ledger, split = split_setup(L, partition, config, schur_mode, oversampling)
     upload_rows = separator_rows_by_owner(g, partition)
 
     def step(R, B):

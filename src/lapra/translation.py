@@ -68,7 +68,6 @@ def collaborative_translation_solve(
     config: SolverConfig,
     schur_mode: str = "spectral",
     oversampling: float = DEFAULT_OVERSAMPLING,
-    threads: int = 1,
     keep_iterates: bool = False,
     prior: Split | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
@@ -89,7 +88,7 @@ def collaborative_translation_solve(
     split is this stage's.
     """
     L = laplacian(translation_weights(g))
-    solve, ledger, split = split_setup(L, partition, config, schur_mode, oversampling, threads, prior)
+    solve, ledger, split = split_setup(L, partition, config, schur_mode, oversampling, prior)
     rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
     B = assemble_translation_rhs(g, R_hat, rotated)
     upload_rows = separator_rows_by_owner(g, partition)

@@ -263,6 +263,22 @@ def test_pipeline_sets_up_translation_anew_when_the_split_differs(tmp_path, flag
     assert _report(report)["final"]["translation_split_reused"] is False
 
 
+def test_pipeline_ignores_threads(tmp_path):
+    """--threads is accepted and changes nothing: robots are set up one after another either way."""
+    graph, _ = _synth(tmp_path, side=4)
+    outputs = {}
+    for name, flags in (("two", ["--threads", "2"]), ("none", [])):
+        paths = [tmp_path / f"{name}.{ext}" for ext in ("json", "trace.csv", "ledger.csv")]
+        rc = main(["pipeline", "--input", graph, "--robots", "3", "--epsilon", "0.5", "--oversampling", "0.05",
+                   *flags, "--report", str(paths[0]), "--trace", str(paths[1]), "--ledger", str(paths[2])])
+        assert rc == 0
+        report = _report(paths[0])
+        assert "threads" not in report["config"]
+        del report["final"]["wall_time_sec"]
+        outputs[name] = [report] + [p.read_text() for p in paths[1:]]
+    assert outputs["two"] == outputs["none"]
+
+
 def test_pipeline_rejects_truth(tmp_path, capsys):
     """The pipeline compares against --reference; --truth belongs to the one-stage commands."""
     graph, truth = _synth(tmp_path, side=3)
@@ -346,6 +362,11 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     rc = main(["synth", "--side", "4", "--out", str(tmp_path / "bad")])
     assert rc == 2
 
+    monkeypatch.setenv("LAPRA_SEED", "-3")
+    rc = main(["solve-rotation", "--input", a, "--report", str(tmp_path / "neg.json")])
+    assert rc == 2
+    assert not (tmp_path / "neg.json").exists()
+
 
 def test_exit_code_on_missing_file(tmp_path):
     rc = main(["solve-rotation", "--input", str(tmp_path / "nope.g2o"),
@@ -381,8 +402,10 @@ def test_exit_code_on_disconnected_graph(tmp_path):
         (["--robots", "3", "--epsilon", "-1", "--oversampling", "0.05"], "--epsilon must be non-negative"),
         (["--robots", "1", "--epsilon", "-1"], "--epsilon must be non-negative"),
         (["--robots", "3", "--oversampling", "0"], "--oversampling must be positive"),
+        (["--robots", "3", "--epsilon", "0.5", "--oversampling", "inf"], "--oversampling must be positive"),
+        (["--robots", "3", "--seed", "-1"], "--seed must be non-negative"),
     ],
-    ids=["max-iters", "epsilon-sampled", "epsilon-one-robot", "oversampling"],
+    ids=["max-iters", "epsilon-sampled", "epsilon-one-robot", "oversampling", "oversampling-inf", "seed"],
 )
 def test_exit_code_on_invalid_solver_flags(tmp_path, capsys, command, flags, message):
     graph, truth = _synth(tmp_path, side=3)

@@ -151,6 +151,13 @@ def test_sparsify_verbatim_cases():
     assert (out != L).nnz == 0
 
 
+@pytest.mark.parametrize("oversampling", [0.0, -1.0, np.inf, np.nan])
+def test_sparsify_rejects_an_oversampling_that_is_not_positive_and_finite(oversampling):
+    L = laplacian(_random_connected(np.random.default_rng(6), 30, p_edge=0.2))
+    with pytest.raises(ValueError, match="oversampling must be positive and finite"):
+        sparsify(L, 0.5, np.random.default_rng(0), oversampling=oversampling)
+
+
 def test_sparsify_reduces_edges_and_approximates():
     rng = np.random.default_rng(7)
     g = _random_connected(rng, 80, p_edge=0.9)
