@@ -70,11 +70,14 @@ def _load_graph(path: str):
     return g, poses
 
 
-def _load_poses(path: str):
-    g, poses = load_g2o(path)
+def _load_poses(path: str, g: MeasurementGraph):
+    """The (rotations, translations) stored in a g2o file, which must be n x d for the graph g."""
+    poses = load_g2o(path)[1]
     if poses is None:
         raise GraphError(f"{path}: file has no complete vertex set")
-    return g, poses
+    if (poses[0].n, poses[0].d) != (g.n, g.d):
+        raise GraphError(f"{path}: {poses[0].n} poses in {poses[0].d}D do not match the graph's {g.n} in {g.d}D")
+    return poses
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -193,14 +196,10 @@ def _translation_run(g, args, R_hat, partition, seed, prior):
 def _rotation_source(g, poses, path):
     """Rotation estimates for a translation-only solve: the --rotations file, else the input's vertices."""
     if path is not None:
-        _, (R_hat, _) = _load_poses(path)
-    elif poses is not None:
-        R_hat = poses[0]
-    else:
+        return _load_poses(path, g)[0]
+    if poses is None:
         raise GraphError("no rotation estimates: pass --rotations or a g2o file with vertices")
-    if R_hat.n != g.n:
-        raise GraphError(f"rotation count {R_hat.n} does not match graph size {g.n}")
-    return R_hat
+    return poses[0]
 
 
 def cmd_solve(args) -> int:
@@ -208,6 +207,8 @@ def cmd_solve(args) -> int:
     stages = _STAGES[args.command]
     g, poses = _load_graph(args.input)
     R = None if "rotation" in stages else _rotation_source(g, poses, args.rotations)
+    truth = args.reference if "reference" in args else args.truth
+    reference = None if truth is None else _load_poses(truth, g)
     partition, seed = _split_args(g, args)
     M = None
     runs = []  # (stage, trace, wall)
@@ -232,9 +233,8 @@ def cmd_solve(args) -> int:
         final["translation_split_reused"] = runs[1][1].split is runs[0][1].split
     final["total_upload_bytes"] = sum(trace.ledger.total_bytes() for _, trace, _ in runs)
     final["wall_time_sec"] = sum(wall for _, _, wall in runs)
-    truth = args.reference if "reference" in args else args.truth
-    if truth is not None:
-        _, (R_true, t_true) = _load_poses(truth)
+    if reference is not None:
+        R_true, t_true = reference
         err = rotation_rmse(R, R_true)
         if "rotation" in stages:
             final["rotation_rmse_deg"] = err.degrees
@@ -264,6 +264,8 @@ def cmd_solve(args) -> int:
 def cmd_validate_hessian(args) -> int:
     if not args.epsilon >= 0:
         raise GraphError("--epsilon must be non-negative")
+    if args.seeds < 1:
+        raise GraphError("--seeds must be at least 1")
     kind = distance_by_name(args.distance)
     warm_up = SolverConfig(distance=args.distance, grad_tol=1e-8, max_iters=40)
     base_seed = _resolve_seed(args.seed)

@@ -5,7 +5,9 @@ separator set. Robots eliminate their interiors locally and upload a
 (possibly sparsified) separator-space contribution once, then per solve
 upload a reduced right-hand side. The server solves the separator system
 and broadcasts it back for local back-substitution. Downloads are free;
-every upload is metered in a CommsLedger.
+every upload is metered in a CommsLedger. split_setup runs the one-time
+phase of a solve stage, keeping an earlier stage's robot side when the
+inputs match.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ __all__ = [
     "LedgerEvent",
     "RobotBlock",
     "ServerState",
+    "Split",
     "build_blocks",
     "compress_blocks",
     "sparsified_schur",
     "solve",
+    "split_setup",
     "SCHUR_MODES",
 ]
 
@@ -106,23 +110,20 @@ class RobotBlock:
     Lcc_local is this robot's local-edge contribution to the separator
     block, so that the per-robot pieces plus the cross-edge part add up
     to the full reduced matrix, and adj_sep flags the separators its
-    interior actually touches. factor is spd_factor's solve for L_aa, or
-    grounded_solver's when a single robot holds the whole Laplacian.
+    interior actually touches. factor is spd_factor's solve for the
+    interior block L_aa, grounded_solver's when a single robot holds the
+    whole Laplacian, or np.zeros_like for an empty interior.
     """
 
-    alpha: int
     interior: np.ndarray
-    L_aa: sp.csc_matrix
     L_ac: sp.csr_matrix
     L_acT: sp.csr_matrix
     Lcc_local: sp.csr_matrix
     adj_sep: np.ndarray
-    factor: object | None = None
+    factor: object
     S_tilde: sp.csr_matrix | None = None
 
     def interior_solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.interior.size == 0:
-            return np.zeros_like(rhs)
         return self.factor(rhs)
 
     def schur_contribution(self) -> sp.csr_matrix:
@@ -142,7 +143,7 @@ class ServerState:
         """Factor S with grounded_solver if it is Laplacian-like (it must then be connected), else with spd_factor."""
         self.S_tilde = sp.csr_matrix(S)
         if self.S_tilde.shape[0] == 0:  # one robot: nothing to solve
-            self._solve = None
+            self._solve = np.zeros_like
         elif _is_laplacian_like(self.S_tilde):
             self._solve = grounded_solver(self.S_tilde, "reduced solve")
         else:
@@ -151,7 +152,7 @@ class ServerState:
 
     def reduced_solve(self, U: np.ndarray) -> np.ndarray:
         """Solve the separator system; result has zero column means."""
-        return np.zeros_like(U) if self._solve is None else self._solve(U)
+        return self._solve(U)
 
 
 def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock], ServerState]:
@@ -203,12 +204,10 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
         if partition.m == 1:  # the only robot with no separator to ground against
             factor = grounded_solver(L_aa)
         else:
-            factor = spd_factor(L_aa, f"robot {a} interior solve") if F.size > 0 else None
+            factor = spd_factor(L_aa, f"robot {a} interior solve") if F.size > 0 else np.zeros_like
         blocks.append(
             RobotBlock(
-                alpha=a,
                 interior=F,
-                L_aa=L_aa,
                 L_ac=L_ac,
                 L_acT=sp.csr_matrix(L_ac.T),
                 Lcc_local=Lcc_local,
@@ -250,12 +249,12 @@ def sparsified_schur(blocks: list[RobotBlock], server: ServerState, ledger: Comm
     fresh ledger). The server adds them to its cross-edge block and
     factors the sum for reuse across later solves.
     """
-    total = sp.csr_matrix(server.L_Gc, copy=True)
-    for blk in blocks:
+    total = server.L_Gc
+    for a, blk in enumerate(blocks):
         total = total + blk.S_tilde
         if ledger is not None:
-            ledger.record(blk.alpha, "schur", upper_triangle_nnz(blk.S_tilde))
-    server.set_reduced(sp.csr_matrix(total))
+            ledger.record(a, "schur", upper_triangle_nnz(blk.S_tilde))
+    server.set_reduced(total)
 
 
 def solve(
@@ -290,12 +289,12 @@ def solve(
 
     U = np.take(B, C, axis=0)
     Ys = []
-    for blk in blocks:
+    for a, blk in enumerate(blocks):
         Y = blk.interior_solve(np.take(B, blk.interior, axis=0))
         Ys.append(Y)
         U -= blk.L_acT @ Y
         if ledger is not None:
-            ledger.record(blk.alpha, "rhs", int(blk.adj_sep.sum()) * k)
+            ledger.record(a, "rhs", int(blk.adj_sep.sum()) * k)
 
     X_c = server.reduced_solve(U)
 
@@ -304,3 +303,60 @@ def solve(
     for blk, Y in zip(blocks, Ys):
         X[blk.interior] = Y - blk.interior_solve(blk.L_ac @ X_c) if blk.adj_sep.any() else Y
     return X
+
+
+@dataclass
+class Split:
+    """The robot side of a one-time phase, and everything it was computed from.
+
+    blocks hold each robot's slices of L, its interior factor and its
+    compressed S_tilde; L_Gc is the server's cross-edge block. inputs is
+    (epsilon, seed, schur mode, oversampling). No factored server is kept.
+    """
+
+    L: sp.csr_matrix
+    partition: Partition
+    inputs: tuple
+    blocks: list
+    L_Gc: sp.csr_matrix
+
+    def built_from(self, L: sp.csr_matrix, partition: Partition, inputs: tuple) -> bool:
+        """Whether L (entry for entry), the partition and the inputs are the ones this split was built from."""
+        def same(a, b, keys):
+            return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in keys)
+
+        return (self.inputs == inputs and self.L.shape == L.shape and same(self.L, L, ("indptr", "indices", "data"))
+                and same(self.partition, partition, ("owner", "is_separator")))
+
+
+def split_setup(L, partition: Partition, epsilon: float, seed: int, schur_mode: str,
+                oversampling: float, prior: Split | None = None):
+    """Split L across the robots and upload each one's compressed separator block.
+
+    Returns (solve, ledger, split). When prior was built from the same L,
+    partition, epsilon, seed, schur mode and oversampling, split is prior
+    and the robots keep its blocks, interior factors and compressed
+    blocks, which a new set-up would repeat bit for bit. Otherwise each
+    robot eliminates and compresses anew, sampling from a generator seeded
+    with seed. Either way every robot uploads its block in round 0 of a
+    fresh ledger and the server factors the sum anew. solve(E) takes E's
+    column sums, zero up to round-off, off its row 0 in place and solves
+    L X = E through the split, metering the uploads.
+    """
+    L = sp.csr_matrix(L)
+    inputs = (epsilon, seed, schur_mode, oversampling)
+    split = prior
+    if split is None or not split.built_from(L, partition, inputs):
+        blocks, server = build_blocks(L, partition)
+        compress_blocks(blocks, epsilon, np.random.default_rng(seed), mode=schur_mode, oversampling=oversampling)
+        split = Split(L, partition, inputs, blocks, server.L_Gc)
+    blocks = split.blocks
+    server = ServerState(separators=partition.separators, L_Gc=split.L_Gc, n=L.shape[0])
+    ledger = CommsLedger()
+    sparsified_schur(blocks, server, ledger)
+
+    def metered_solve(E: np.ndarray) -> np.ndarray:
+        E[0] -= E.sum(axis=0)
+        return solve(blocks, server, E, ledger=ledger)
+
+    return metered_solve, ledger, split

@@ -379,7 +379,7 @@ def grounded_solver(L: sp.spmatrix, what: str = "grounded solve"):
     """
     if _detached(L, np.arange(L.shape[0]) > 0).size:
         raise NumericalError("grounded Laplacian is singular (graph disconnected)")
-    solve_g = spd_factor(sp.csr_matrix(L)[1:, 1:], what) if L.shape[0] > 1 else None
+    solve_g = spd_factor(sp.csr_matrix(L)[1:, 1:], what) if L.shape[0] > 1 else np.zeros_like
 
     def solve(B: np.ndarray) -> np.ndarray:
         B = np.asarray(B, dtype=float)
@@ -387,8 +387,7 @@ def grounded_solver(L: sp.spmatrix, what: str = "grounded solve"):
         if squeeze:
             B = B[:, None]
         X = np.zeros_like(B)
-        if solve_g is not None:
-            X[1:] = solve_g(B[1:])  # row 0 of L X - B is minus B's column sums
+        X[1:] = solve_g(B[1:])  # row 0 of L X - B is minus B's column sums
         X = X - X.mean(axis=0, keepdims=True)
         return X[:, 0] if squeeze else X
 

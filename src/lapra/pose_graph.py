@@ -435,8 +435,8 @@ class SyntheticSpec:
             raise GraphError("side must be at least 2")
         if not (0.0 <= self.edge_prob <= 1.0):
             raise GraphError("edge_prob must lie in [0, 1]")
-        if self.sigma_rot < 0:
-            raise GraphError("sigma_rot must be non-negative")
+        if not 0 <= self.sigma_rot < float("inf"):
+            raise GraphError("sigma_rot must be non-negative and finite")
         if self.d not in (2, 3):
             raise GraphError("d must be 2 or 3")
 

@@ -46,8 +46,6 @@ __all__ = [
     "assemble_gradient_rhs",
     "laplacian_weights",
     "iterate",
-    "Split",
-    "split_setup",
     "centralized_step",
     "collaborative_solve",
     "exact_newton_step",
@@ -118,7 +116,7 @@ class RunTrace:
     iterations: int = 0
     ledger: dd.CommsLedger | None = None
     iterates: list | None = None  # populated only on request
-    split: "Split | None" = None  # the stage's robot-side set-up, which a later stage may reuse
+    split: dd.Split | None = None  # the stage's robot-side set-up, which a later stage may reuse
 
     @property
     def final_grad_norm(self) -> float:
@@ -303,64 +301,6 @@ def separator_rows_by_owner(g: MeasurementGraph, partition: Partition) -> np.nda
 # ---------------------------------------------------------------------------
 # Solvers
 
-@dataclass
-class Split:
-    """The robot side of a one-time phase, and everything it was computed from.
-
-    blocks hold each robot's slices of L, its interior factor and its
-    compressed S_tilde; L_Gc is the server's cross-edge block. inputs is
-    (epsilon, seed, schur mode, oversampling). No factored server is kept.
-    """
-
-    L: sp.csr_matrix
-    partition: Partition
-    inputs: tuple
-    blocks: list
-    L_Gc: sp.csr_matrix
-
-    def built_from(self, L: sp.csr_matrix, partition: Partition, inputs: tuple) -> bool:
-        """Whether L (entry for entry), the partition and the inputs are the ones this split was built from."""
-        def same(a, b, keys):
-            return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in keys)
-
-        return (self.inputs == inputs and self.L.shape == L.shape and same(self.L, L, ("indptr", "indices", "data"))
-                and same(self.partition, partition, ("owner", "is_separator")))
-
-
-def split_setup(L, partition: Partition, config: SolverConfig, schur_mode: str,
-                oversampling: float, prior: Split | None = None):
-    """Split L across the robots and upload each one's compressed separator block.
-
-    Returns (solve, ledger, split). When prior was built from the same L,
-    partition, epsilon, seed, schur mode and oversampling, split is prior
-    and the robots keep its blocks, interior factors and compressed
-    blocks, which a new set-up would repeat bit for bit. Otherwise each
-    robot eliminates and compresses anew, sampling from a generator seeded
-    with config.seed. Either way every robot uploads its block in round 0
-    of a fresh ledger and the server factors the sum anew. solve(E) takes
-    E's column sums, zero up to round-off, off its row 0 in place and
-    solves L X = E through the split, metering the uploads.
-    """
-    L = sp.csr_matrix(L)
-    inputs = (config.epsilon, config.seed, schur_mode, oversampling)
-    split = prior
-    if split is None or not split.built_from(L, partition, inputs):
-        blocks, server = dd.build_blocks(L, partition)
-        dd.compress_blocks(blocks, config.epsilon, np.random.default_rng(config.seed), mode=schur_mode,
-                           oversampling=oversampling)
-        split = Split(L, partition, inputs, blocks, server.L_Gc)
-    blocks = split.blocks
-    server = dd.ServerState(separators=partition.separators, L_Gc=split.L_Gc, n=L.shape[0])
-    ledger = dd.CommsLedger()
-    dd.sparsified_schur(blocks, server, ledger)
-
-    def solve(E: np.ndarray) -> np.ndarray:
-        E[0] -= E.sum(axis=0)
-        return dd.solve(blocks, server, E, ledger=ledger)
-
-    return solve, ledger, split
-
-
 def centralized_step(g: MeasurementGraph, R: RotationState, kind: Distance) -> RotationState:
     """One exact surrogate step: solve the weighted Laplacian system and retract.
 
@@ -395,7 +335,7 @@ def collaborative_solve(
     """
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
-    solve, ledger, split = split_setup(L, partition, config, schur_mode, oversampling)
+    solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, schur_mode, oversampling)
     upload_rows = separator_rows_by_owner(g, partition)
 
     def step(R, B):

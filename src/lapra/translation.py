@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import decomposition as dd
 from .laplacians import DEFAULT_OVERSAMPLING, WeightedGraph, laplacian, solve_grounded
 from .manifold import RotationState
 from .pose_graph import MeasurementGraph, Partition, scatter_edge_rows
-from .rotation import RunTrace, SolverConfig, Split, iterate, separator_rows_by_owner, split_setup
+from .rotation import RunTrace, SolverConfig, iterate, separator_rows_by_owner
 
 __all__ = [
     "translation_weights",
@@ -69,7 +70,7 @@ def collaborative_translation_solve(
     schur_mode: str = "spectral",
     oversampling: float = DEFAULT_OVERSAMPLING,
     keep_iterates: bool = False,
-    prior: Split | None = None,
+    prior: dd.Split | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Iterative refinement of the translation system through the split solver.
 
@@ -88,7 +89,7 @@ def collaborative_translation_solve(
     split is this stage's.
     """
     L = laplacian(translation_weights(g))
-    solve, ledger, split = split_setup(L, partition, config, schur_mode, oversampling, prior)
+    solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, schur_mode, oversampling, prior)
     rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
     B = assemble_translation_rhs(g, R_hat, rotated)
     upload_rows = separator_rows_by_owner(g, partition)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lapra.cli import main
-from lapra.pose_graph import load_g2o, partition_contiguous, spanning_tree_init
+from lapra.manifold import RotationState
+from lapra.pose_graph import MeasurementGraph, load_g2o, partition_contiguous, spanning_tree_init, write_g2o
 from lapra.rotation import SolverConfig, collaborative_solve
 from lapra.translation import collaborative_translation_solve
 
@@ -446,6 +447,47 @@ def test_validate_hessian_rejects_invalid_epsilon(tmp_path, capsys, value):
                "--epsilon", value, "--out", str(out)])
     assert rc == 2
     assert "--epsilon must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve-translation", "--rotations"),
+        ("solve-rotation", "--truth"),
+        ("solve-translation", "--truth"),
+        ("pipeline", "--reference"),
+    ],
+)
+@pytest.mark.parametrize("wrong", ["dimension", "count"])
+def test_exit_code_on_poses_that_do_not_fit_the_graph(tmp_path, capsys, command, flag, wrong):
+    graph, truth = _synth(tmp_path, side=3)
+    if wrong == "dimension":  # planar poses, one per vertex of the 3D graph
+        poses = str(tmp_path / "planar.g2o")
+        write_g2o(poses, MeasurementGraph(2, 27), poses=(RotationState.identity(27, 2), np.zeros((27, 2))))
+    else:  # the 8 poses of a side-2 grid against 27 vertices
+        poses = _synth(tmp_path, "small", side=2)[1]
+    rotations = ["--rotations", truth] if command == "solve-translation" and flag != "--rotations" else []
+    report = tmp_path / "x.json"
+    rc = main([command, "--input", graph, *rotations, flag, poses, "--report", str(report)])
+    assert rc == 2
+    assert f"{poses}: " in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_synth_rejects_nan_noise(tmp_path, capsys):
+    rc = main(["synth", "--side", "3", "--sigma-deg", "nan", "--out", str(tmp_path / "p")])
+    assert rc == 2
+    assert "sigma_rot must be" in capsys.readouterr().err
+    assert not (tmp_path / "p.g2o").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_validate_hessian_rejects_fewer_than_one_seed(tmp_path, capsys, seeds):
+    out = tmp_path / "sweep.csv"
+    rc = main(["validate-hessian", "--side", "3", "--seeds", seeds, "--out", str(out)])
+    assert rc == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

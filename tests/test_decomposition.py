@@ -64,7 +64,6 @@ def test_build_blocks_shapes():
     assert len(blocks) == part.m
     nc = part.separators.size
     for b in blocks:
-        assert b.L_aa.shape == (b.interior.size, b.interior.size)
         assert b.L_ac.shape == (b.interior.size, nc)
     assert server.L_Gc.shape == (nc, nc)
 

@@ -239,6 +239,12 @@ def test_synthetic_spec_validation():
         SyntheticSpec(side=4, sigma_rot=-0.1)
 
 
+@pytest.mark.parametrize("sigma_rot", [float("nan"), float("inf")])
+def test_synthetic_spec_rejects_non_finite_noise(sigma_rot):
+    with pytest.raises(GraphError, match="sigma_rot must be"):
+        SyntheticSpec(side=4, sigma_rot=sigma_rot)
+
+
 def test_generate_grid_shape_and_determinism():
     spec = SyntheticSpec(side=3, d=3, sigma_rot=0.05, edge_prob=0.4, seed=11)
     g1, truth1 = generate_grid(spec)
