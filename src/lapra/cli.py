@@ -212,12 +212,14 @@ def cmd_solve(args) -> int:
     partition, seed = _split_args(g, args)
     M = None
     runs = []  # (stage, trace, wall)
+    held = []  # the rotation split's only reference; split_setup empties it to free a split it cannot reuse
     if "rotation" in stages:
         R, trace, wall = _rotation_run(g, args, partition, seed)
         runs.append(("rotation", trace, wall))
+        held = [trace.split] if trace.split else []  # newton has no split
+        trace.split = None
     if "translation" in stages:
-        prior = runs[0][1].split if runs else None
-        M, trace, wall = _translation_run(g, args, R, partition, seed, prior)
+        M, trace, wall = _translation_run(g, args, R, partition, seed, held)
         runs.append(("translation", trace, wall))
 
     single = len(runs) == 1
@@ -230,7 +232,7 @@ def cmd_solve(args) -> int:
     if single:
         final["cost"] = trace.rows[-1].cost if M is None else translation_cost(g, R, M)
     else:  # the pipeline: whether translation kept the rotation stage's robot-side set-up
-        final["translation_split_reused"] = runs[1][1].split is runs[0][1].split
+        final["translation_split_reused"] = bool(held)
     final["total_upload_bytes"] = sum(trace.ledger.total_bytes() for _, trace, _ in runs)
     final["wall_time_sec"] = sum(wall for _, _, wall in runs)
     if reference is not None:

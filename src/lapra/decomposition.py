@@ -4,10 +4,10 @@ The vertex set is partitioned into per-robot interiors plus a shared
 separator set. Robots eliminate their interiors locally and upload a
 (possibly sparsified) separator-space contribution once, then per solve
 upload a reduced right-hand side. The server solves the separator system
-and broadcasts it back for local back-substitution. Downloads are free;
-every upload is metered in a CommsLedger. split_setup runs the one-time
-phase of a solve stage, keeping an earlier stage's robot side when the
-inputs match.
+and broadcasts it back for local back-substitution. Downloads are free.
+split_setup runs the one-time phase of a solve stage, keeping an earlier
+stage's robot side when the inputs match, and is the one place that
+meters the stage's uploads in a CommsLedger.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .laplacians import (
     DEFAULT_OVERSAMPLING,
 )
 from .manifold import NumericalError
-from .pose_graph import Partition
+from .pose_graph import MeasurementGraph, Partition
 
 __all__ = [
     "CommsLedger",
@@ -45,6 +45,7 @@ __all__ = [
     "Split",
     "build_blocks",
     "compress_blocks",
+    "separator_rows_by_owner",
     "sparsified_schur",
     "solve",
     "split_setup",
@@ -242,34 +243,24 @@ def compress_blocks(
                        else heuristic_sparsify(S, mode))
 
 
-def sparsified_schur(blocks: list[RobotBlock], server: ServerState, ledger: CommsLedger | None = None) -> None:
-    """Upload phase: robots send their compressed separator blocks (see compress_blocks).
-
-    Each upload is metered in the ledger's current round (round 0 of a
-    fresh ledger). The server adds them to its cross-edge block and
-    factors the sum for reuse across later solves.
-    """
-    total = server.L_Gc
-    for a, blk in enumerate(blocks):
-        total = total + blk.S_tilde
-        if ledger is not None:
-            ledger.record(a, "schur", upper_triangle_nnz(blk.S_tilde))
-    server.set_reduced(total)
+def sparsified_schur(blocks: list[RobotBlock], server: ServerState) -> None:
+    """Server side of the one-time phase: add the robots' compressed blocks (see compress_blocks) to
+    the cross-edge block and factor the sum for reuse across later solves."""
+    server.set_reduced(sum((blk.S_tilde for blk in blocks), server.L_Gc))
 
 
 def solve(
     blocks: list[RobotBlock],
     server: ServerState,
     B: np.ndarray,
-    ledger: CommsLedger | None = None,
 ) -> np.ndarray:
     """Solve L X = B through the robot/server split.
 
     B must be n x k with every column orthogonal to the all-ones vector
     (the system is singular and anything else is infeasible). Robots
-    upload reduced right-hand sides (metered in the ledger's current
-    round, separator-adjacent rows only); the server solves the separator
-    system and robots whose interior touches a separator back-substitute.
+    upload reduced right-hand sides (separator-adjacent rows only); the
+    server solves the separator system and robots whose interior touches
+    a separator back-substitute.
     Returns the full X with the separator rows normalized to zero column
     means; a single robot has no separators and returns its grounded,
     zero-mean solve.
@@ -289,12 +280,10 @@ def solve(
 
     U = np.take(B, C, axis=0)
     Ys = []
-    for a, blk in enumerate(blocks):
+    for blk in blocks:
         Y = blk.interior_solve(np.take(B, blk.interior, axis=0))
         Ys.append(Y)
         U -= blk.L_acT @ Y
-        if ledger is not None:
-            ledger.record(a, "rhs", int(blk.adj_sep.sum()) * k)
 
     X_c = server.reduced_solve(U)
 
@@ -329,34 +318,61 @@ class Split:
                 and same(self.partition, partition, ("owner", "is_separator")))
 
 
-def split_setup(L, partition: Partition, epsilon: float, seed: int, schur_mode: str,
-                oversampling: float, prior: Split | None = None):
-    """Split L across the robots and upload each one's compressed separator block.
+def separator_rows_by_owner(g: MeasurementGraph, partition: Partition) -> np.ndarray:
+    """Number of separator rows each robot uploads gradient partials for.
 
-    Returns (solve, ledger, split). When prior was built from the same L,
-    partition, epsilon, seed, schur mode and oversampling, split is prior
-    and the robots keep its blocks, interior factors and compressed
-    blocks, which a new set-up would repeat bit for bit. Otherwise each
-    robot eliminates and compresses anew, sampling from a generator seeded
-    with seed. Either way every robot uploads its block in round 0 of a
-    fresh ledger and the server factors the sum anew. solve(E) takes E's
-    column sums, zero up to round-off, off its row 0 in place and solves
-    L X = E through the split, metering the uploads.
+    An edge is held by the robot owning its first endpoint; every
+    separator endpoint of a held edge needs that robot's partial sum.
+    """
+    holder = np.tile(partition.owner[g.I], 2)
+    v = np.concatenate([g.I, g.J])
+    sep = partition.is_separator[v]
+    touched = np.unique(holder[sep] * g.n + v[sep])  # distinct (robot, separator) pairs
+    return np.bincount(touched // g.n, minlength=partition.m)
+
+
+def split_setup(L, partition: Partition, epsilon: float, seed: int, schur_mode: str,
+                oversampling: float, upload_rows: np.ndarray, prior: list[Split] | None = None):
+    """Split L across the robots; the one place a split stage's uploads are metered.
+
+    Returns (solve, ledger, split). prior, if given, is a list holding an
+    earlier stage's split. When that split was built from the same L,
+    partition, epsilon, seed, schur mode and oversampling, split is it and
+    the robots keep its blocks, interior factors and compressed blocks,
+    which a new set-up would repeat bit for bit. Otherwise prior is
+    emptied, so the old split can be freed, and each robot eliminates and
+    compresses anew, sampling from a generator seeded with seed. Each
+    robot's block is metered as "schur" in round 0 of a fresh ledger, and
+    the server factors the sum. solve(E) meters, in the round its caller
+    opened, robot a's "partial_grad" of upload_rows[a] rows and then each
+    robot's "rhs" of one row per separator its interior touches, per
+    column of E; it then takes E's column sums, zero up to round-off, off
+    its row 0 in place and solves L X = E through the split.
     """
     L = sp.csr_matrix(L)
     inputs = (epsilon, seed, schur_mode, oversampling)
-    split = prior
-    if split is None or not split.built_from(L, partition, inputs):
+    if prior and prior[0].built_from(L, partition, inputs):
+        split = prior[0]
+    else:
+        if prior:
+            prior.clear()
         blocks, server = build_blocks(L, partition)
         compress_blocks(blocks, epsilon, np.random.default_rng(seed), mode=schur_mode, oversampling=oversampling)
         split = Split(L, partition, inputs, blocks, server.L_Gc)
     blocks = split.blocks
     server = ServerState(separators=partition.separators, L_Gc=split.L_Gc, n=L.shape[0])
     ledger = CommsLedger()
-    sparsified_schur(blocks, server, ledger)
+    for a, blk in enumerate(blocks):
+        ledger.record(a, "schur", upper_triangle_nnz(blk.S_tilde))
+    sparsified_schur(blocks, server)
 
     def metered_solve(E: np.ndarray) -> np.ndarray:
+        k = E.shape[1]
+        for a, rows in enumerate(upload_rows):
+            ledger.record(a, "partial_grad", int(rows) * k)
+        for a, blk in enumerate(blocks):
+            ledger.record(a, "rhs", int(blk.adj_sep.sum()) * k)
         E[0] -= E.sum(axis=0)
-        return solve(blocks, server, E, ledger=ledger)
+        return solve(blocks, server, E)
 
     return metered_solve, ledger, split

@@ -214,7 +214,8 @@ def sparsify(
     with replacement, eps' = 1 - exp(-epsilon) and n_c the number of
     non-isolated vertices, each edge with probability proportional to
     w_e * R_e. Sampled copies contribute w_e / (q p_e) and duplicates
-    merge. If the budget q already covers every edge, or epsilon is 0,
+    merge. If the budget q covers every edge (an infinite budget, from
+    eps' rounding to 0 or an overflow, always does), or epsilon is 0,
     the input comes back unchanged. Connectivity of each component is
     re-checked after sampling: on a kernel change the draw is retried up
     to 10 times before falling back to the exact input. A negative
@@ -229,10 +230,11 @@ def sparsify(
         return S.copy()
     g = graph_from_laplacian(S, tol=1e-12)
     n_c = int(np.count_nonzero(np.bincount(g.edges.ravel(), minlength=g.n)))
-    eps_prime = 1.0 - math.exp(-epsilon)
-    q = math.ceil(oversampling * n_c * math.log(max(n_c, 2)) / eps_prime**2)
-    if q >= g.edges.shape[0]:
+    eps_prime = 1.0 - math.exp(-epsilon)  # 0.0 once epsilon is below about 1.1e-16
+    budget = oversampling * n_c * math.log(max(n_c, 2)) / eps_prime**2 if eps_prime else math.inf
+    if budget > g.edges.shape[0] - 1:  # ceil(budget) >= the edge count, as is every infinite budget
         return S.copy()
+    q = math.ceil(budget)
 
     labels_ref = _component_labels_of(S)
     mass = g.weights * effective_resistances(S, g.edges, labels=labels_ref)

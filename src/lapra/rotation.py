@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from . import decomposition as dd
+from .decomposition import separator_rows_by_owner
 from .laplacians import (
     DEFAULT_OVERSAMPLING,
     WeightedGraph,
@@ -137,7 +138,6 @@ def iterate(
     step,
     config: SolverConfig,
     ledger: dd.CommsLedger,
-    upload_rows: np.ndarray | None = None,
     keep_iterates: bool = False,
 ) -> tuple[object, RunTrace]:
     """The outer loop every solver shares: measure, then stop or step.
@@ -145,10 +145,8 @@ def iterate(
     measure(x) returns (residual, cost) and adds a trace row. The loop
     stops once the residual norm is at most config.grad_tol (converged)
     or after config.max_iters steps; non-convergence is reported in the
-    trace, not raised. Each step opens a ledger round, meters robot a's
-    upload of upload_rows[a] residual rows as "partial_grad" (nothing if
-    upload_rows is None), then takes x = step(x, residual), which meters
-    its own uploads into the same round.
+    trace, not raised. Each step opens a ledger round, then takes
+    x = step(x, residual), which meters its uploads into that round.
     keep_iterates=True keeps a copy of the iterate behind every row.
     """
     x = x0
@@ -165,9 +163,6 @@ def iterate(
         if k == config.max_iters:
             break
         ledger.begin_round()
-        if upload_rows is not None:
-            for a, rows in enumerate(upload_rows):
-                ledger.record(a, "partial_grad", int(rows) * residual.shape[1])
         x = step(x, residual)
         trace.iterations = k + 1
     return x, trace
@@ -285,19 +280,6 @@ def _apply_update(R: RotationState, V: np.ndarray) -> RotationState:
     return out
 
 
-def separator_rows_by_owner(g: MeasurementGraph, partition: Partition) -> np.ndarray:
-    """Number of separator rows each robot uploads gradient partials for.
-
-    An edge is held by the robot owning its first endpoint; every
-    separator endpoint of a held edge needs that robot's partial sum.
-    """
-    holder = np.tile(partition.owner[g.I], 2)
-    v = np.concatenate([g.I, g.J])
-    sep = partition.is_separator[v]
-    touched = np.unique(holder[sep] * g.n + v[sep])  # distinct (robot, separator) pairs
-    return np.bincount(touched // g.n, minlength=partition.m)
-
-
 # ---------------------------------------------------------------------------
 # Solvers
 
@@ -335,8 +317,8 @@ def collaborative_solve(
     """
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
-    solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, schur_mode, oversampling)
-    upload_rows = separator_rows_by_owner(g, partition)
+    solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, schur_mode, oversampling,
+                                          separator_rows_by_owner(g, partition))
 
     def step(R, B):
         V = solve(B)
@@ -344,9 +326,7 @@ def collaborative_solve(
             V = V - V.mean(axis=0, keepdims=True)
         return _apply_update(R, V)
 
-    R, trace = iterate(
-        R0.copy(), lambda R: _gradient_and_cost(g, R, kind), step, config, ledger, upload_rows
-    )
+    R, trace = iterate(R0.copy(), lambda R: _gradient_and_cost(g, R, kind), step, config, ledger)
     trace.split = split
     return R, trace
 

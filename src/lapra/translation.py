@@ -13,10 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import decomposition as dd
+from .decomposition import separator_rows_by_owner
 from .laplacians import DEFAULT_OVERSAMPLING, WeightedGraph, laplacian, solve_grounded
 from .manifold import RotationState
 from .pose_graph import MeasurementGraph, Partition, scatter_edge_rows
-from .rotation import RunTrace, SolverConfig, iterate, separator_rows_by_owner
+from .rotation import RunTrace, SolverConfig, iterate
 
 __all__ = [
     "translation_weights",
@@ -70,7 +71,7 @@ def collaborative_translation_solve(
     schur_mode: str = "spectral",
     oversampling: float = DEFAULT_OVERSAMPLING,
     keep_iterates: bool = False,
-    prior: dd.Split | None = None,
+    prior: list[dd.Split] | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Iterative refinement of the translation system through the split solver.
 
@@ -82,17 +83,16 @@ def collaborative_translation_solve(
     sweeps. The returned estimate has zero column means.
 
     With keep_iterates=True the trace carries every intermediate
-    estimate (before the zero-mean shift) for offline analysis. prior is
-    an earlier stage's split (RunTrace.split), whose robot-side set-up is
-    reused when it was built from the same Laplacian and inputs (see
-    split_setup); the ledger meters the uploads either way. The trace's
-    split is this stage's.
+    estimate (before the zero-mean shift) for offline analysis. prior is a
+    list holding an earlier stage's split (RunTrace.split), whose robot
+    side is reused when built from the same Laplacian and inputs and is
+    otherwise let go (see split_setup). The trace's split is this stage's.
     """
     L = laplacian(translation_weights(g))
-    solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, schur_mode, oversampling, prior)
+    solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, schur_mode, oversampling,
+                                          separator_rows_by_owner(g, partition), prior)
     rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
     B = assemble_translation_rhs(g, R_hat, rotated)
-    upload_rows = separator_rows_by_owner(g, partition)
 
     M, trace = iterate(
         np.zeros((g.n, g.d)),
@@ -100,7 +100,6 @@ def collaborative_translation_solve(
         lambda M, E: M + solve(E),
         config,
         ledger,
-        upload_rows,
         keep_iterates,
     )
     trace.split = split

@@ -1,9 +1,12 @@
 import csv
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from lapra import cli, decomposition
 from lapra.cli import main
 from lapra.manifold import RotationState
 from lapra.pose_graph import MeasurementGraph, load_g2o, partition_contiguous, spanning_tree_init, write_g2o
@@ -264,6 +267,35 @@ def test_pipeline_sets_up_translation_anew_when_the_split_differs(tmp_path, flag
     assert _report(report)["final"]["translation_split_reused"] is False
 
 
+@pytest.mark.parametrize("distance, reused", [("chordal", False), ("geodesic", True)])
+def test_pipeline_lets_go_of_a_rotation_split_it_cannot_reuse(tmp_path, monkeypatch, distance, reused):
+    """Chordal weights make the translation stage set up anew, and by then the rotation split is freed."""
+    graph, _ = _synth(tmp_path, side=3)
+    refs, alive_at_build = [], []
+
+    def rotation_stage(*args, **kwargs):
+        R, trace = collaborative_solve(*args, **kwargs)
+        refs.extend([weakref.ref(trace.split), weakref.ref(trace.split.blocks[0])])
+        return R, trace
+
+    def build_blocks(*args, _original=decomposition.build_blocks, **kwargs):
+        alive_at_build.append([ref() is not None for ref in refs])
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "collaborative_solve", rotation_stage)
+    monkeypatch.setattr(decomposition, "build_blocks", build_blocks)
+    report = tmp_path / "pipe.json"
+    gc.disable()  # the split must die by reference counting, not wait for a collection
+    try:
+        rc = main(["pipeline", "--input", graph, "--robots", "2", "--epsilon", "0.5", "--distance", distance,
+                   "--report", str(report)])
+    finally:
+        gc.enable()
+    assert rc == 0
+    assert _report(report)["final"]["translation_split_reused"] is reused
+    assert alive_at_build == ([[]] if reused else [[], [False, False]])
+
+
 def test_pipeline_ignores_threads(tmp_path):
     """--threads is accepted and changes nothing: robots are set up one after another either way."""
     graph, _ = _synth(tmp_path, side=4)
@@ -367,6 +399,22 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     rc = main(["solve-rotation", "--input", a, "--report", str(tmp_path / "neg.json")])
     assert rc == 2
     assert not (tmp_path / "neg.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--epsilon", "1e-17", "--oversampling", "0.05"],
+                                   ["--epsilon", "5e-324", "--oversampling", "0.05"],
+                                   ["--epsilon", "0.5", "--oversampling", "1e308"]])
+def test_infinite_sampling_budget_uploads_the_exact_schur_blocks(tmp_path, flags):
+    graph, _ = _synth(tmp_path, side=4)
+    schur = {}
+    for name, run_flags in (("exact", ["--epsilon", "0"]), ("given", flags)):
+        ledger = tmp_path / f"{name}.csv"
+        rc = main(["solve-rotation", "--input", graph, "--robots", "2", *run_flags, "--ledger", str(ledger),
+                   "--report", str(tmp_path / f"{name}.json")])
+        assert rc == 0
+        with open(ledger) as fh:
+            schur[name] = [(r["robot"], r["bytes"]) for r in csv.DictReader(fh) if r["kind"] == "schur"]
+    assert schur["given"] == schur["exact"]
 
 
 def test_exit_code_on_missing_file(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,8 +11,10 @@ from lapra.decomposition import (
     compress_blocks,
     solve as split_solve,
     sparsified_schur,
+    split_setup,
 )
 from lapra.laplacians import (
+    DEFAULT_OVERSAMPLING,
     WeightedGraph,
     check_epsilon,
     laplacian,
@@ -20,8 +24,15 @@ from lapra.laplacians import (
     upper_triangle_nnz,
 )
 from lapra.manifold import NumericalError, RotationState
-from lapra.pose_graph import MeasurementGraph, Partition
-from lapra.rotation import SolverConfig
+from lapra.pose_graph import (
+    MeasurementGraph,
+    Partition,
+    SyntheticSpec,
+    generate_grid,
+    partition_contiguous,
+    spanning_tree_init,
+)
+from lapra.rotation import SolverConfig, collaborative_solve
 from lapra.translation import collaborative_translation_solve
 
 
@@ -103,14 +114,14 @@ def test_split_solve_single_robot():
     rng = np.random.default_rng(3)
     L, part = _instance(rng, m=1)
     assert part.separators.size == 0
-    blocks, server = build_blocks(L, part)
-    ledger = CommsLedger()
-    compress_blocks(blocks, 0.5, np.random.default_rng(0))
-    sparsified_schur(blocks, server, ledger=ledger)
+    solve, ledger, _ = split_setup(L, part, 0.5, 0, "spectral", DEFAULT_OVERSAMPLING, np.zeros(1, dtype=int))
     B = _feasible_rhs(rng, L.shape[0])
-    X = split_solve(blocks, server, B, ledger=ledger)
+    ledger.begin_round()
+    X = solve(B.copy())
     assert np.abs(X - solve_grounded(L, B)).max() < 1e-10
-    assert ledger.total_scalars() == 0  # nothing leaves the single robot
+    # nothing leaves the single robot: one zero-byte row per kind
+    assert [(e.round, e.kind, e.scalars) for e in ledger.events] == [(0, "schur", 0), (1, "partial_grad", 0),
+                                                                      (1, "rhs", 0)]
 
 
 @pytest.mark.parametrize("big", [1e3, 1e4])
@@ -201,38 +212,78 @@ def test_disconnected_graph_fails_on_every_partition(robots):
         collaborative_translation_solve(g, part, R_hat, SolverConfig(grad_tol=1e-10, max_iters=20))
 
 
-def test_sparsified_schur_meters_uploads():
+def test_split_setup_meters_schur_uploads():
     rng = np.random.default_rng(5)
     L, part = _instance(rng, n=60, m=3, p_edge=0.5)
-    blocks, server = build_blocks(L, part)
-    ledger = CommsLedger()
-    compress_blocks(blocks, 0.0, np.random.default_rng(0))
-    sparsified_schur(blocks, server, ledger=ledger)
-    expect = sum(upper_triangle_nnz(b.S_tilde) for b in blocks)
+    _, ledger, split = split_setup(L, part, 0.0, 0, "spectral", DEFAULT_OVERSAMPLING, np.zeros(part.m, dtype=int))
+    expect = sum(upper_triangle_nnz(b.S_tilde) for b in split.blocks)
+    assert expect > 0
     assert ledger.total_scalars() == expect
     assert all(ev.kind == "schur" and ev.round == 0 for ev in ledger.events)
     assert ledger.total_bytes() == expect * BYTES_PER_SCALAR
 
 
-def test_solve_meters_rhs_per_adjacent_separator():
+def test_split_setup_solve_meters_rhs_per_adjacent_separator():
     rng = np.random.default_rng(6)
     L, part = _instance(rng, n=60, m=3, p_edge=0.08)
-    blocks, server = build_blocks(L, part)
-    compress_blocks(blocks, 0.0, np.random.default_rng(0))
-    sparsified_schur(blocks, server)
-    ledger = CommsLedger()
-    B = _feasible_rhs(rng, L.shape[0], k=2)
-    split_solve(blocks, server, B, ledger=ledger)
+    solve, ledger, split = split_setup(L, part, 0.0, 0, "spectral", DEFAULT_OVERSAMPLING, np.zeros(part.m, dtype=int))
+    ledger.begin_round()
+    solve(_feasible_rhs(rng, L.shape[0], k=2))
     # each robot uploads one reduced right-hand-side row per separator its
     # interior touches, for each of the k=2 columns
-    expect = 0
-    for b in blocks:
+    expect = []
+    for b in split.blocks:
         touched = np.unique(sp.csc_matrix(b.L_ac).nonzero()[1])
         assert int(b.adj_sep.sum()) == touched.size
-        expect += touched.size * 2
-    assert expect > 0
-    assert ledger.total_scalars() == expect
-    assert all(ev.kind == "rhs" for ev in ledger.events)
+        expect.append(touched.size * 2)
+    assert sum(expect) > 0
+    assert [(e.round, e.robot, e.scalars) for e in ledger.events if e.kind == "rhs"] == [
+        (1, a, s) for a, s in enumerate(expect)
+    ]
+
+
+def _flip_every_other_edge(g):
+    """The same problem with every other edge measured from its other end, so those edges have I > J."""
+    flip = np.arange(len(g.I)) % 2 == 1
+    Rt = np.swapaxes(g.R_tilde, 1, 2)
+    return dataclasses.replace(
+        g, I=np.where(flip, g.J, g.I), J=np.where(flip, g.I, g.J),
+        R_tilde=np.where(flip[:, None, None], Rt, g.R_tilde),
+        t_tilde=np.where(flip[:, None], -(Rt @ g.t_tilde[:, :, None])[:, :, 0], g.t_tilde),
+    )
+
+
+def _held_separator_rows(g, part):
+    """Per robot, the separators that the edges it holds (those whose I end it owns) touch, by a loop."""
+    pairs = {(part.owner[i], v) for i, j in zip(g.I, g.J) for v in (i, j) if part.is_separator[v]}
+    return [sum(r == a for r, _ in pairs) for a in range(part.m)]
+
+
+@pytest.mark.parametrize("robots", [1, 3, "n"])
+@pytest.mark.parametrize("stage", ["rotation", "translation"])
+def test_split_stage_rounds_meter_schur_then_partial_grad_then_rhs(stage, robots):
+    """Round 0 holds each robot's schur block; every later round each robot's partials, then each one's rhs."""
+    g0, truth = generate_grid(SyntheticSpec(side=3, sigma_rot=np.deg2rad(5.0), edge_prob=0.5, seed=4))
+    g = _flip_every_other_edge(g0)
+    part = partition_contiguous(g, g.n if robots == "n" else robots)
+    rows = _held_separator_rows(g, part)
+    if part.m > 1:  # held rows depend on edge orientation, and the flipped graph has cross edges with I > J
+        assert np.any((part.owner[g.I] != part.owner[g.J]) & (g.I > g.J))
+        assert rows != _held_separator_rows(g0, part)
+    config = SolverConfig(epsilon=0.5, max_iters=4, grad_tol=0.0)
+    if stage == "rotation":
+        _, trace = collaborative_solve(g, part, spanning_tree_init(g), config, oversampling=0.2)
+        k = g.p
+    else:
+        _, trace = collaborative_translation_solve(g, part, truth, config, oversampling=0.2)
+        k = g.d
+    ledger, blocks = trace.ledger, trace.split.blocks
+    assert ledger.current_round == trace.iterations == 4
+    events = [[(e.kind, e.robot, e.scalars) for e in ledger.events if e.round == r] for r in range(5)]
+    assert events[0] == [("schur", a, upper_triangle_nnz(b.S_tilde)) for a, b in enumerate(blocks)]
+    step = ([("partial_grad", a, rows[a] * k) for a in range(part.m)]
+            + [("rhs", a, int(b.adj_sep.sum()) * k) for a, b in enumerate(blocks)])
+    assert events[1:] == [step] * 4
 
 
 def test_compress_blocks_draws_robot_a_from_the_a_th_spawned_generator():

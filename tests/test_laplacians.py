@@ -158,6 +158,14 @@ def test_sparsify_rejects_an_oversampling_that_is_not_positive_and_finite(oversa
         sparsify(L, 0.5, np.random.default_rng(0), oversampling=oversampling)
 
 
+@pytest.mark.parametrize("epsilon, oversampling", [(1e-17, 0.05), (5e-324, 0.05), (0.5, 1e308)])
+def test_sparsify_returns_the_input_on_an_infinite_budget(epsilon, oversampling):
+    """1 - exp(-epsilon) is 0.0 below about 1.1e-16 and a huge oversampling overflows: both budgets cover every edge."""
+    L = laplacian(_random_connected(np.random.default_rng(6), 30, p_edge=0.2))
+    out = sparsify(L, epsilon, np.random.default_rng(0), oversampling=oversampling)
+    assert (out != L).nnz == 0
+
+
 def test_sparsify_reduces_edges_and_approximates():
     rng = np.random.default_rng(7)
     g = _random_connected(rng, 80, p_edge=0.9)

@@ -73,7 +73,6 @@ from lapra.rotation import (
     hessian_report,
     iterate,
     laplacian_weights,
-    separator_rows_by_owner,
 )
 from lapra.translation import (
     _rotated_measurements,
@@ -1043,7 +1042,7 @@ def test_separator_rows_by_owner_matches_loop(case):
     m = len(pairs)
     I, J = np.array(pairs, dtype=int).reshape(m, 2).T
     g = MeasurementGraph(3, owner.size, I, J, np.zeros((m, 3, 3)), np.zeros((m, 3)), np.ones(m), np.ones(m))
-    rows = separator_rows_by_owner(g, part)
+    rows = dd.separator_rows_by_owner(g, part)
     ref = _ref_separator_rows_by_owner(g, part)
     assert rows.dtype == ref.dtype and np.array_equal(rows, ref)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lapra.decomposition import CommsLedger
+from lapra.decomposition import CommsLedger, separator_rows_by_owner
 from lapra.manifold import (
     RotationState,
     exp_map,
@@ -37,7 +37,6 @@ from lapra.rotation import (
     iterate,
     laplacian_weights,
     newton_solve,
-    separator_rows_by_owner,
 )
 
 
@@ -304,10 +303,13 @@ def test_newton_schur_blocks_split_identity(side, robots, spread):
 def test_iterate_meters_steps_and_keeps_iterates():
     ledger = CommsLedger()
     cfg = SolverConfig(grad_tol=0.2, max_iters=10)
-    x, trace = iterate(
-        np.ones((1, 2)), lambda x: (x, 0.0), lambda x, r: x / 2, cfg, ledger,
-        upload_rows=np.array([2, 0]), keep_iterates=True,
-    )
+
+    def step(x, r):  # meters into the round iterate opened for it
+        ledger.record(0, "partial_grad", 2 * r.shape[1])
+        ledger.record(1, "partial_grad", 0)
+        return x / 2
+
+    x, trace = iterate(np.ones((1, 2)), lambda x: (x, 0.0), step, cfg, ledger, keep_iterates=True)
     assert trace.converged and trace.iterations == 3  # norms sqrt(2) * (1, 1/2, 1/4, 1/8)
     assert [r.iter for r in trace.rows] == [0, 1, 2, 3]
     assert [it[0, 0] for it in trace.iterates] == [1.0, 0.5, 0.25, 0.125]

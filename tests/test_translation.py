@@ -224,7 +224,7 @@ def test_translation_reuses_an_equal_split_bit_for_bit(monkeypatch, robots, epsi
         assert any(upper_triangle_nnz(b.S_tilde) < upper_triangle_nnz(b.schur_contribution()) for b in rot.split.blocks)
     config = SolverConfig(epsilon=epsilon, grad_tol=1e-10, max_iters=60)
     fresh = collaborative_translation_solve(g, part, R, config, oversampling=oversampling)
-    reused, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=rot.split)
+    reused, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=[rot.split])
     assert calls == {"build_blocks": 0, "schur_contribution": 0, "sparsify": 0, "effective_resistances": 0,
                      "sparsified_schur": 1}
     assert reused[1].split is rot.split and fresh[1].split is not rot.split
@@ -256,7 +256,8 @@ def test_translation_sets_up_anew_when_the_split_differs(monkeypatch, case):
     g = g if change_graph is None else change_graph(g)
     config = SolverConfig(**{"epsilon": 0.5, "grad_tol": 1e-10, "max_iters": 60, **config_kw})
     fresh = collaborative_translation_solve(g, part, R, config, oversampling=oversampling)
-    given, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=rot.split)
+    prior = [rot.split] if rot.split else []  # newton has no split to hand on
+    given, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=prior)
     assert calls["build_blocks"] == 1 and calls["schur_contribution"] == 3 and calls["sparsified_schur"] == 1
-    assert given[1].split is not rot.split
+    assert given[1].split is not rot.split and prior == []  # the holder lets the unused split go
     _assert_same_run(given, fresh)
