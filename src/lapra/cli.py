@@ -80,13 +80,17 @@ def _load_poses(path: str, g: MeasurementGraph):
     return poses
 
 
-def _write_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2)
+def _write_text(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
     if path is None:
-        print(text)
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+
+
+def _write_report(report: dict, path: str | None) -> None:
+    _write_text(json.dumps(report, indent=2) + "\n", path)
 
 
 def _write_staged_csv(path: str, stages: list[tuple[str, str]]) -> None:
@@ -288,12 +292,7 @@ def cmd_validate_hessian(args) -> int:
                 f"{sigma_deg},{base_seed + k},{rep.delta_empirical!r},{rep.lambda2!r},"
                 f"{rep.lambda_max!r},{rep.kappa!r},{rep.gamma!r}"
             )
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -334,12 +334,9 @@ def _detached(L: sp.spmatrix, inside: np.ndarray) -> np.ndarray:
     Any such vertex makes L's inside block singular, yet round-off can leave its last pivot tiny
     rather than zero, so neither the factor nor the residual check of its solves would fail.
     """
-    n, C = L.shape[0], sp.coo_matrix(L, copy=True)
-    C.eliminate_zeros()
-    hub = np.where(inside, np.arange(n), n)  # every outside vertex becomes vertex n
-    H = sp.coo_matrix((np.ones(C.nnz), (hub[C.row], hub[C.col])), shape=(n + 1, n + 1))
-    labels = csgraph.connected_components(H, directed=False)[1]
-    return np.flatnonzero(inside & (labels[:n] != labels[n]))
+    labels = _component_labels_of(L)
+    touches_outside = np.bincount(labels[~inside], minlength=labels.size) > 0
+    return np.flatnonzero(inside & ~touches_outside[labels])
 
 
 def spd_factor(A: sp.spmatrix, what: str):

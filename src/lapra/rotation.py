@@ -346,22 +346,12 @@ def _gauge_fixed(A: np.ndarray, p: int, shift: float) -> np.ndarray:
     return K.reshape(n * p, n * p)
 
 
-def exact_newton_step(
-    g: MeasurementGraph,
-    R: RotationState,
-    kind: Distance,
-    partition: Partition | None = None,
-    ledger: dd.CommsLedger | None = None,
-) -> RotationState:
+def exact_newton_step(g: MeasurementGraph, R: RotationState, kind: Distance) -> RotationState:
     """One exact second-order step on the full Hessian, projected off the gauge.
 
     That is the quotient-manifold Hessian (Absil, Mahony & Sepulchre,
     2008, ch. 7). Dense solve, intended for small problems and as a
-    baseline. When a partition and ledger are given, the per-robot
-    separator-space contributions of the true Hessian are formed and
-    their upload sizes metered in the ledger's current round (kind
-    "schur", one event per robot per call). A partition without
-    separators uploads nothing.
+    baseline; it records nothing.
     """
     n, p = g.n, g.p
     if n * p > 6000:
@@ -375,11 +365,6 @@ def exact_newton_step(
         raise NumericalError(f"projected Hessian is not positive definite: {exc}") from exc
     V = cho_solve(cf, B.reshape(-1)).reshape(n, p)
     V -= V.mean(axis=0)  # clean round-off along the gauge direction
-
-    if partition is not None and ledger is not None and partition.separators.size > 0:
-        for a, S_h in enumerate(_newton_schur_blocks(g, R, kind, partition)):
-            thr = 1e-12 * max(1.0, np.abs(S_h.data).max(initial=0.0))
-            ledger.record(a, "schur", int(np.count_nonzero(np.abs(sp.triu(S_h).data) > thr)))
     return _apply_update(R, V)
 
 
@@ -388,18 +373,25 @@ def newton_solve(
 ) -> tuple[RotationState, RunTrace]:
     """Iterate exact_newton_step, metering each step's per-robot Hessian uploads.
 
-    The dense second-order baseline; config.epsilon, seed and
-    project_horizontal do not apply.
+    After each step, every robot's separator-space block of the true
+    Hessian at the step's start is recorded in that step's round (kind
+    "schur"), counting upper-triangle entries above 1e-12 times the
+    block's largest magnitude (at least 1). A partition without
+    separators uploads nothing. The dense second-order baseline;
+    config.epsilon, seed and project_horizontal do not apply.
     """
     kind = distance_by_name(config.distance)
     ledger = dd.CommsLedger()
-    return iterate(
-        R0.copy(),
-        lambda R: _gradient_and_cost(g, R, kind),
-        lambda R, _: exact_newton_step(g, R, kind, partition, ledger),
-        config,
-        ledger,
-    )
+
+    def step(R, _):
+        R_next = exact_newton_step(g, R, kind)
+        if partition.separators.size > 0:
+            for a, S_h in enumerate(_newton_schur_blocks(g, R, kind, partition)):
+                thr = 1e-12 * max(1.0, np.abs(S_h.data).max(initial=0.0))
+                ledger.record(a, "schur", int(np.count_nonzero(np.abs(sp.triu(S_h).data) > thr)))
+        return R_next
+
+    return iterate(R0.copy(), lambda R: _gradient_and_cost(g, R, kind), step, config, ledger)
 
 
 def _weighted_edge_hessians(g: MeasurementGraph, R: RotationState, kind: Distance, edges) -> np.ndarray:

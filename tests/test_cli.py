@@ -379,6 +379,15 @@ def test_validate_hessian_csv(tmp_path):
     assert float(zero_noise[2]) <= 1e-8
 
 
+def test_validate_hessian_stdout_is_the_out_file(tmp_path, capsys):
+    flags = ["validate-hessian", "--side", "3", "--sigma-deg", "0", "5", "--seeds", "1", "--seed", "0"]
+    out = tmp_path / "sweep.csv"
+    assert main(flags + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(flags) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("LAPRA_SEED", "7")
     a, _ = _synth(tmp_path, "env")  # helper passes --seed 9, env must lose

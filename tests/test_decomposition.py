@@ -9,6 +9,7 @@ from lapra.decomposition import (
     CommsLedger,
     build_blocks,
     compress_blocks,
+    separator_rows_by_owner,
     solve as split_solve,
     sparsified_schur,
     split_setup,
@@ -210,6 +211,16 @@ def test_disconnected_graph_fails_on_every_partition(robots):
     R_hat = RotationState(np.broadcast_to(np.eye(2), (12, 2, 2)).copy())
     with pytest.raises(NumericalError, match=r"^grounded Laplacian is singular \(graph disconnected\)$"):
         collaborative_translation_solve(g, part, R_hat, SolverConfig(grad_tol=1e-10, max_iters=20))
+
+
+def test_separator_rows_by_owner_counts():
+    # path 0-1-2-3 split in the middle: edge (1,2) crosses, vertices 1 and 2
+    # are separators. Robot 0 holds edges (0,1) and (1,2), robot 1 holds (2,3).
+    eye = np.stack([np.eye(3)] * 3)
+    g = MeasurementGraph(3, 4, [0, 1, 2], [1, 2, 3], eye, np.zeros((3, 3)), np.ones(3), np.ones(3))
+    part = partition_contiguous(g, 2)
+    counts = separator_rows_by_owner(g, part)
+    assert counts.tolist() == [2, 1]
 
 
 def test_split_setup_meters_schur_uploads():

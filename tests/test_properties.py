@@ -31,6 +31,7 @@ from lapra import decomposition as dd
 from lapra.laplacians import (
     SPD_SUPERLU,
     WeightedGraph,
+    _detached,
     effective_resistances,
     graph_from_laplacian,
     grounded_solver,
@@ -73,6 +74,7 @@ from lapra.rotation import (
     hessian_report,
     iterate,
     laplacian_weights,
+    newton_solve,
 )
 from lapra.translation import (
     _rotated_measurements,
@@ -192,6 +194,20 @@ def _ref_split(L, partition):
         Lcc.eliminate_zeros()
         Lccs.append(Lcc)
     return L_Gc, Lccs
+
+
+def _ref_detached(L, inside):
+    """The vertices of mask `inside` cut off from every outside vertex, found on a hub graph.
+
+    Every outside vertex merges into one extra vertex n; an inside vertex is
+    detached when its component misses that hub.
+    """
+    n, C = L.shape[0], sp.coo_matrix(L, copy=True)
+    C.eliminate_zeros()
+    hub = np.where(inside, np.arange(n), n)
+    H = sp.coo_matrix((np.ones(C.nnz), (hub[C.row], hub[C.col])), shape=(n + 1, n + 1))
+    labels = csgraph.connected_components(H, directed=False)[1]
+    return np.flatnonzero(inside & (labels[:n] != labels[n]))
 
 
 def _ref_single_robot_solve(L, B):
@@ -400,8 +416,8 @@ def _ref_newton_schur_blocks(g, R, kind, partition):
     return out
 
 
-def _ref_exact_newton_step(g, R, kind, partition, ledger):
-    """The Newton step with explicit np x np gauge projectors, and its per-robot metering."""
+def _ref_exact_newton_step(g, R, kind):
+    """The Newton step with explicit np x np gauge projectors."""
     n, p = g.n, g.p
     H = assemble_full_hessian(g, R, kind)
     b = assemble_gradient_rhs(g, R, kind).reshape(-1)
@@ -415,10 +431,14 @@ def _ref_exact_newton_step(g, R, kind, partition, ledger):
         raise NumericalError(f"projected Hessian is not positive definite: {exc}") from exc
     v = cho_solve(cf, b)
     v = v - ones_dir @ (ones_dir.T @ v)
+    return _apply_update(R, v.reshape(n, p))
+
+
+def _ref_newton_schur_rows(g, R, kind, partition, ledger):
+    """Record each robot's Hessian Schur block at R, as the Newton step's per-robot upload."""
     for a, S_h in enumerate(_ref_newton_schur_blocks(g, R, kind, partition)):
         thr = 1e-12 * max(1.0, np.abs(S_h.data).max(initial=0.0))
         ledger.record(a, "schur", int(np.count_nonzero(np.abs(sp.triu(S_h).data) > thr)))
-    return _apply_update(R, v.reshape(n, p))
 
 
 def _ref_hessian_delta_kappa(g, R, kind):
@@ -661,6 +681,31 @@ def weighted_laplacians(draw, weights=_weights):
         pairs = np.array(draw(connected_pairs(n)))
     w = draw(st.lists(weights, min_size=len(pairs), max_size=len(pairs)))
     return n, pairs, laplacian(WeightedGraph.from_edge_list(n, pairs, w))
+
+
+@st.composite
+def masked_laplacians(draw):
+    """(L, inside): a Laplacian on 0..12 vertices, connected or not, sometimes with explicitly stored zeros.
+
+    Isolated vertices come from vertices no edge touches. The mask is random, all inside or none inside.
+    """
+    n = draw(st.integers(0, 12))
+    vertex_pairs = st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=2 * n)
+    pairs = [(a, b) for a, b in draw(vertex_pairs) if a != b]
+    w = draw(st.lists(_weights, min_size=len(pairs), max_size=len(pairs)))
+    L = laplacian(WeightedGraph.from_edge_list(n, pairs, w))
+    zeros = [(a, b) for a, b in draw(vertex_pairs) if L[a, b] == 0]
+    if zeros:  # stored in both triangles, as a Laplacian with a cancelled edge would hold them
+        C, (r, c) = L.tocoo(), np.array(zeros).T
+        L = sp.csr_matrix((np.concatenate([C.data, np.zeros(2 * r.size)]),
+                           (np.concatenate([C.row, r, c]), np.concatenate([C.col, c, r]))), shape=(n, n))
+        assert np.count_nonzero(L.data == 0) > 0
+    mask = draw(st.sampled_from(["random", "all", "none"]))
+    if mask == "random":
+        inside = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    else:
+        inside = np.full(n, mask == "all")
+    return L, inside
 
 
 @st.composite
@@ -1204,6 +1249,13 @@ def test_exact_split_solve_matches_the_pseudoinverse(case, data, seed):
     assert np.abs((X - X.mean(axis=0)) - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
+@given(masked_laplacians())
+def test_detached_matches_the_hub_graph(case):
+    L, inside = case
+    got, ref = _detached(L, inside), _ref_detached(L, inside)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 @FEW
 @given(weighted_laplacians(_moderate), st.lists(_moderate, min_size=1, max_size=5), st.data())
 def test_detached_interior_path_names_its_robot(case, path_weights, data):
@@ -1398,21 +1450,28 @@ def test_gauge_fixed_is_the_dense_projection(p, seed):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("side", [3, 4, 5, 6])
 def test_newton_step_matches_the_explicit_projector_step(side, d, sigma_deg):
-    """Equal steps and ledgers, or the same indefinite-Hessian error (3D at 15 degrees from side 4 up)."""
+    """Equal steps and one-step ledgers, or the same indefinite-Hessian error (3D at 15 degrees from side 4 up)
+    from both the step and newton_solve."""
     g, R = _noisy_problem(side, d, sigma_deg, side)
     part = partition_contiguous(g, 3)
     for kind in (GEODESIC, CHORDAL):
-        ledger, ref_ledger = dd.CommsLedger(), dd.CommsLedger()
+        config = SolverConfig(distance=kind.name, max_iters=1, grad_tol=0.0)
         try:
-            ref = _ref_exact_newton_step(g, R, kind, part, ref_ledger)
+            ref = _ref_exact_newton_step(g, R, kind)
         except NumericalError as exc:
-            with pytest.raises(NumericalError) as got:
-                exact_newton_step(g, R, kind, part, ledger)
-            assert str(got.value) == str(exc)
+            for run in (lambda: exact_newton_step(g, R, kind), lambda: newton_solve(g, part, R, config)):
+                with pytest.raises(NumericalError) as got:
+                    run()
+                assert str(got.value) == str(exc)
             continue
-        got = exact_newton_step(g, R, kind, part, ledger)
+        got = exact_newton_step(g, R, kind)
         assert np.abs(got.mats - ref.mats).max() <= 1e-12
-        assert ledger.to_csv() == ref_ledger.to_csv() and ledger.total_scalars() > 0
+        ref_ledger = dd.CommsLedger()
+        ref_ledger.begin_round()  # newton_solve's first step meters into round 1
+        _ref_newton_schur_rows(g, R, kind, part, ref_ledger)
+        R1, trace = newton_solve(g, part, R, config)
+        assert np.array_equal(R1.mats, got.mats)
+        assert trace.ledger.to_csv() == ref_ledger.to_csv() and ref_ledger.total_scalars() > 0
 
 
 @pytest.mark.parametrize("d, side", [(2, 5), (3, 3), (3, 4)])

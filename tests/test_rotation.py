@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lapra.decomposition import CommsLedger, separator_rows_by_owner
+from lapra.decomposition import CommsLedger
 from lapra.manifold import (
+    NumericalError,
     RotationState,
     exp_map,
     exp_map_batch,
@@ -14,6 +15,7 @@ from lapra.manifold import (
 from lapra.metrics import c_epsilon, gamma_factor, rotation_rmse
 from lapra.pose_graph import (
     MeasurementGraph,
+    Partition,
     SyntheticSpec,
     generate_grid,
     partition_contiguous,
@@ -248,16 +250,6 @@ def test_trace_rows_and_csv():
     assert all(b >= a for a, b in zip(ups, ups[1:]))
 
 
-def test_separator_rows_by_owner_counts():
-    # path 0-1-2-3 split in the middle: edge (1,2) crosses, vertices 1 and 2
-    # are separators. Robot 0 holds edges (0,1) and (1,2), robot 1 holds (2,3).
-    eye = np.stack([np.eye(3)] * 3)
-    g = MeasurementGraph(3, 4, [0, 1, 2], [1, 2, 3], eye, np.zeros((3, 3)), np.ones(3), np.ones(3))
-    part = partition_contiguous(g, 2)
-    counts = separator_rows_by_owner(g, part)
-    assert counts.tolist() == [2, 1]
-
-
 def test_exact_newton_step_contracts_near_optimum():
     g, truth = _noisy_grid(side=2, sigma_deg=4.0, seed=12)
     R = truth.copy()
@@ -268,14 +260,28 @@ def test_exact_newton_step_contracts_near_optimum():
     assert g2 < g0 / 100.0
 
 
-def test_exact_newton_step_meters_per_robot():
+@pytest.mark.parametrize("robots", [1, 2])
+def test_newton_solve_meters_per_robot(robots):
+    # round 0 stays empty; the step records one schur row per robot in round 1, and none at one robot
     g, truth = _noisy_grid(side=2, sigma_deg=4.0, seed=13)
-    part = partition_contiguous(g, 2)
-    ledger = CommsLedger()
-    exact_newton_step(g, truth, GEODESIC, partition=part, ledger=ledger)
-    assert len(ledger.events) == 2
-    assert all(ev.kind == "schur" for ev in ledger.events)
-    assert ledger.total_scalars() > 0
+    part = partition_contiguous(g, robots)
+    _, trace = newton_solve(g, part, truth, SolverConfig(max_iters=1, grad_tol=0.0))
+    assert trace.iterations == 1 and trace.ledger.current_round == 1
+    expected = [(1, a, "schur") for a in range(robots)] if robots > 1 else []
+    assert [(e.round, e.robot, e.kind) for e in trace.ledger.events] == expected
+    assert (trace.ledger.total_scalars() > 0) == (robots > 1)
+
+
+def test_newton_solve_names_a_robot_with_a_singular_interior_block():
+    # path 0-1-2-3 owned alternately, with separators taken from edges (1,2) and (2,3) only:
+    # vertex 0 is robot 0's interior, yet its one edge leaves the robot, so its local Hessian block is zero
+    eye = np.stack([np.eye(3)] * 3)
+    g = MeasurementGraph(3, 4, [0, 1, 2], [1, 2, 3], eye, np.zeros((3, 3)), np.ones(3), np.ones(3))
+    part = Partition.from_owner([0, 1, 0, 1], [(1, 2), (2, 3)])
+    assert part.interiors[0].tolist() == [0]
+    R0 = RotationState(exp_map_batch(0.1 * np.arange(12.0).reshape(4, 3)))
+    with pytest.raises(NumericalError, match=r"^robot 0 local Hessian interior solve"):
+        newton_solve(g, part, R0, SolverConfig(max_iters=1, grad_tol=0.0))
 
 
 @pytest.mark.parametrize("side, robots", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)])
@@ -320,7 +326,7 @@ def test_iterate_meters_steps_and_keeps_iterates():
     assert [r.cum_upload_bytes for r in trace.rows] == [0, 32, 64, 96]
 
 
-def test_iterate_without_upload_rows_records_nothing():
+def test_iterate_opens_rounds_and_records_nothing_itself():
     ledger = CommsLedger()
     _, trace = iterate(np.ones((3, 1)), lambda x: (x, 0.0), lambda x, r: x / 2,
                        SolverConfig(grad_tol=0.0, max_iters=4), ledger)
