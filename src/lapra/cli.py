@@ -89,10 +89,6 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _write_report(report: dict, path: str | None) -> None:
-    _write_text(json.dumps(report, indent=2) + "\n", path)
-
-
 def _write_staged_csv(path: str, stages: list[tuple[str, str]]) -> None:
     """Concatenate per-stage CSV texts under one header; several stages get a leading stage column."""
     lines = []
@@ -260,7 +256,7 @@ def cmd_solve(args) -> int:
         _write_staged_csv(args.ledger, [(stage, trace.ledger.to_csv()) for stage, trace, _ in runs])
     if args.save is not None:
         write_g2o(args.save, MeasurementGraph(g.d, g.n), poses=(R, np.zeros((g.n, g.d)) if M is None else M))
-    _write_report(report, args.report)
+    _write_text(json.dumps(report, indent=2) + "\n", args.report)
     return 0
 
 

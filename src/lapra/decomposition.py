@@ -256,25 +256,21 @@ def solve(
 ) -> np.ndarray:
     """Solve L X = B through the robot/server split.
 
-    B must be n x k with every column orthogonal to the all-ones vector
-    (the system is singular and anything else is infeasible). Robots
-    upload reduced right-hand sides (separator-adjacent rows only); the
-    server solves the separator system and robots whose interior touches
-    a separator back-substitute.
-    Returns the full X with the separator rows normalized to zero column
-    means; a single robot has no separators and returns its grounded,
-    zero-mean solve.
+    B is (n,) or (n, k), with every column orthogonal to the all-ones
+    vector (the system is singular and anything else is infeasible).
+    Robots upload reduced right-hand sides (separator-adjacent rows only);
+    the server solves the separator system and robots whose interior
+    touches a separator back-substitute.
+    Returns the full X, shaped like B, with the separator rows normalized
+    to zero column means; a single robot has no separators and returns
+    its grounded, zero-mean solve.
     """
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    n = server.n
-    if B.shape[0] != n:
+    if B.shape[0] != server.n:
         raise ValueError("rhs size does not match system")
     _require_feasible(B)
 
     C = server.separators
-    k = B.shape[1]
     if server.S_tilde is None:
         raise RuntimeError("call sparsified_schur before solve")
 
@@ -287,7 +283,7 @@ def solve(
 
     X_c = server.reduced_solve(U)
 
-    X = np.zeros((n, k))
+    X = np.zeros(B.shape)
     X[C] = X_c
     for blk, Y in zip(blocks, Ys):
         X[blk.interior] = Y - blk.interior_solve(blk.L_ac @ X_c) if blk.adj_sep.any() else Y
@@ -296,18 +292,19 @@ def solve(
 
 @dataclass
 class Split:
-    """The robot side of a one-time phase, and everything it was computed from.
+    """The robots and server of a one-time phase, and everything they were computed from.
 
     blocks hold each robot's slices of L, its interior factor and its
-    compressed S_tilde; L_Gc is the server's cross-edge block. inputs is
-    (epsilon, seed, schur mode, oversampling). No factored server is kept.
+    compressed S_tilde; server is the ServerState build_blocks made, and
+    each stage's sparsified_schur sums and factors it again. inputs is
+    (epsilon, seed, schur mode, oversampling).
     """
 
     L: sp.csr_matrix
     partition: Partition
     inputs: tuple
     blocks: list
-    L_Gc: sp.csr_matrix
+    server: ServerState
 
     def built_from(self, L: sp.csr_matrix, partition: Partition, inputs: tuple) -> bool:
         """Whether L (entry for entry), the partition and the inputs are the ones this split was built from."""
@@ -337,13 +334,14 @@ def split_setup(L, partition: Partition, epsilon: float, seed: int, schur_mode: 
 
     Returns (solve, ledger, split). prior, if given, is a list holding an
     earlier stage's split. When that split was built from the same L,
-    partition, epsilon, seed, schur mode and oversampling, split is it and
+    partition, epsilon, seed, schur mode and oversampling, split is it:
     the robots keep its blocks, interior factors and compressed blocks,
-    which a new set-up would repeat bit for bit. Otherwise prior is
-    emptied, so the old split can be freed, and each robot eliminates and
-    compresses anew, sampling from a generator seeded with seed. Each
-    robot's block is metered as "schur" in round 0 of a fresh ledger, and
-    the server factors the sum. solve(E) meters, in the round its caller
+    and the server its cross-edge block, which a new set-up would repeat
+    bit for bit. Otherwise prior is emptied, so the old split can be
+    freed, and each robot eliminates and compresses anew, sampling from a
+    generator seeded with seed. Each robot's block is metered as "schur"
+    in round 0 of a fresh ledger, and split.server sums and factors the
+    blocks again in every stage. solve(E) meters, in the round its caller
     opened, robot a's "partial_grad" of upload_rows[a] rows and then each
     robot's "rhs" of one row per separator its interior touches, per
     column of E; it then takes E's column sums, zero up to round-off, off
@@ -358,9 +356,8 @@ def split_setup(L, partition: Partition, epsilon: float, seed: int, schur_mode: 
             prior.clear()
         blocks, server = build_blocks(L, partition)
         compress_blocks(blocks, epsilon, np.random.default_rng(seed), mode=schur_mode, oversampling=oversampling)
-        split = Split(L, partition, inputs, blocks, server.L_Gc)
-    blocks = split.blocks
-    server = ServerState(separators=partition.separators, L_Gc=split.L_Gc, n=L.shape[0])
+        split = Split(L, partition, inputs, blocks, server)
+    blocks, server = split.blocks, split.server
     ledger = CommsLedger()
     for a, blk in enumerate(blocks):
         ledger.record(a, "schur", upper_triangle_nnz(blk.S_tilde))

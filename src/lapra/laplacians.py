@@ -373,8 +373,8 @@ def grounded_solver(L: sp.spmatrix, what: str = "grounded solve"):
 
     Vertex 0 is grounded for the factorization (errors name `what`) and
     the result is shifted to zero column means, which for a connected
-    Laplacian is exactly the minimum-norm representative. A 1-D B gives a
-    1-D X. B's column sums are not checked here; see _require_feasible.
+    Laplacian is exactly the minimum-norm representative; X has B's shape.
+    B's column sums are not checked here; see _require_feasible.
     """
     if _detached(L, np.arange(L.shape[0]) > 0).size:
         raise NumericalError("grounded Laplacian is singular (graph disconnected)")
@@ -382,13 +382,9 @@ def grounded_solver(L: sp.spmatrix, what: str = "grounded solve"):
 
     def solve(B: np.ndarray) -> np.ndarray:
         B = np.asarray(B, dtype=float)
-        squeeze = B.ndim == 1
-        if squeeze:
-            B = B[:, None]
         X = np.zeros_like(B)
         X[1:] = solve_g(B[1:])  # row 0 of L X - B is minus B's column sums
-        X = X - X.mean(axis=0, keepdims=True)
-        return X[:, 0] if squeeze else X
+        return X - X.mean(axis=0, keepdims=True)
 
     return solve
 

@@ -311,7 +311,7 @@ def collaborative_solve(
     rows plus reduced right-hand sides, all metered. Stops when the
     gradient norm falls below config.grad_tol or after config.max_iters
     updates; non-convergence is reported in the trace, not raised. The
-    trace's split is the robot-side set-up, for a later stage to reuse.
+    trace's split is the stage's set-up, for a later stage to reuse.
     threads is accepted and ignored: robots are set up one after another.
     It stays only because perfbench passes it, and goes once that stops.
     """

@@ -68,19 +68,20 @@ def collaborative_translation_solve(
     partition: Partition,
     R_hat: RotationState,
     config: SolverConfig,
-    schur_mode: str = "spectral",
     oversampling: float = DEFAULT_OVERSAMPLING,
     keep_iterates: bool = False,
     prior: list[dd.Split] | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Iterative refinement of the translation system through the split solver.
 
-    Starting from zero, each sweep solves the compressed system against
-    the current residual and adds the correction. With an exact reduced
-    system (epsilon = 0) the first sweep already solves the problem; a
-    compressed one contracts the error geometrically. Stops when the
-    residual norm drops below config.grad_tol or after config.max_iters
-    sweeps. The returned estimate has zero column means.
+    Each robot compresses its separator block by spectral sampling at
+    quality config.epsilon. Starting from zero, each sweep solves the
+    compressed system against the current residual and adds the
+    correction. With an exact reduced system (epsilon = 0) the first sweep
+    already solves the problem; a compressed one contracts the error
+    geometrically. Stops when the residual norm drops below
+    config.grad_tol or after config.max_iters sweeps. The returned
+    estimate has zero column means.
 
     With keep_iterates=True the trace carries every intermediate
     estimate (before the zero-mean shift) for offline analysis. prior is a
@@ -89,7 +90,7 @@ def collaborative_translation_solve(
     otherwise let go (see split_setup). The trace's split is this stage's.
     """
     L = laplacian(translation_weights(g))
-    solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, schur_mode, oversampling,
+    solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, "spectral", oversampling,
                                           separator_rows_by_owner(g, partition), prior)
     rotated = _rotated_measurements(g, R_hat)  # shared by the rhs and every sweep's cost
     B = assemble_translation_rhs(g, R_hat, rotated)

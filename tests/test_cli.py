@@ -158,6 +158,38 @@ def test_translation_without_rotation_source_fails(tmp_path):
     assert rc == 2
 
 
+def test_translation_reads_rotations_from_the_input_vertices(tmp_path):
+    """Without --rotations, a g2o file holding vertices and edges solves against its own vertices."""
+    graph, truth = _synth(tmp_path, side=3)
+    both = tmp_path / "both.g2o"
+    both.write_text(open(truth).read() + open(graph).read())
+    finals = []
+    for name, args in (("given", ["--input", graph, "--rotations", truth]), ("own", ["--input", str(both)])):
+        report, ledger = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        rc = main(["solve-translation", *args, "--robots", "2", "--epsilon", "0.5", "--truth", truth,
+                   "--report", str(report), "--ledger", str(ledger)])
+        assert rc == 0
+        rep = _report(report)
+        rep["final"].pop("wall_time_sec")
+        assert (rep["config"].pop("input"), rep["config"].pop("rotations")) == (
+            (graph, truth) if name == "given" else (str(both), None))
+        finals.append((rep, ledger.read_text()))
+    assert finals[0] == finals[1]
+
+
+@pytest.mark.parametrize("flag, message", [("--input", "file has no measurement edges"),
+                                           ("--rotations", "file has no complete vertex set")])
+def test_exit_code_on_a_file_without_the_records_its_flag_needs(tmp_path, capsys, flag, message):
+    """The truth file has vertices and no edges; the measurement file has edges and no vertices."""
+    graph, truth = _synth(tmp_path, side=3)
+    bad = truth if flag == "--input" else graph
+    files = {"--input": graph, "--rotations": truth, flag: bad}
+    capsys.readouterr()
+    rc = main(["solve-translation", "--input", files["--input"], "--rotations", files["--rotations"]])
+    assert rc == 2
+    assert capsys.readouterr().err == f"lapra: error: {bad}: {message}\n"
+
+
 def test_pipeline_zero_noise_recovers_reference(tmp_path):
     graph, truth = _synth(tmp_path, "exact", sigma=0.0)
     report = tmp_path / "pipe.json"
@@ -424,6 +456,19 @@ def test_infinite_sampling_budget_uploads_the_exact_schur_blocks(tmp_path, flags
         with open(ledger) as fh:
             schur[name] = [(r["robot"], r["bytes"]) for r in csv.DictReader(fh) if r["kind"] == "schur"]
     assert schur["given"] == schur["exact"]
+
+
+def test_exit_code_on_numerical_failure(tmp_path, capsys):
+    """Side 13 has n p = 6,591 unknowns, above the dense Newton step's limit of 6,000.
+
+    The noise keeps the start off the optimum, so Newton takes a step.
+    """
+    graph, _ = _synth(tmp_path, side=13)
+    capsys.readouterr()
+    rc = main(["solve-rotation", "--input", graph, "--robots", "2", "--method", "newton"])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "lapra: numerical failure: problem too large for the dense second-order step\n")
 
 
 def test_exit_code_on_missing_file(tmp_path):

@@ -69,6 +69,11 @@ def test_ledger_accounting():
     assert len(lines) == 4
 
 
+def test_ledger_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match=r"^unknown event kind 'dot'$"):
+        CommsLedger().record(0, "dot", 1)
+
+
 def test_build_blocks_shapes():
     rng = np.random.default_rng(0)
     L, part = _instance(rng)
@@ -154,6 +159,42 @@ def test_split_solve_rejects_infeasible():
     sparsified_schur(blocks, server)
     with pytest.raises(NumericalError):
         split_solve(blocks, server, np.ones((L.shape[0], 1)))
+
+
+def test_build_blocks_rejects_a_partition_of_another_size():
+    rng = np.random.default_rng(4)
+    L, _ = _instance(rng, n=30)
+    _, part = _instance(rng, n=40)
+    with pytest.raises(ValueError, match=r"^partition size does not match matrix$"):
+        build_blocks(L, part)
+
+
+def test_split_solve_rejects_a_wrong_row_count_and_an_unfactored_server():
+    rng = np.random.default_rng(4)
+    L, part = _instance(rng)
+    blocks, server = build_blocks(L, part)
+    compress_blocks(blocks, 0.0, np.random.default_rng(0))
+    B = _feasible_rhs(rng, L.shape[0])
+    with pytest.raises(RuntimeError, match=r"^call sparsified_schur before solve$"):
+        split_solve(blocks, server, B)
+    sparsified_schur(blocks, server)
+    with pytest.raises(ValueError, match=r"^rhs size does not match system$"):
+        split_solve(blocks, server, B[1:] - B[1:].mean(axis=0))
+
+
+@pytest.mark.parametrize("robots", [1, 3, 40])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_split_solve_takes_a_1d_rhs_as_its_column(robots, epsilon):
+    """A 1-D b gives a 1-D x equal bit for bit to the solve of b as one column."""
+    rng = np.random.default_rng(robots)
+    L, part = _instance(rng, m=robots)
+    blocks, server = build_blocks(L, part)
+    compress_blocks(blocks, epsilon, np.random.default_rng(0), oversampling=0.5)
+    sparsified_schur(blocks, server)
+    b = _feasible_rhs(rng, L.shape[0], k=1)[:, 0]
+    x = split_solve(blocks, server, b)
+    assert x.shape == b.shape
+    assert x.tobytes() == split_solve(blocks, server, b[:, None])[:, 0].tobytes()
 
 
 def test_detached_interior_raises():

@@ -265,6 +265,18 @@ def test_solve_grounded_matches_pseudoinverse():
     assert np.abs(X - Xp).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 300])
+def test_solve_grounded_takes_a_1d_rhs_as_its_column(n):
+    """A 1-D b gives a 1-D x equal bit for bit to the solve of b as one column."""
+    rng = np.random.default_rng(n)
+    L = laplacian(_random_connected(rng, n, p_edge=min(0.3, 4 / n)))
+    b = rng.standard_normal(n)
+    b -= b.mean()
+    x = solve_grounded(L, b)
+    assert x.shape == (n,)
+    assert x.tobytes() == solve_grounded(L, b[:, None])[:, 0].tobytes()
+
+
 def test_solve_grounded_rejects_infeasible():
     rng = np.random.default_rng(14)
     g = _random_connected(rng, 10)
