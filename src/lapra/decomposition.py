@@ -114,6 +114,13 @@ class RobotBlock:
     interior actually touches. factor is spd_factor's solve for the
     interior block L_aa, grounded_solver's when a single robot holds the
     whole Laplacian, or np.zeros_like for an empty interior.
+
+    coupling is Z_a = L_aa⁻¹ L_ac[:, adj_sep], dense n_a × t_a for the
+    t_a separators the interior touches. schur_contribution keeps it from
+    the one interior solve the elimination makes, and solve's
+    back-substitution applies it as a dense product, so each split solve
+    makes one interior solve per robot. It is None until the interior is
+    eliminated.
     """
 
     interior: np.ndarray
@@ -123,13 +130,18 @@ class RobotBlock:
     adj_sep: np.ndarray
     factor: object
     S_tilde: sp.csr_matrix | None = None
+    coupling: np.ndarray | None = None
 
     def interior_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.factor(rhs)
 
     def schur_contribution(self) -> sp.csr_matrix:
-        """Exact separator-space contribution after eliminating the interior."""
-        return schur_update(self.interior_solve, self.L_ac, self.Lcc_local)
+        """Exact separator-space contribution after eliminating the interior; keeps the solve's output as coupling."""
+        def solve_and_keep(L_adj: np.ndarray) -> np.ndarray:
+            self.coupling = self.interior_solve(L_adj)
+            return self.coupling
+
+        return schur_update(solve_and_keep, self.L_ac, self.Lcc_local)
 
 
 @dataclass
@@ -188,8 +200,9 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
     blocks = []
     for a in range(partition.m):
         F = partition.interiors[a]
-        L_aa = sp.csc_matrix(L[F][:, F])
-        L_ac = sp.csr_matrix(L[F][:, C])
+        L_F = L[F]
+        L_aa = sp.csc_matrix(L_F[:, F])
+        L_ac = sp.csr_matrix(L_F[:, C])
         # local-edge Laplacian restricted to separator rows/cols; the
         # diagonal sums the interleaved (u, v) endpoints in edge order
         local = ~cross & (owner[u] == a)
@@ -259,8 +272,12 @@ def solve(
     B is (n,) or (n, k), with every column orthogonal to the all-ones
     vector (the system is singular and anything else is infeasible).
     Robots upload reduced right-hand sides (separator-adjacent rows only);
-    the server solves the separator system and robots whose interior
-    touches a separator back-substitute.
+    the server solves the separator system and robots back-substitute.
+    Per solve each robot makes one interior solve, Y = L_aa⁻¹ B_a, and
+    one dense product with the coupling its elimination kept,
+    X_a = Y - Z_a X_c[adj_sep]; the blocks hold n_a × t_a doubles each
+    for it. Every application of L_aa⁻¹ is a residual-checked solve: Z_a
+    is one such solve's own output, so its bound carries over to Z_a x.
     Returns the full X, shaped like B, with the separator rows normalized
     to zero column means; a single robot has no separators and returns
     its grounded, zero-mean solve.
@@ -273,6 +290,8 @@ def solve(
     C = server.separators
     if server.S_tilde is None:
         raise RuntimeError("call sparsified_schur before solve")
+    if any(blk.coupling is None for blk in blocks):
+        raise RuntimeError("call compress_blocks before solve")
 
     U = np.take(B, C, axis=0)
     Ys = []
@@ -286,7 +305,7 @@ def solve(
     X = np.zeros(B.shape)
     X[C] = X_c
     for blk, Y in zip(blocks, Ys):
-        X[blk.interior] = Y - blk.interior_solve(blk.L_ac @ X_c) if blk.adj_sep.any() else Y
+        X[blk.interior] = Y - blk.coupling @ X_c[blk.adj_sep]
     return X
 
 
@@ -294,8 +313,8 @@ def solve(
 class Split:
     """The robots and server of a one-time phase, and everything they were computed from.
 
-    blocks hold each robot's slices of L, its interior factor and its
-    compressed S_tilde; server is the ServerState build_blocks made, and
+    blocks hold each robot's slices of L, its interior factor, its
+    coupling and its compressed S_tilde; server is the ServerState build_blocks made, and
     each stage's sparsified_schur sums and factors it again. inputs is
     (epsilon, seed, schur mode, oversampling).
     """
@@ -335,7 +354,7 @@ def split_setup(L, partition: Partition, epsilon: float, seed: int, schur_mode: 
     Returns (solve, ledger, split). prior, if given, is a list holding an
     earlier stage's split. When that split was built from the same L,
     partition, epsilon, seed, schur mode and oversampling, split is it:
-    the robots keep its blocks, interior factors and compressed blocks,
+    the robots keep its blocks, interior factors, couplings and compressed blocks,
     and the server its cross-edge block, which a new set-up would repeat
     bit for bit. Otherwise prior is emptied, so the old split can be
     freed, and each robot eliminates and compresses anew, sampling from a

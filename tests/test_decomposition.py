@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lapra import decomposition as dd
 from lapra.decomposition import (
     BYTES_PER_SCALAR,
     CommsLedger,
@@ -34,7 +35,7 @@ from lapra.pose_graph import (
     spanning_tree_init,
 )
 from lapra.rotation import SolverConfig, collaborative_solve
-from lapra.translation import collaborative_translation_solve
+from lapra.translation import assemble_translation_rhs, collaborative_translation_solve, translation_weights
 
 
 def _instance(rng, n=40, m=3, p_edge=0.3):
@@ -180,6 +181,9 @@ def test_split_solve_rejects_a_wrong_row_count_and_an_unfactored_server():
     sparsified_schur(blocks, server)
     with pytest.raises(ValueError, match=r"^rhs size does not match system$"):
         split_solve(blocks, server, B[1:] - B[1:].mean(axis=0))
+    uneliminated, _ = build_blocks(L, part)  # built, but their interiors never eliminated: no coupling
+    with pytest.raises(RuntimeError, match=r"^call compress_blocks before solve$"):
+        split_solve(uneliminated, server, B)
 
 
 @pytest.mark.parametrize("robots", [1, 3, 40])
@@ -382,18 +386,75 @@ def test_compressed_reduced_system_quality():
     assert rep.kernel_match
 
 
-def test_uniform_shift_in_separator_solution_propagates():
-    # shifting the reduced solution by a constant shifts the interior
-    # back-substitution by the same constant
+def test_uniform_shift_in_separator_solution_propagates(monkeypatch):
+    # L_aa 1 + L_ac 1 = 0, so each robot's coupling maps the all-ones
+    # separator vector to -1: shifting the reduced solution by a constant
+    # shifts every interior's back-substitution by the same constant
     rng = np.random.default_rng(10)
     L, part = _instance(rng, n=60, m=2, p_edge=0.08)
     blocks, server = build_blocks(L, part)
     compress_blocks(blocks, 0.0, np.random.default_rng(0))
     sparsified_schur(blocks, server)
-    b = max(blocks, key=lambda blk: blk.interior.size)
-    assert b.interior.size > 0
-    rhs = rng.standard_normal((b.interior.size, 1))
-    Xc = rng.standard_normal((part.separators.size, 1))
-    x1 = b.interior_solve(rhs - b.L_ac @ Xc)
-    x2 = b.interior_solve(rhs - b.L_ac @ (Xc + 5.0))
-    assert np.abs((x2 - x1) - 5.0).max() < 1e-9
+    assert all(b.interior.size > 0 for b in blocks)
+    for b in blocks:
+        assert np.abs(b.coupling @ np.ones(b.coupling.shape[1]) + 1.0).max() < 1e-9
+    B = _feasible_rhs(rng, L.shape[0])
+    X1 = split_solve(blocks, server, B)
+    reduced_solve = server.reduced_solve
+    monkeypatch.setattr(server, "reduced_solve", lambda U: reduced_solve(U) + 5.0)
+    X2 = split_solve(blocks, server, B)
+    assert np.abs((X2 - X1) - 5.0).max() < 1e-9
+
+
+def _two_solve_reference(blocks, server, B):
+    """The split solve with a second interior solve for the back-substitution, X_a = Y - L_aa⁻¹ L_ac X_c."""
+    C = server.separators
+    Ys = [b.interior_solve(B[b.interior]) for b in blocks]
+    X_c = server.reduced_solve(B[C] - sum(b.L_acT @ Y for b, Y in zip(blocks, Ys)))
+    X = np.zeros(B.shape)
+    X[C] = X_c
+    for b, Y in zip(blocks, Ys):
+        X[b.interior] = Y - b.interior_solve(b.L_ac @ X_c)
+    return X
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("robots", [1, 3, "n"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_back_substitution_through_the_coupling_matches_a_second_interior_solve(d, robots, epsilon):
+    """X_a = Y - Z_a X_c[adj_sep] equals Y - L_aa⁻¹ (L_ac X_c), and the interior rows of L X = B hold."""
+    g, truth = generate_grid(SyntheticSpec(side=5, d=d, sigma_rot=0.1, edge_prob=0.3, seed=d))
+    part = partition_contiguous(g, g.n if robots == "n" else robots)
+    L = laplacian(translation_weights(g))
+    B = assemble_translation_rhs(g, truth)
+    blocks, server = build_blocks(L, part)
+    compress_blocks(blocks, epsilon, np.random.default_rng(0), oversampling=0.5)
+    sparsified_schur(blocks, server)
+    X = split_solve(blocks, server, B)
+    X_ref = _two_solve_reference(blocks, server, B)
+    assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+    R = L @ X - B
+    interior = np.concatenate([b.interior for b in blocks])
+    assert np.linalg.norm(R[interior]) <= 1e-9 * np.linalg.norm(B)
+    if epsilon == 0.0:  # the exact reduced system solves every row
+        assert np.linalg.norm(R) <= 1e-9 * np.linalg.norm(B)
+
+
+@pytest.mark.parametrize("robots", [1, 3, "n"])
+def test_split_solve_makes_one_interior_solve_per_robot(monkeypatch, robots):
+    """The back-substitution reuses the elimination's coupling instead of solving the interior again."""
+    g, truth = generate_grid(SyntheticSpec(side=4, sigma_rot=0.1, seed=2))
+    part = partition_contiguous(g, g.n if robots == "n" else robots)
+    blocks, server = build_blocks(laplacian(translation_weights(g)), part)
+    compress_blocks(blocks, 0.5, np.random.default_rng(0), oversampling=0.5)
+    sparsified_schur(blocks, server)
+    calls = [0] * len(blocks)
+    interior_solve = dd.RobotBlock.interior_solve
+
+    def spy(blk, rhs):
+        calls[next(a for a, b in enumerate(blocks) if b is blk)] += 1
+        return interior_solve(blk, rhs)
+
+    monkeypatch.setattr(dd.RobotBlock, "interior_solve", spy)
+    split_solve(blocks, server, assemble_translation_rhs(g, truth))
+    assert calls == [1] * len(blocks)

@@ -224,10 +224,12 @@ def test_translation_reuses_an_equal_split_bit_for_bit(monkeypatch, robots, epsi
         assert any(upper_triangle_nnz(b.S_tilde) < upper_triangle_nnz(b.schur_contribution()) for b in rot.split.blocks)
     config = SolverConfig(epsilon=epsilon, grad_tol=1e-10, max_iters=60)
     fresh = collaborative_translation_solve(g, part, R, config, oversampling=oversampling)
+    couplings = [b.coupling for b in rot.split.blocks]
     reused, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=[rot.split])
     assert calls == {"build_blocks": 0, "schur_contribution": 0, "sparsify": 0, "effective_resistances": 0,
                      "sparsified_schur": 1}
     assert reused[1].split is rot.split and fresh[1].split is not rot.split
+    assert all(b.coupling is Z for b, Z in zip(reused[1].split.blocks, couplings))
     _assert_same_run(reused, fresh)
 
 
@@ -260,4 +262,6 @@ def test_translation_sets_up_anew_when_the_split_differs(monkeypatch, case):
     given, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=prior)
     assert calls["build_blocks"] == 1 and calls["schur_contribution"] == 3 and calls["sparsified_schur"] == 1
     assert given[1].split is not rot.split and prior == []  # the holder lets the unused split go
+    old_couplings = [b.coupling for b in rot.split.blocks] if rot.split else []
+    assert not any(b.coupling is Z for b in given[1].split.blocks for Z in old_couplings)
     _assert_same_run(given, fresh)
