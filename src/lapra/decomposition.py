@@ -44,7 +44,6 @@ __all__ = [
     "ServerState",
     "Split",
     "build_blocks",
-    "compress_blocks",
     "separator_rows_by_owner",
     "sparsified_schur",
     "solve",
@@ -119,8 +118,9 @@ class RobotBlock:
     t_a separators the interior touches. schur_contribution keeps it from
     the one interior solve the elimination makes, and solve's
     back-substitution applies it as a dense product, so each split solve
-    makes one interior solve per robot. It is None until the interior is
-    eliminated.
+    makes one interior solve per robot. S_tilde is the compressed
+    elimination result that sparsified_schur sums. Neither is a
+    constructor input: build_blocks sets both on every block it returns.
     """
 
     interior: np.ndarray
@@ -129,8 +129,8 @@ class RobotBlock:
     Lcc_local: sp.csr_matrix
     adj_sep: np.ndarray
     factor: object
-    S_tilde: sp.csr_matrix | None = None
-    coupling: np.ndarray | None = None
+    S_tilde: sp.csr_matrix = field(init=False)
+    coupling: np.ndarray = field(init=False)
 
     def interior_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.factor(rhs)
@@ -168,15 +168,23 @@ class ServerState:
         return self._solve(U)
 
 
-def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock], ServerState]:
-    """Slice a connected Laplacian into per-robot blocks plus server state.
+def build_blocks(L: sp.spmatrix, partition: Partition, epsilon: float = 0.0, seed: int = 0, mode: str = "spectral",
+                 oversampling: float = DEFAULT_OVERSAMPLING) -> tuple[list[RobotBlock], ServerState]:
+    """Robot side of the one-time phase: slice a connected Laplacian into per-robot blocks plus server state.
 
-    Interior factorizations are computed once here and reused by every
-    later solve. With a single robot the interior is every vertex and
-    there are no separators, so its block is the whole singular
-    Laplacian and takes a grounded factorization; with several robots
-    every interior component must touch a separator.
+    Robots are set up one after another, in two passes. Each factors its
+    interior once, for every later solve; then each eliminates its interior
+    and compresses the result as S_tilde for sparsified_schur to upload,
+    following `mode`: spectral sampling at quality epsilon, robot a drawing
+    from the a-th generator spawned from np.random.default_rng(seed), or one
+    of the heuristic patterns. The defaults keep the exact elimination. With
+    a single robot the interior is every vertex and there are no separators,
+    so its block is the whole singular Laplacian and takes a grounded
+    factorization; with several robots every interior component must touch a
+    separator.
     """
+    if mode not in SCHUR_MODES:
+        raise ValueError(f"mode must be one of {SCHUR_MODES}")
     L = sp.csr_matrix(L)
     n = L.shape[0]
     if partition.owner.shape[0] != n:
@@ -229,35 +237,19 @@ def build_blocks(L: sp.spmatrix, partition: Partition) -> tuple[list[RobotBlock]
                 factor=factor,
             )
         )
+    # every interior is factored before any is eliminated: interleaving the two
+    # raised a rotation-planar solve's peak RSS by about 3 MB
+    for blk, robot_rng in zip(blocks, np.random.default_rng(seed).spawn(partition.m)):
+        S = blk.schur_contribution()
+        blk.S_tilde = (sparsify(S, epsilon, robot_rng, oversampling=oversampling) if mode == "spectral"
+                       else heuristic_sparsify(S, mode))
 
     server = ServerState(separators=C, L_Gc=L_Gc, n=n)
     return blocks, server
 
 
-def compress_blocks(
-    blocks: list[RobotBlock],
-    epsilon: float,
-    rng: np.random.Generator,
-    mode: str = "spectral",
-    oversampling: float = DEFAULT_OVERSAMPLING,
-) -> None:
-    """Robot side of the one-time phase: each robot eliminates its interior and compresses the result.
-
-    Robots are set up one after another. The compression follows `mode`:
-    spectral sampling at quality epsilon with robot a drawing from the
-    a-th generator spawned from rng, or one of the heuristic patterns.
-    Each block keeps its result as S_tilde for sparsified_schur to upload.
-    """
-    if mode not in SCHUR_MODES:
-        raise ValueError(f"mode must be one of {SCHUR_MODES}")
-    for blk, robot_rng in zip(blocks, rng.spawn(len(blocks))):
-        S = blk.schur_contribution()
-        blk.S_tilde = (sparsify(S, epsilon, robot_rng, oversampling=oversampling) if mode == "spectral"
-                       else heuristic_sparsify(S, mode))
-
-
 def sparsified_schur(blocks: list[RobotBlock], server: ServerState) -> None:
-    """Server side of the one-time phase: add the robots' compressed blocks (see compress_blocks) to
+    """Server side of the one-time phase: add the robots' compressed blocks (see build_blocks) to
     the cross-edge block and factor the sum for reuse across later solves."""
     server.set_reduced(sum((blk.S_tilde for blk in blocks), server.L_Gc))
 
@@ -290,8 +282,6 @@ def solve(
     C = server.separators
     if server.S_tilde is None:
         raise RuntimeError("call sparsified_schur before solve")
-    if any(blk.coupling is None for blk in blocks):
-        raise RuntimeError("call compress_blocks before solve")
 
     U = np.take(B, C, axis=0)
     Ys = []
@@ -316,7 +306,7 @@ class Split:
     blocks hold each robot's slices of L, its interior factor, its
     coupling and its compressed S_tilde; server is the ServerState build_blocks made, and
     each stage's sparsified_schur sums and factors it again. inputs is
-    (epsilon, seed, schur mode, oversampling).
+    (epsilon, seed, schur mode, oversampling), build_blocks' arguments after L and partition.
     """
 
     L: sp.csr_matrix
@@ -357,10 +347,11 @@ def split_setup(L, partition: Partition, epsilon: float, seed: int, schur_mode: 
     the robots keep its blocks, interior factors, couplings and compressed blocks,
     and the server its cross-edge block, which a new set-up would repeat
     bit for bit. Otherwise prior is emptied, so the old split can be
-    freed, and each robot eliminates and compresses anew, sampling from a
-    generator seeded with seed. Each robot's block is metered as "schur"
-    in round 0 of a fresh ledger, and split.server sums and factors the
-    blocks again in every stage. solve(E) meters, in the round its caller
+    freed, and build_blocks sets the robots up anew from these inputs:
+    each eliminates and compresses, sampling from a generator seeded with
+    seed. Each robot's block is metered as "schur" in round 0 of a fresh
+    ledger, and split.server sums and factors the blocks again in every
+    stage. solve(E) meters, in the round its caller
     opened, robot a's "partial_grad" of upload_rows[a] rows and then each
     robot's "rhs" of one row per separator its interior touches, per
     column of E; it then takes E's column sums, zero up to round-off, off
@@ -373,8 +364,7 @@ def split_setup(L, partition: Partition, epsilon: float, seed: int, schur_mode: 
     else:
         if prior:
             prior.clear()
-        blocks, server = build_blocks(L, partition)
-        compress_blocks(blocks, epsilon, np.random.default_rng(seed), mode=schur_mode, oversampling=oversampling)
+        blocks, server = build_blocks(L, partition, *inputs)
         split = Split(L, partition, inputs, blocks, server)
     blocks, server = split.blocks, split.server
     ledger = CommsLedger()

@@ -218,11 +218,11 @@ def sparsify(
     eps' rounding to 0 or an overflow, always does), or epsilon is 0,
     the input comes back unchanged. Connectivity of each component is
     re-checked after sampling: on a kernel change the draw is retried up
-    to 10 times before falling back to the exact input. A negative
+    to 10 times before falling back to the exact input. A negative or NaN
     epsilon, or an oversampling outside (0, inf), raises ValueError.
     """
     S = sp.csr_matrix(S)
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
     if not 0 < oversampling < math.inf:
         raise ValueError(f"oversampling must be positive and finite, got {oversampling}")

@@ -28,14 +28,14 @@ def c_epsilon(eps: float) -> float:
     c(0) = 0 and the factor crosses 1 at eps = ln(2)/3, so only rather
     accurate approximations contract in a single application.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
     return math.sqrt(1.0 + math.exp(2.0 * eps) - 2.0 * math.exp(-eps))
 
 
 def gamma_factor(kappa_h: float, x: float) -> float:
     """Worst-case linear rate factor 2 sqrt(kappa_h) c(x) of the outer iteration."""
-    if kappa_h < 1.0:
+    if not kappa_h >= 1.0:
         raise ValueError("condition number must be at least 1")
     return 2.0 * math.sqrt(kappa_h) * c_epsilon(x)
 

@@ -148,7 +148,10 @@ def iterate(
     trace, not raised. Each step opens a ledger round, then takes
     x = step(x, residual), which meters its uploads into that round.
     keep_iterates=True keeps a copy of the iterate behind every row.
+    A negative config.max_iters raises ValueError.
     """
+    if config.max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {config.max_iters}")
     x = x0
     trace = RunTrace(ledger=ledger, iterates=[] if keep_iterates else None)
     for k in range(config.max_iters + 1):

@@ -143,8 +143,7 @@ def _l_seminorm(L, X):
 def _exact_reduced_and_confirmation(L, part, eps, seed, oversampling):
     """Rebuild the compressed reduced matrix deterministically and
     measure its actual spectral quality against the exact one."""
-    blocks, server = dd.build_blocks(L, part)
-    dd.compress_blocks(blocks, eps, np.random.default_rng(seed), oversampling=oversampling)
+    blocks, server = dd.build_blocks(L, part, eps, seed, oversampling=oversampling)
     dd.sparsified_schur(blocks, server)
     interior_all = np.concatenate([b.interior for b in blocks])
     S_exact = schur_complement(L, interior_all)
@@ -268,8 +267,7 @@ def test_compressed_solve_error_within_amplification_bound():
             rng = np.random.default_rng(s)
             L, part = _random_partitioned_laplacian(rng, n_lo, n_hi, p_lo, p_hi, m_choices)
             n = L.shape[0]
-            blocks, server = dd.build_blocks(L, part)
-            dd.compress_blocks(blocks, eps, np.random.default_rng(0), oversampling=oversampling)
+            blocks, server = dd.build_blocks(L, part, eps, oversampling=oversampling)
             dd.sparsified_schur(blocks, server)
             B = rng.standard_normal((n, 3))
             B -= B.mean(axis=0)

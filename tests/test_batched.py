@@ -351,7 +351,6 @@ def test_schur_contribution_matches_dense_elimination(seed):
             assert S.indptr.tobytes() == S_ref.indptr.tobytes()
             assert S.indices.tobytes() == S_ref.indices.tobytes()
             assert S.data.tobytes() == S_ref.data.tobytes()
-        dd.compress_blocks(blocks, 0.0, np.random.default_rng(0))
         dd.sparsified_schur(blocks, server)
         B = rng.standard_normal((n, 2))
         B -= B.mean(axis=0)

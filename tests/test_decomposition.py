@@ -9,7 +9,6 @@ from lapra.decomposition import (
     BYTES_PER_SCALAR,
     CommsLedger,
     build_blocks,
-    compress_blocks,
     separator_rows_by_owner,
     solve as split_solve,
     sparsified_schur,
@@ -106,7 +105,6 @@ def test_split_solve_exact_matches_grounded():
     rng = np.random.default_rng(2)
     L, part = _instance(rng)
     blocks, server = build_blocks(L, part)
-    compress_blocks(blocks, 0.0, np.random.default_rng(0))
     sparsified_schur(blocks, server)
     B = _feasible_rhs(rng, L.shape[0])
     X = split_solve(blocks, server, B)
@@ -142,7 +140,6 @@ def test_widely_weighted_path_solves_through_both_paths(big):
     B = _feasible_rhs(np.random.default_rng(0), n)
     X = solve_grounded(L, B)
     blocks, server = build_blocks(L, Partition.from_owner(np.arange(n) * 2 // n, pairs))
-    compress_blocks(blocks, 0.0, np.random.default_rng(0))
     sparsified_schur(blocks, server)
     Y = split_solve(blocks, server, B)
     Y -= Y.mean(axis=0)  # split_solve centres only the separator rows
@@ -156,7 +153,6 @@ def test_split_solve_rejects_infeasible():
     rng = np.random.default_rng(4)
     L, part = _instance(rng)
     blocks, server = build_blocks(L, part)
-    compress_blocks(blocks, 0.0, np.random.default_rng(0))
     sparsified_schur(blocks, server)
     with pytest.raises(NumericalError):
         split_solve(blocks, server, np.ones((L.shape[0], 1)))
@@ -174,16 +170,12 @@ def test_split_solve_rejects_a_wrong_row_count_and_an_unfactored_server():
     rng = np.random.default_rng(4)
     L, part = _instance(rng)
     blocks, server = build_blocks(L, part)
-    compress_blocks(blocks, 0.0, np.random.default_rng(0))
     B = _feasible_rhs(rng, L.shape[0])
     with pytest.raises(RuntimeError, match=r"^call sparsified_schur before solve$"):
         split_solve(blocks, server, B)
     sparsified_schur(blocks, server)
     with pytest.raises(ValueError, match=r"^rhs size does not match system$"):
         split_solve(blocks, server, B[1:] - B[1:].mean(axis=0))
-    uneliminated, _ = build_blocks(L, part)  # built, but their interiors never eliminated: no coupling
-    with pytest.raises(RuntimeError, match=r"^call compress_blocks before solve$"):
-        split_solve(uneliminated, server, B)
 
 
 @pytest.mark.parametrize("robots", [1, 3, 40])
@@ -192,8 +184,7 @@ def test_split_solve_takes_a_1d_rhs_as_its_column(robots, epsilon):
     """A 1-D b gives a 1-D x equal bit for bit to the solve of b as one column."""
     rng = np.random.default_rng(robots)
     L, part = _instance(rng, m=robots)
-    blocks, server = build_blocks(L, part)
-    compress_blocks(blocks, epsilon, np.random.default_rng(0), oversampling=0.5)
+    blocks, server = build_blocks(L, part, epsilon, oversampling=0.5)
     sparsified_schur(blocks, server)
     b = _feasible_rhs(rng, L.shape[0], k=1)[:, 0]
     x = split_solve(blocks, server, b)
@@ -247,7 +238,6 @@ def test_disconnected_graph_fails_on_every_partition(robots):
     part = Partition.from_owner(np.array(_OWNERS[robots]), _TWO_PATHS)
     with pytest.raises(NumericalError, match=r"^grounded Laplacian is singular \(graph disconnected\)$"):
         blocks, server = build_blocks(L, part)
-        compress_blocks(blocks, 0.0, np.random.default_rng(0))
         sparsified_schur(blocks, server)
         split_solve(blocks, server, B)
     m = len(_TWO_PATHS)
@@ -342,12 +332,11 @@ def test_split_stage_rounds_meter_schur_then_partial_grad_then_rhs(stage, robots
     assert events[1:] == [step] * 4
 
 
-def test_compress_blocks_draws_robot_a_from_the_a_th_spawned_generator():
+def test_build_blocks_draws_robot_a_from_the_a_th_spawned_generator():
     """Each robot's compressed block depends only on its own spawned generator, so robot order cannot move it."""
     rng = np.random.default_rng(7)
     L, part = _instance(rng, n=70, m=4, p_edge=0.6)
-    blocks, _ = build_blocks(L, part)
-    compress_blocks(blocks, 1.0, np.random.default_rng(9), oversampling=0.5)
+    blocks, _ = build_blocks(L, part, 1.0, 9, oversampling=0.5)
     sampled = 0
     for blk, robot_rng in zip(blocks, np.random.default_rng(9).spawn(part.m)):
         S = blk.schur_contribution()
@@ -363,22 +352,48 @@ def test_sparsified_schur_heuristic_modes_run():
     L, part = _instance(rng, n=40, m=3, p_edge=0.5)
     B = _feasible_rhs(rng, 40)
     for mode in ("block_diagonal", "tree"):
-        blocks, server = build_blocks(L, part)
-        compress_blocks(blocks, 0.5, np.random.default_rng(0), mode=mode)
+        blocks, server = build_blocks(L, part, 0.5, mode=mode)
         sparsified_schur(blocks, server)
         X = split_solve(blocks, server, B)
         assert np.all(np.isfinite(X))
-    with pytest.raises(ValueError):
-        blocks, server = build_blocks(L, part)
-        compress_blocks(blocks, 0.5, np.random.default_rng(0), mode="bogus")
-        sparsified_schur(blocks, server)
+
+
+@pytest.mark.parametrize("robots", [1, 3])
+def test_build_blocks_rejects_an_unknown_mode_before_any_factorization(monkeypatch, robots):
+    L, part = _instance(np.random.default_rng(8), n=40, m=robots, p_edge=0.5)
+
+    def no_factor(*args):
+        raise AssertionError("factored before the mode check")
+
+    monkeypatch.setattr(dd, "spd_factor", no_factor)
+    monkeypatch.setattr(dd, "grounded_solver", no_factor)
+    with pytest.raises(ValueError, match=r"^mode must be one of \('spectral', 'block_diagonal', 'tree'\)$"):
+        build_blocks(L, part, 0.5, mode="bogus")
+
+
+@pytest.mark.parametrize("robots", [1, 3, 70])
+@pytest.mark.parametrize("epsilon, mode", [(0.0, "spectral"), (0.5, "spectral"), (0.5, "block_diagonal"),
+                                           (0.5, "tree")])
+def test_a_fresh_split_is_build_blocks_of_its_inputs(robots, epsilon, mode):
+    """split_setup's fresh robot side is build_blocks(L, partition, *inputs), bit for bit."""
+    L, part = _instance(np.random.default_rng(7), n=70, m=robots, p_edge=0.6)
+    _, _, split = split_setup(L, part, epsilon, 9, mode, 0.2, np.zeros(robots, dtype=int))
+    assert split.inputs == (epsilon, 9, mode, 0.2)
+    blocks, _ = build_blocks(L, part, *split.inputs)
+    assert len(split.blocks) == len(blocks) == robots
+    for got, want in zip(split.blocks, blocks):
+        for key in ("indptr", "indices", "data"):
+            assert getattr(got.S_tilde, key).tobytes() == getattr(want.S_tilde, key).tobytes()
+        assert got.coupling.shape == want.coupling.shape
+        assert got.coupling.tobytes() == want.coupling.tobytes()
+    if (robots, epsilon, mode) == (3, 0.5, "spectral"):  # every robot really sampled, so the seed mattered
+        assert all(upper_triangle_nnz(b.S_tilde) < upper_triangle_nnz(b.schur_contribution()) for b in blocks)
 
 
 def test_compressed_reduced_system_quality():
     rng = np.random.default_rng(9)
     L, part = _instance(rng, n=90, m=3, p_edge=0.8)
-    blocks, server = build_blocks(L, part)
-    compress_blocks(blocks, 1.0, np.random.default_rng(2), oversampling=0.7)
+    blocks, server = build_blocks(L, part, 1.0, 2, oversampling=0.7)
     sparsified_schur(blocks, server)
     interior_all = np.concatenate([b.interior for b in blocks])
     S_exact = schur_complement(L, interior_all)
@@ -393,7 +408,6 @@ def test_uniform_shift_in_separator_solution_propagates(monkeypatch):
     rng = np.random.default_rng(10)
     L, part = _instance(rng, n=60, m=2, p_edge=0.08)
     blocks, server = build_blocks(L, part)
-    compress_blocks(blocks, 0.0, np.random.default_rng(0))
     sparsified_schur(blocks, server)
     assert all(b.interior.size > 0 for b in blocks)
     for b in blocks:
@@ -427,8 +441,7 @@ def test_back_substitution_through_the_coupling_matches_a_second_interior_solve(
     part = partition_contiguous(g, g.n if robots == "n" else robots)
     L = laplacian(translation_weights(g))
     B = assemble_translation_rhs(g, truth)
-    blocks, server = build_blocks(L, part)
-    compress_blocks(blocks, epsilon, np.random.default_rng(0), oversampling=0.5)
+    blocks, server = build_blocks(L, part, epsilon, oversampling=0.5)
     sparsified_schur(blocks, server)
     X = split_solve(blocks, server, B)
     X_ref = _two_solve_reference(blocks, server, B)
@@ -445,8 +458,7 @@ def test_split_solve_makes_one_interior_solve_per_robot(monkeypatch, robots):
     """The back-substitution reuses the elimination's coupling instead of solving the interior again."""
     g, truth = generate_grid(SyntheticSpec(side=4, sigma_rot=0.1, seed=2))
     part = partition_contiguous(g, g.n if robots == "n" else robots)
-    blocks, server = build_blocks(laplacian(translation_weights(g)), part)
-    compress_blocks(blocks, 0.5, np.random.default_rng(0), oversampling=0.5)
+    blocks, server = build_blocks(laplacian(translation_weights(g)), part, 0.5, oversampling=0.5)
     sparsified_schur(blocks, server)
     calls = [0] * len(blocks)
     interior_solve = dd.RobotBlock.interior_solve

@@ -158,6 +158,13 @@ def test_sparsify_rejects_an_oversampling_that_is_not_positive_and_finite(oversa
         sparsify(L, 0.5, np.random.default_rng(0), oversampling=oversampling)
 
 
+@pytest.mark.parametrize("epsilon", [-0.1, np.nan])
+def test_sparsify_rejects_a_negative_or_nan_epsilon(epsilon):
+    L = laplacian(_random_connected(np.random.default_rng(6), 30, p_edge=0.2))
+    with pytest.raises(ValueError, match=r"^epsilon must be non-negative$"):
+        sparsify(L, epsilon, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("epsilon, oversampling", [(1e-17, 0.05), (5e-324, 0.05), (0.5, 1e308)])
 def test_sparsify_returns_the_input_on_an_infinite_budget(epsilon, oversampling):
     """1 - exp(-epsilon) is 0.0 below about 1.1e-16 and a huge oversampling overflows: both budgets cover every edge."""

@@ -46,8 +46,17 @@ def test_c_epsilon_monotone_and_rejects_negative():
 def test_gamma_factor():
     assert gamma_factor(4.0, 0.1) == pytest.approx(2.5666411423126547, rel=0, abs=1e-15)
     assert gamma_factor(1.0, 0.25) == pytest.approx(2.0 * C_TABLE[0.25])
-    with pytest.raises(ValueError):
-        gamma_factor(0.5, 0.1)
+    for kappa in (0.5, math.nan):
+        with pytest.raises(ValueError, match=r"^condition number must be at least 1$"):
+            gamma_factor(kappa, 0.1)
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan])
+def test_c_epsilon_and_gamma_factor_reject_a_negative_or_nan_eps(eps):
+    with pytest.raises(ValueError, match=r"^eps must be non-negative$"):
+        c_epsilon(eps)
+    with pytest.raises(ValueError, match=r"^eps must be non-negative$"):
+        gamma_factor(4.0, eps)
 
 
 def test_rotation_rmse_zero_for_global_rotation():

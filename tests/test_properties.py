@@ -1133,7 +1133,6 @@ def test_single_robot_solve_matches_grounded_loop(case, k, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n, k))
     B -= B.mean(axis=0)
-    dd.compress_blocks(blocks, 0.0, rng)
     dd.sparsified_schur(blocks, server)
     _same_outcome(lambda: dd.solve(blocks, server, B), lambda: _ref_single_robot_solve(L, B))
     _same_outcome(lambda: solve_grounded(L, B), lambda: _ref_single_robot_solve(L, B))
@@ -1241,7 +1240,6 @@ def _centred(rng, n, k):
 def test_exact_split_solve_matches_the_pseudoinverse(case, data, seed):
     n, pairs, L = case
     blocks, server = dd.build_blocks(L, _robots(data.draw, n, pairs))
-    dd.compress_blocks(blocks, 0.0, np.random.default_rng(0))
     dd.sparsified_schur(blocks, server)
     B = _centred(np.random.default_rng(seed), n, 3)
     X = dd.solve(blocks, server, B)
@@ -1273,7 +1271,6 @@ def test_detached_interior_path_names_its_robot(case, path_weights, data):
     part = Partition.from_owner(np.concatenate([part.owner, np.full(k, robot)]), pairs)
     with pytest.raises(NumericalError, match=rf"^robot {robot} interior block is singular"):
         blocks, server = dd.build_blocks(L_all, part)
-        dd.compress_blocks(blocks, 0.0, np.random.default_rng(0))
         dd.sparsified_schur(blocks, server)
 
 
@@ -1282,8 +1279,7 @@ def test_detached_interior_path_names_its_robot(case, path_weights, data):
 def test_reduced_solve_of_every_mode_is_exact_and_checked(case, mode, seed):
     """The server solves its reduced system exactly, whether Laplacian-like (grounded) or not, and checks the residual."""
     n, pairs, L = case
-    blocks, server = dd.build_blocks(L, Partition.from_owner(np.arange(n) * 2 // n, pairs))
-    dd.compress_blocks(blocks, 0.0, np.random.default_rng(0), mode=mode)
+    blocks, server = dd.build_blocks(L, Partition.from_owner(np.arange(n) * 2 // n, pairs), mode=mode)
     dd.sparsified_schur(blocks, server)
     S = server.S_tilde.toarray()
     U = _centred(np.random.default_rng(seed), S.shape[0], 2)

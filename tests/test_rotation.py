@@ -346,6 +346,15 @@ def test_collaborative_max_iters_zero_takes_no_step():
     assert np.array_equal(R.mats, R0.mats)
 
 
+def test_collaborative_rejects_a_negative_max_iters_and_a_nan_epsilon():
+    g, _ = _noisy_grid(side=3, sigma_deg=5.0, seed=16)
+    part = partition_contiguous(g, 3)
+    with pytest.raises(ValueError, match=r"^max_iters must be non-negative, got -1$"):
+        collaborative_solve(g, part, spanning_tree_init(g), SolverConfig(max_iters=-1))
+    with pytest.raises(ValueError, match=r"^epsilon must be non-negative$"):
+        collaborative_solve(g, part, spanning_tree_init(g), SolverConfig(epsilon=float("nan")))
+
+
 def test_collaborative_tolerance_met_at_start_converges_without_steps():
     g, _ = _noisy_grid(side=3, sigma_deg=5.0, seed=17)
     part = partition_contiguous(g, 3)

@@ -67,6 +67,12 @@ def test_zero_noise_recovers_grid_geometry():
     assert abs(d_est - d_ref) < 1e-10
 
 
+def test_collaborative_translation_rejects_a_negative_max_iters():
+    g, truth = _grid(side=3, sigma_deg=5.0, seed=4)
+    with pytest.raises(ValueError, match=r"^max_iters must be non-negative, got -1$"):
+        collaborative_translation_solve(g, partition_contiguous(g, 3), truth, SolverConfig(max_iters=-1))
+
+
 def test_collaborative_exact_reduced_system_single_sweep():
     g, truth = _grid(side=3, sigma_deg=5.0, seed=4)
     part = partition_contiguous(g, 3)
