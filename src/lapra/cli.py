@@ -75,8 +75,10 @@ def _load_poses(path: str, g: MeasurementGraph):
     poses = load_g2o(path)[1]
     if poses is None:
         raise GraphError(f"{path}: file has no complete vertex set")
-    if (poses[0].n, poses[0].d) != (g.n, g.d):
-        raise GraphError(f"{path}: {poses[0].n} poses in {poses[0].d}D do not match the graph's {g.n} in {g.d}D")
+    try:
+        g.check_rotations(poses[0])
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
     return poses
 
 
@@ -139,30 +141,23 @@ _NORM_KEY = {"rotation": "grad_norm", "translation": "residual_norm"}
 
 
 def _split_args(g, args):
-    """The partition and seed every solve stage of one command shares.
-
-    Also rejects the solver flags no solve can run with.
-    """
-    if args.max_iters < 0:
-        raise GraphError("--max-iters must be non-negative")
-    if not args.epsilon >= 0:
-        raise GraphError("--epsilon must be non-negative")
+    """The partition, seed and per-stage SolverConfig of one command's solve stages, built before any
+    solve. A setting SolverConfig rejects is a usage error that names the flag."""
     if not 0 < args.oversampling < float("inf"):
         raise GraphError("--oversampling must be positive and finite")
-    for flag in ("grad_tol", "resid_tol"):
-        if hasattr(args, flag) and not getattr(args, flag) >= 0:
-            raise GraphError(f"--{flag.replace('_', '-')} must be non-negative")
-    return partition_contiguous(g, args.robots), _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed)
+    configs = {}
+    for stage in _STAGES[args.command]:
+        tol, distance = ("grad_tol", args.distance) if stage == "rotation" else ("resid_tol", "geodesic")
+        try:
+            configs[stage] = SolverConfig(epsilon=args.epsilon, distance=distance, grad_tol=getattr(args, tol),
+                                          max_iters=args.max_iters, seed=seed)
+        except ValueError as exc:  # its message starts with the field's name
+            raise GraphError("--" + str(exc).replace("grad_tol", tol).replace("_", "-", 1)) from None
+    return partition_contiguous(g, args.robots), seed, configs
 
 
-def _rotation_run(g, args, partition, seed):
-    config = SolverConfig(
-        epsilon=args.epsilon,
-        distance=args.distance,
-        grad_tol=args.grad_tol,
-        max_iters=args.max_iters,
-        seed=seed,
-    )
+def _rotation_run(g, args, partition, config):
     R0 = spanning_tree_init(g)
     t0 = time.perf_counter()
     if args.method == "newton":
@@ -179,13 +174,7 @@ def _rotation_run(g, args, partition, seed):
     return R, trace, time.perf_counter() - t0
 
 
-def _translation_run(g, args, R_hat, partition, seed, prior):
-    config = SolverConfig(
-        epsilon=args.epsilon,
-        grad_tol=args.resid_tol,
-        max_iters=args.max_iters,
-        seed=seed,
-    )
+def _translation_run(g, args, R_hat, partition, config, prior):
     t0 = time.perf_counter()
     M, trace = collaborative_translation_solve(
         g, partition, R_hat, config, oversampling=args.oversampling, prior=prior
@@ -209,17 +198,17 @@ def cmd_solve(args) -> int:
     R = None if "rotation" in stages else _rotation_source(g, poses, args.rotations)
     truth = args.reference if "reference" in args else args.truth
     reference = None if truth is None else _load_poses(truth, g)
-    partition, seed = _split_args(g, args)
+    partition, seed, configs = _split_args(g, args)
     M = None
     runs = []  # (stage, trace, wall)
     held = []  # the rotation split's only reference; split_setup empties it to free a split it cannot reuse
     if "rotation" in stages:
-        R, trace, wall = _rotation_run(g, args, partition, seed)
+        R, trace, wall = _rotation_run(g, args, partition, configs["rotation"])
         runs.append(("rotation", trace, wall))
         held = [trace.split] if trace.split else []  # newton has no split
         trace.split = None
     if "translation" in stages:
-        M, trace, wall = _translation_run(g, args, R, partition, seed, held)
+        M, trace, wall = _translation_run(g, args, R, partition, configs["translation"], held)
         runs.append(("translation", trace, wall))
 
     single = len(runs) == 1

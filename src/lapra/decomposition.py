@@ -250,8 +250,10 @@ def build_blocks(L: sp.spmatrix, partition: Partition, epsilon: float = 0.0, see
 
 def sparsified_schur(blocks: list[RobotBlock], server: ServerState) -> None:
     """Server side of the one-time phase: add the robots' compressed blocks (see build_blocks) to
-    the cross-edge block and factor the sum for reuse across later solves."""
-    server.set_reduced(sum((blk.S_tilde for blk in blocks), server.L_Gc))
+    the cross-edge block and factor the sum for reuse across later solves. A server that already
+    holds its reduced system, as a reused split's does, keeps it and its factor."""
+    if server.S_tilde is None:
+        server.set_reduced(sum((blk.S_tilde for blk in blocks), server.L_Gc))
 
 
 def solve(
@@ -304,8 +306,8 @@ class Split:
     """The robots and server of a one-time phase, and everything they were computed from.
 
     blocks hold each robot's slices of L, its interior factor, its
-    coupling and its compressed S_tilde; server is the ServerState build_blocks made, and
-    each stage's sparsified_schur sums and factors it again. inputs is
+    coupling and its compressed S_tilde; server is the ServerState build_blocks made, which
+    the first stage's sparsified_schur sums and factors once for every stage. inputs is
     (epsilon, seed, schur mode, oversampling), build_blocks' arguments after L and partition.
     """
 
@@ -345,13 +347,13 @@ def split_setup(L, partition: Partition, epsilon: float, seed: int, schur_mode: 
     earlier stage's split. When that split was built from the same L,
     partition, epsilon, seed, schur mode and oversampling, split is it:
     the robots keep its blocks, interior factors, couplings and compressed blocks,
-    and the server its cross-edge block, which a new set-up would repeat
-    bit for bit. Otherwise prior is emptied, so the old split can be
+    and the server its reduced system and factor, which a new set-up would
+    repeat bit for bit. Otherwise prior is emptied, so the old split can be
     freed, and build_blocks sets the robots up anew from these inputs:
     each eliminates and compresses, sampling from a generator seeded with
     seed. Each robot's block is metered as "schur" in round 0 of a fresh
-    ledger, and split.server sums and factors the blocks again in every
-    stage. solve(E) meters, in the round its caller
+    ledger in every stage, and sparsified_schur sums and factors the
+    blocks once per split. solve(E) meters, in the round its caller
     opened, robot a's "partial_grad" of upload_rows[a] rows and then each
     robot's "rhs" of one row per separator its interior touches, per
     column of E; it then takes E's column sums, zero up to round-off, off

@@ -99,6 +99,11 @@ class MeasurementGraph:
         """(m, 2) array of the endpoints (I[k], J[k])."""
         return np.stack([self.I, self.J], axis=1)
 
+    def check_rotations(self, R: RotationState) -> None:
+        """Raise GraphError unless R holds one d x d rotation per vertex of this graph."""
+        if (R.n, R.d) != (self.n, self.d):
+            raise GraphError(f"{R.n} rotations in {R.d}D do not match the graph's {self.n} vertices in {self.d}D")
+
     def validate(self) -> None:
         """Check array shapes, index ranges, rotation validity, duplicates and connectivity.
 

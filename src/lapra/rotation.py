@@ -92,14 +92,25 @@ def distance_by_name(name: str) -> Distance:
         raise ValueError(f"unknown distance {name!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """One solve's settings, checked on construction, so a bad one fails before any set-up: a negative or
+    NaN epsilon or grad_tol, a negative max_iters or seed, or an unknown distance raises ValueError."""
+
     epsilon: float = 0.0
     distance: str = "geodesic"
     grad_tol: float = 1e-5
     max_iters: int = 50
     project_horizontal: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        distance_by_name(self.distance)
+        if not self.epsilon >= 0:
+            raise ValueError("epsilon must be non-negative")
+        for name in ("grad_tol", "max_iters", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -148,10 +159,7 @@ def iterate(
     trace, not raised. Each step opens a ledger round, then takes
     x = step(x, residual), which meters its uploads into that round.
     keep_iterates=True keeps a copy of the iterate behind every row.
-    A negative config.max_iters raises ValueError.
     """
-    if config.max_iters < 0:
-        raise ValueError(f"max_iters must be non-negative, got {config.max_iters}")
     x = x0
     trace = RunTrace(ledger=ledger, iterates=[] if keep_iterates else None)
     for k in range(config.max_iters + 1):
@@ -318,6 +326,7 @@ def collaborative_solve(
     threads is accepted and ignored: robots are set up one after another.
     It stays only because perfbench passes it, and goes once that stops.
     """
+    g.check_rotations(R0)
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
     solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, schur_mode, oversampling,
@@ -383,6 +392,7 @@ def newton_solve(
     separators uploads nothing. The dense second-order baseline;
     config.epsilon, seed and project_horizontal do not apply.
     """
+    g.check_rotations(R0)
     kind = distance_by_name(config.distance)
     ledger = dd.CommsLedger()
 

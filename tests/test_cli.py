@@ -542,6 +542,21 @@ def test_exit_code_on_invalid_tolerance(tmp_path, capsys, command, flag, value, 
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flag", ["--max-iters", "--epsilon", "--grad-tol", "--resid-tol"])
+def test_pipeline_rejects_a_bad_flag_of_either_stage_before_any_set_up(tmp_path, capsys, monkeypatch, flag):
+    graph, _ = _synth(tmp_path, side=3)
+
+    def no_set_up(*args, **kwargs):
+        raise AssertionError("set up before the flags were checked")
+
+    monkeypatch.setattr(decomposition, "build_blocks", no_set_up)
+    capsys.readouterr()
+    rc = main(["pipeline", "--input", graph, "--robots", "3", flag, "-1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith(f"lapra: error: {flag} must be non-negative")
+
+
 @pytest.mark.parametrize("value", ["-1", "nan"])
 def test_validate_hessian_rejects_invalid_epsilon(tmp_path, capsys, value):
     out = tmp_path / "sweep.csv"

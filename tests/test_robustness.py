@@ -5,16 +5,20 @@ the weights, so the split solve takes them off row 0; very heavy weights
 must converge rather than fail the feasibility check. A global rotation
 of the start is a symmetry of the problem and must move every iterate
 by that rotation alone. Partitions where every vertex is a separator and
-graphs that are one spanning tree must run through both stages.
+graphs that are one spanning tree must run through both stages. A bad
+config or a rotation set of the wrong size fails before any set-up.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from lapra import decomposition as dd
 from lapra import rotation
 from lapra.manifold import RotationState, exp_map_batch, random_rotation
-from lapra.pose_graph import SyntheticSpec, generate_grid, partition_contiguous, spanning_tree_init
-from lapra.rotation import SolverConfig, collaborative_solve
+from lapra.pose_graph import GraphError, SyntheticSpec, generate_grid, partition_contiguous, spanning_tree_init
+from lapra.rotation import SolverConfig, collaborative_solve, newton_solve
 from lapra.translation import collaborative_translation_solve
 
 
@@ -110,3 +114,73 @@ def test_tree_only_graphs_solve_from_either_start(d, robots, epsilon):
     assert _both_stages(g, part, R0, epsilon) == (0, 1)
     iterations, sweeps = _both_stages(g, part, _perturbed(R0, 5.0, seed=1), epsilon)
     assert 1 <= iterations <= 3 and sweeps == 1
+
+
+# ---------------------------------------------------------------------------
+# Inputs no solve can run with
+
+_SOLVERS = {"rotation": collaborative_solve, "translation": collaborative_translation_solve, "newton": newton_solve}
+
+
+def _forbid_set_up(monkeypatch):
+    """Make every set-up step, and Newton's first step, fail if it is reached."""
+    def no_set_up(*args, **kwargs):
+        raise AssertionError("set up before the inputs were checked")
+
+    for owner, name in [(dd, "build_blocks"), (dd, "spd_factor"), (dd, "grounded_solver"),
+                        (rotation, "exact_newton_step")]:
+        monkeypatch.setattr(owner, name, no_set_up)
+
+
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("epsilon", float("nan"), r"^epsilon must be non-negative$"),
+        ("epsilon", -1.0, r"^epsilon must be non-negative$"),
+        ("grad_tol", float("nan"), r"^grad_tol must be non-negative, got nan$"),
+        ("grad_tol", -1.0, r"^grad_tol must be non-negative, got -1.0$"),
+        ("max_iters", -1, r"^max_iters must be non-negative, got -1$"),
+        ("seed", -1, r"^seed must be non-negative, got -1$"),
+        ("distance", "bogus", r"^unknown distance 'bogus'$"),
+    ],
+    ids=["epsilon-nan", "epsilon-negative", "grad-tol-nan", "grad-tol-negative", "max-iters", "seed", "distance"],
+)
+def test_a_bad_config_fails_before_any_set_up(monkeypatch, solver, field, value, message):
+    g, _ = _grid(3)
+    part, R0 = partition_contiguous(g, 3), spanning_tree_init(g)
+    _forbid_set_up(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        _SOLVERS[solver](g, part, R0, SolverConfig(**{field: value}))
+
+
+def test_a_solver_config_is_frozen():
+    config = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.max_iters = -1
+    assert config.max_iters == 50
+
+
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+def test_boundary_configs_are_accepted(solver):
+    """A zero tolerance runs every step, an infinite one converges at the start, and max_iters 0 takes no step."""
+    g, _ = _grid(3)
+    part, R0 = partition_contiguous(g, 3), spanning_tree_init(g)
+    for config, converged, iterations in [(SolverConfig(grad_tol=0.0, max_iters=2), False, 2),
+                                          (SolverConfig(grad_tol=float("inf")), True, 0),
+                                          (SolverConfig(max_iters=0), False, 0)]:
+        _, trace = _SOLVERS[solver](g, part, R0, config)
+        assert (trace.converged, trace.iterations, len(trace.rows)) == (converged, iterations, iterations + 1)
+
+
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+@pytest.mark.parametrize("size", ["short", "long", "2D-in-3D"])
+def test_a_rotation_set_of_the_wrong_size_fails_before_any_set_up(monkeypatch, solver, size):
+    """Side 4 has 64 vertices: 63 or 66 rotations, or 64 planar ones, are a GraphError for every solver."""
+    g, _ = _grid(4)
+    mats = spanning_tree_init(g).mats
+    R = {"short": RotationState(mats[:-1]), "long": RotationState(np.concatenate([mats, mats[:2]])),
+         "2D-in-3D": RotationState.identity(g.n, 2)}[size]
+    _forbid_set_up(monkeypatch)
+    with pytest.raises(GraphError, match=rf"^{R.n} rotations in {R.d}D do not match the graph's 64 vertices in 3D$"):
+        _SOLVERS[solver](g, partition_contiguous(g, 3), R, SolverConfig())

@@ -183,7 +183,7 @@ def test_sweeps_with_large_rhs_round_off_stay_feasible(robots):
 # Reusing the rotation stage's robot-side set-up
 
 _SPIED = [(dd, "build_blocks"), (dd.RobotBlock, "schur_contribution"), (dd, "sparsify"),
-          (laplacians, "effective_resistances"), (dd, "sparsified_schur")]
+          (laplacians, "effective_resistances"), (dd, "sparsified_schur"), (dd.ServerState, "set_reduced")]
 
 
 def _counted_translation(monkeypatch, *args, **kwargs):
@@ -232,8 +232,9 @@ def test_translation_reuses_an_equal_split_bit_for_bit(monkeypatch, robots, epsi
     fresh = collaborative_translation_solve(g, part, R, config, oversampling=oversampling)
     couplings = [b.coupling for b in rot.split.blocks]
     reused, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=[rot.split])
+    # the stage still runs the server's side of the set-up, but the server keeps its factor
     assert calls == {"build_blocks": 0, "schur_contribution": 0, "sparsify": 0, "effective_resistances": 0,
-                     "sparsified_schur": 1}
+                     "sparsified_schur": 1, "set_reduced": 0}
     assert reused[1].split is rot.split and fresh[1].split is not rot.split
     assert all(b.coupling is Z for b, Z in zip(reused[1].split.blocks, couplings))
     _assert_same_run(reused, fresh)
@@ -267,6 +268,7 @@ def test_translation_sets_up_anew_when_the_split_differs(monkeypatch, case):
     prior = [rot.split] if rot.split else []  # newton has no split to hand on
     given, calls = _counted_translation(monkeypatch, g, part, R, config, oversampling=oversampling, prior=prior)
     assert calls["build_blocks"] == 1 and calls["schur_contribution"] == 3 and calls["sparsified_schur"] == 1
+    assert calls["set_reduced"] == 1
     assert given[1].split is not rot.split and prior == []  # the holder lets the unused split go
     old_couplings = [b.coupling for b in rot.split.blocks] if rot.split else []
     assert not any(b.coupling is Z for b in given[1].split.blocks for Z in old_couplings)
