@@ -13,7 +13,9 @@ failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -22,6 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .decomposition import LedgerEvent
 from .laplacians import DEFAULT_OVERSAMPLING
 from .manifold import NumericalError
 from .metrics import rotation_rmse, translation_rmse
@@ -38,6 +41,7 @@ from .pose_graph import (
 )
 from .rotation import (
     SolverConfig,
+    TraceRow,
     collaborative_solve,
     distance_by_name,
     hessian_report,
@@ -63,13 +67,6 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
-def _load_graph(path: str):
-    g, poses = load_g2o(path)
-    if g.m == 0:
-        raise GraphError(f"{path}: file has no measurement edges")
-    return g, poses
-
-
 def _load_poses(path: str, g: MeasurementGraph):
     """The (rotations, translations) stored in a g2o file, which must be n x d for the graph g."""
     poses = load_g2o(path)[1]
@@ -91,17 +88,15 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _write_staged_csv(path: str, stages: list[tuple[str, str]]) -> None:
-    """Concatenate per-stage CSV texts under one header; several stages get a leading stage column."""
-    lines = []
-    for stage, text in stages:
-        header, *rows = text.splitlines()
-        column = f"{stage}," if len(stages) > 1 else ""
-        if not lines:
-            lines.append(("stage," if column else "") + header)
-        lines += [column + row for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _csv_text(header: list[str], stages: list[tuple]) -> str:
+    """The header and every (stage, rows) pair's rows as CSV; several stages get a leading stage column."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    staged = len(stages) > 1
+    w.writerow(["stage", *header] if staged else header)
+    for stage, rows in stages:
+        w.writerows([stage, *row] if staged else row for row in rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +133,8 @@ _CONFIG_KEYS = {
     "pipeline": _ROTATION_KEYS + ("resid_tol", "reference"),
 }
 _NORM_KEY = {"rotation": "grad_norm", "translation": "residual_norm"}
+_TRACE_HEADER = [f.name for f in dataclasses.fields(TraceRow)]
+_LEDGER_HEADER = [f.name for f in dataclasses.fields(LedgerEvent)] + ["bytes"]
 
 
 def _split_args(g, args):
@@ -157,31 +154,6 @@ def _split_args(g, args):
     return partition_contiguous(g, args.robots), seed, configs
 
 
-def _rotation_run(g, args, partition, config):
-    R0 = spanning_tree_init(g)
-    t0 = time.perf_counter()
-    if args.method == "newton":
-        R, trace = newton_solve(g, partition, R0, config)
-    else:
-        R, trace = collaborative_solve(
-            g,
-            partition,
-            R0,
-            config,
-            schur_mode=_METHOD_MODE[args.method],
-            oversampling=args.oversampling,
-        )
-    return R, trace, time.perf_counter() - t0
-
-
-def _translation_run(g, args, R_hat, partition, config, prior):
-    t0 = time.perf_counter()
-    M, trace = collaborative_translation_solve(
-        g, partition, R_hat, config, oversampling=args.oversampling, prior=prior
-    )
-    return M, trace, time.perf_counter() - t0
-
-
 def _rotation_source(g, poses, path):
     """Rotation estimates for a translation-only solve: the --rotations file, else the input's vertices."""
     if path is not None:
@@ -194,7 +166,9 @@ def _rotation_source(g, poses, path):
 def cmd_solve(args) -> int:
     """Run the command's solve stages, then write its report, CSVs and saved poses."""
     stages = _STAGES[args.command]
-    g, poses = _load_graph(args.input)
+    g, poses = load_g2o(args.input)
+    if g.m == 0:
+        raise GraphError(f"{args.input}: file has no measurement edges")
     R = None if "rotation" in stages else _rotation_source(g, poses, args.rotations)
     truth = args.reference if "reference" in args else args.truth
     reference = None if truth is None else _load_poses(truth, g)
@@ -202,14 +176,22 @@ def cmd_solve(args) -> int:
     M = None
     runs = []  # (stage, trace, wall)
     held = []  # the rotation split's only reference; split_setup empties it to free a split it cannot reuse
-    if "rotation" in stages:
-        R, trace, wall = _rotation_run(g, args, partition, configs["rotation"])
-        runs.append(("rotation", trace, wall))
-        held = [trace.split] if trace.split else []  # newton has no split
-        trace.split = None
-    if "translation" in stages:
-        M, trace, wall = _translation_run(g, args, R, partition, configs["translation"], held)
-        runs.append(("translation", trace, wall))
+    for stage in stages:
+        if stage == "rotation":
+            R0 = spanning_tree_init(g)
+            t0 = time.perf_counter()
+            if args.method == "newton":
+                R, trace = newton_solve(g, partition, R0, configs[stage])
+            else:
+                R, trace = collaborative_solve(g, partition, R0, configs[stage], schur_mode=_METHOD_MODE[args.method],
+                                               oversampling=args.oversampling)
+            held = [trace.split] if trace.split else []  # newton has no split
+            trace.split = None
+        else:
+            t0 = time.perf_counter()
+            M, trace = collaborative_translation_solve(g, partition, R, configs[stage],
+                                                       oversampling=args.oversampling, prior=held)
+        runs.append((stage, trace, time.perf_counter() - t0))
 
     single = len(runs) == 1
     final = {}
@@ -240,9 +222,12 @@ def cmd_solve(args) -> int:
     for stage, trace, _ in runs:
         report["trace" if single else f"{stage}_trace"] = [dataclasses.asdict(row) for row in trace.rows]
     if args.trace is not None:
-        _write_staged_csv(args.trace, [(stage, trace.to_csv()) for stage, trace, _ in runs])
+        stage_rows = [(stage, map(dataclasses.astuple, trace.rows)) for stage, trace, _ in runs]
+        _write_text(_csv_text(_TRACE_HEADER, stage_rows), args.trace)
     if args.ledger is not None:
-        _write_staged_csv(args.ledger, [(stage, trace.ledger.to_csv()) for stage, trace, _ in runs])
+        stage_rows = [(stage, [(*dataclasses.astuple(e), e.bytes) for e in trace.ledger.events])
+                      for stage, trace, _ in runs]
+        _write_text(_csv_text(_LEDGER_HEADER, stage_rows), args.ledger)
     if args.save is not None:
         write_g2o(args.save, MeasurementGraph(g.d, g.n), poses=(R, np.zeros((g.n, g.d)) if M is None else M))
     _write_text(json.dumps(report, indent=2) + "\n", args.report)
@@ -260,7 +245,7 @@ def cmd_validate_hessian(args) -> int:
     kind = distance_by_name(args.distance)
     warm_up = SolverConfig(distance=args.distance, grad_tol=1e-8, max_iters=40)
     base_seed = _resolve_seed(args.seed)
-    lines = ["sigma_deg,seed,delta,lambda2,lambda_max,kappa,gamma"]
+    rows = []
     for sigma_deg in args.sigma_deg:
         for k in range(args.seeds):
             spec = SyntheticSpec(
@@ -273,11 +258,10 @@ def cmd_validate_hessian(args) -> int:
             g, _ = generate_grid(spec)
             R, _ = collaborative_solve(g, partition_contiguous(g, 1), spanning_tree_init(g), warm_up)
             rep = hessian_report(g, R, kind, epsilon=args.epsilon)
-            lines.append(
-                f"{sigma_deg},{base_seed + k},{rep.delta_empirical!r},{rep.lambda2!r},"
-                f"{rep.lambda_max!r},{rep.kappa!r},{rep.gamma!r}"
-            )
-    _write_text("\n".join(lines) + "\n", args.out)
+            rows.append((sigma_deg, base_seed + k, rep.delta_empirical, rep.lambda2, rep.lambda_max, rep.kappa,
+                         rep.gamma))
+    _write_text(_csv_text(["sigma_deg", "seed", "delta", "lambda2", "lambda_max", "kappa", "gamma"], [(None, rows)]),
+                args.out)
     return 0
 
 

@@ -12,8 +12,6 @@ meters the stage's uploads in a CommsLedger.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +22,7 @@ from .laplacians import (
     _detached,
     _is_laplacian_like,
     _require_feasible,
+    _require_oversampling,
     graph_from_laplacian,
     grounded_solver,
     heuristic_sparsify,
@@ -91,14 +90,6 @@ class CommsLedger:
 
     def bytes_by_kind(self, kind: str) -> int:
         return BYTES_PER_SCALAR * sum(e.scalars for e in self.events if e.kind == kind)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["round", "robot", "kind", "scalars", "bytes"])
-        for e in self.events:
-            w.writerow([e.round, e.robot, e.kind, e.scalars, e.bytes])
-        return buf.getvalue()
 
 
 @dataclass
@@ -181,10 +172,12 @@ def build_blocks(L: sp.spmatrix, partition: Partition, epsilon: float = 0.0, see
     a single robot the interior is every vertex and there are no separators,
     so its block is the whole singular Laplacian and takes a grounded
     factorization; with several robots every interior component must touch a
-    separator.
+    separator. An unknown mode, or an oversampling outside (0, inf) in any
+    mode, raises ValueError before any robot factors.
     """
     if mode not in SCHUR_MODES:
         raise ValueError(f"mode must be one of {SCHUR_MODES}")
+    _require_oversampling(oversampling)
     L = sp.csr_matrix(L)
     n = L.shape[0]
     if partition.owner.shape[0] != n:

@@ -202,6 +202,12 @@ def _component_labels_of(L: sp.spmatrix) -> np.ndarray:
     return csgraph.connected_components(sp.triu(L, k=1) != 0, directed=False)[1]
 
 
+def _require_oversampling(oversampling: float) -> None:
+    """Raise ValueError unless the sampling budget multiplier lies in (0, inf)."""
+    if not 0 < oversampling < math.inf:
+        raise ValueError(f"oversampling must be positive and finite, got {oversampling}")
+
+
 def sparsify(
     S: sp.spmatrix,
     epsilon: float,
@@ -224,8 +230,7 @@ def sparsify(
     S = sp.csr_matrix(S)
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
-    if not 0 < oversampling < math.inf:
-        raise ValueError(f"oversampling must be positive and finite, got {oversampling}")
+    _require_oversampling(oversampling)
     if epsilon == 0.0:
         return S.copy()
     g = graph_from_laplacian(S, tol=1e-12)

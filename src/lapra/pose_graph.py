@@ -104,6 +104,15 @@ class MeasurementGraph:
         if (R.n, R.d) != (self.n, self.d):
             raise GraphError(f"{R.n} rotations in {R.d}D do not match the graph's {self.n} vertices in {self.d}D")
 
+    def check_partition(self, partition: "Partition") -> None:
+        """Raise GraphError unless partition assigns every vertex of this graph and its separators are the
+        endpoints of this graph's cross-robot edges."""
+        if partition.owner.shape != (self.n,):
+            raise GraphError(f"a partition of {partition.owner.size} vertices does not match the graph's "
+                             f"{self.n} vertices")
+        if not np.array_equal(partition.is_separator, Partition.from_owner(partition.owner, self.pairs).is_separator):
+            raise GraphError("the partition's separators are not the endpoints of the graph's cross-robot edges")
+
     def validate(self) -> None:
         """Check array shapes, index ranges, rotation validity, duplicates and connectivity.
 

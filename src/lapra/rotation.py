@@ -10,8 +10,6 @@ metered.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -95,7 +93,8 @@ def distance_by_name(name: str) -> Distance:
 @dataclass(frozen=True)
 class SolverConfig:
     """One solve's settings, checked on construction, so a bad one fails before any set-up: a negative or
-    NaN epsilon or grad_tol, a negative max_iters or seed, or an unknown distance raises ValueError."""
+    NaN epsilon or grad_tol, a max_iters or seed that is not a non-negative integer, or an unknown
+    distance raises ValueError."""
 
     epsilon: float = 0.0
     distance: str = "geodesic"
@@ -108,6 +107,9 @@ class SolverConfig:
         distance_by_name(self.distance)
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
+        for name in ("max_iters", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         for name in ("grad_tol", "max_iters", "seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -133,14 +135,6 @@ class RunTrace:
     @property
     def final_grad_norm(self) -> float:
         return self.rows[-1].grad_norm if self.rows else float("nan")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["iter", "grad_norm", "cost", "cum_upload_bytes"])
-        for r in self.rows:
-            w.writerow([r.iter, repr(r.grad_norm), repr(r.cost), r.cum_upload_bytes])
-        return buf.getvalue()
 
 
 def iterate(
@@ -326,6 +320,7 @@ def collaborative_solve(
     threads is accepted and ignored: robots are set up one after another.
     It stays only because perfbench passes it, and goes once that stops.
     """
+    g.check_partition(partition)
     g.check_rotations(R0)
     kind = distance_by_name(config.distance)
     L = laplacian(laplacian_weights(g, kind))
@@ -392,6 +387,7 @@ def newton_solve(
     separators uploads nothing. The dense second-order baseline;
     config.epsilon, seed and project_horizontal do not apply.
     """
+    g.check_partition(partition)
     g.check_rotations(R0)
     kind = distance_by_name(config.distance)
     ledger = dd.CommsLedger()

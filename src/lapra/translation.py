@@ -89,6 +89,7 @@ def collaborative_translation_solve(
     side is reused when built from the same Laplacian and inputs and is
     otherwise let go (see split_setup). The trace's split is this stage's.
     """
+    g.check_partition(partition)
     g.check_rotations(R_hat)
     L = laplacian(translation_weights(g))
     solve, ledger, split = dd.split_setup(L, partition, config.epsilon, config.seed, "spectral", oversampling,

@@ -289,6 +289,37 @@ def test_solve_command_artifacts_match_the_report_and_the_solve(tmp_path, comman
     np.testing.assert_allclose(t_saved, t, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("command", ["solve-rotation", "solve-translation", "pipeline"])
+def test_solve_command_csv_text_is_the_report_trace_and_the_metered_bytes(tmp_path, command):
+    """Each trace field is repr of the report's trace row; each ledger row's bytes are 8 per scalar, and each
+    stage's add up to what its trace uploaded. Lines end in a bare newline and nothing is quoted."""
+    graph, truth = _synth(tmp_path, side=3)
+    report, trace, ledger = (tmp_path / f for f in ("rep.json", "trace.csv", "ledger.csv"))
+    rotations = ["--rotations", truth] if command == "solve-translation" else []
+    rc = main([command, "--input", graph, *rotations, "--robots", "3", "--epsilon", "0.5", "--oversampling", "0.05",
+               "--seed", "0", "--report", str(report), "--trace", str(trace), "--ledger", str(ledger)])
+    assert rc == 0
+    rep = _report(report)
+    staged = command == "pipeline"
+    stages = ["rotation", "translation"] if staged else [command.removeprefix("solve-")]
+    traces = {stage: rep[f"{stage}_trace" if staged else "trace"] for stage in stages}
+    lead = (lambda stage: [stage]) if staged else (lambda stage: [])
+    fields = ["iter", "grad_norm", "cost", "cum_upload_bytes"]
+    lines = [lead("stage") + fields]
+    lines += [lead(stage) + [repr(row[f]) for f in fields] for stage in stages for row in traces[stage]]
+    assert trace.read_bytes() == "".join(",".join(line) + "\n" for line in lines).encode()
+
+    with open(ledger, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert ledger.read_bytes() == "".join(",".join(line) + "\n" for line in [header, *rows]).encode()
+    assert header == lead("stage") + ["round", "robot", "kind", "scalars", "bytes"]
+    assert rows and all(int(r[-1]) == 8 * int(r[-2]) for r in rows)
+    for stage in stages:
+        stage_bytes = sum(int(r[-1]) for r in rows if r[:len(lead(stage))] == lead(stage))
+        assert stage_bytes == traces[stage][-1]["cum_upload_bytes"] > 0
+    assert sum(int(r[-1]) for r in rows) == rep["final"]["total_upload_bytes"]
+
+
 @pytest.mark.parametrize("flags", [["--distance", "chordal"], ["--method", "block-tree"], ["--method", "newton"]])
 def test_pipeline_sets_up_translation_anew_when_the_split_differs(tmp_path, flags):
     """Chordal weights double the rotation Laplacian, block-tree compresses differently and Newton has no split."""

@@ -8,6 +8,7 @@ from lapra import decomposition as dd
 from lapra.decomposition import (
     BYTES_PER_SCALAR,
     CommsLedger,
+    LedgerEvent,
     build_blocks,
     separator_rows_by_owner,
     solve as split_solve,
@@ -63,10 +64,7 @@ def test_ledger_accounting():
     assert led.total_scalars() == 22
     assert led.total_bytes() == 22 * BYTES_PER_SCALAR
     assert led.bytes_by_kind("schur") == 15 * BYTES_PER_SCALAR
-    text = led.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "round,robot,kind,scalars,bytes"
-    assert len(lines) == 4
+    assert led.events == [LedgerEvent(0, 0, "schur", 10), LedgerEvent(0, 1, "schur", 5), LedgerEvent(1, 0, "rhs", 7)]
 
 
 def test_ledger_rejects_an_unknown_kind():

@@ -1154,7 +1154,7 @@ def test_single_robot_collaborative_solve_is_the_centralized_loop(g, distance, s
         return
     R, trace = collaborative_solve(g, one_robot, R0, config)
     assert R.mats.tobytes() == R_ref.mats.tobytes()
-    assert trace.to_csv() == ref.to_csv()
+    assert repr(trace.rows) == repr(ref.rows)
     assert (trace.converged, trace.iterations) == (ref.converged, ref.iterations)
 
 
@@ -1467,7 +1467,7 @@ def test_newton_step_matches_the_explicit_projector_step(side, d, sigma_deg):
         _ref_newton_schur_rows(g, R, kind, part, ref_ledger)
         R1, trace = newton_solve(g, part, R, config)
         assert np.array_equal(R1.mats, got.mats)
-        assert trace.ledger.to_csv() == ref_ledger.to_csv() and ref_ledger.total_scalars() > 0
+        assert trace.ledger.events == ref_ledger.events and ref_ledger.total_scalars() > 0
 
 
 @pytest.mark.parametrize("d, side", [(2, 5), (3, 3), (3, 4)])

@@ -6,7 +6,8 @@ must converge rather than fail the feasibility check. A global rotation
 of the start is a symmetry of the problem and must move every iterate
 by that rotation alone. Partitions where every vertex is a separator and
 graphs that are one spanning tree must run through both stages. A bad
-config or a rotation set of the wrong size fails before any set-up.
+config, a rotation set of the wrong size or a partition of another graph
+fails before any set-up, and a bad oversampling before any factorization.
 """
 
 import dataclasses
@@ -17,7 +18,14 @@ import pytest
 from lapra import decomposition as dd
 from lapra import rotation
 from lapra.manifold import RotationState, exp_map_batch, random_rotation
-from lapra.pose_graph import GraphError, SyntheticSpec, generate_grid, partition_contiguous, spanning_tree_init
+from lapra.pose_graph import (
+    GraphError,
+    Partition,
+    SyntheticSpec,
+    generate_grid,
+    partition_contiguous,
+    spanning_tree_init,
+)
 from lapra.rotation import SolverConfig, collaborative_solve, newton_solve
 from lapra.translation import collaborative_translation_solve
 
@@ -72,7 +80,7 @@ def test_global_rotation_of_the_start_rotates_every_iterate(monkeypatch, d, side
     trace_q, iterates_q = _solve_keeping_iterates(monkeypatch, g, part, RotationState(Q @ R0.mats), config, 0.2)
     assert (trace_q.converged, trace_q.iterations) == (trace.converged, trace.iterations)
     assert len(iterates_q) == len(iterates) == trace.iterations
-    assert trace_q.ledger.to_csv() == trace.ledger.to_csv()
+    assert trace_q.ledger.events == trace.ledger.events
     for R_k, QR_k in zip(iterates, iterates_q):
         assert np.abs(QR_k - Q @ R_k).max() <= 1e-12
     norms = np.array([row.grad_norm for row in trace.rows])
@@ -141,10 +149,13 @@ def _forbid_set_up(monkeypatch):
         ("grad_tol", float("nan"), r"^grad_tol must be non-negative, got nan$"),
         ("grad_tol", -1.0, r"^grad_tol must be non-negative, got -1.0$"),
         ("max_iters", -1, r"^max_iters must be non-negative, got -1$"),
+        ("max_iters", 2.5, r"^max_iters must be an integer, got 2.5$"),
         ("seed", -1, r"^seed must be non-negative, got -1$"),
+        ("seed", 1.5, r"^seed must be an integer, got 1.5$"),
         ("distance", "bogus", r"^unknown distance 'bogus'$"),
     ],
-    ids=["epsilon-nan", "epsilon-negative", "grad-tol-nan", "grad-tol-negative", "max-iters", "seed", "distance"],
+    ids=["epsilon-nan", "epsilon-negative", "grad-tol-nan", "grad-tol-negative", "max-iters", "max-iters-fraction",
+         "seed", "seed-fraction", "distance"],
 )
 def test_a_bad_config_fails_before_any_set_up(monkeypatch, solver, field, value, message):
     g, _ = _grid(3)
@@ -184,3 +195,45 @@ def test_a_rotation_set_of_the_wrong_size_fails_before_any_set_up(monkeypatch, s
     _forbid_set_up(monkeypatch)
     with pytest.raises(GraphError, match=rf"^{R.n} rotations in {R.d}D do not match the graph's 64 vertices in 3D$"):
         _SOLVERS[solver](g, partition_contiguous(g, 3), R, SolverConfig())
+
+
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+@pytest.mark.parametrize(
+    "kind, message",
+    [("smaller", r"^a partition of 8 vertices does not match the graph's 27 vertices$"),
+     ("larger", r"^a partition of 64 vertices does not match the graph's 27 vertices$"),
+     ("other-edges", r"^the partition's separators are not the endpoints of the graph's cross-robot edges$")],
+    ids=["smaller", "larger", "other-edges"],
+)
+def test_a_partition_of_another_graph_fails_before_any_set_up(monkeypatch, solver, kind, message):
+    """Side 3 has 27 vertices: a side-2 or side-4 partition, or one whose separators follow another graph's
+    edges, is a GraphError for every solver."""
+    g, _ = _grid(3)
+    if kind == "other-edges":
+        other, _ = _grid(3, seed=1)
+        part = Partition.from_owner(partition_contiguous(g, 3).owner, other.pairs)
+        assert not np.array_equal(part.is_separator, partition_contiguous(g, 3).is_separator)
+    else:
+        part = partition_contiguous(_grid(2 if kind == "smaller" else 4)[0], 3)
+    _forbid_set_up(monkeypatch)
+    with pytest.raises(GraphError, match=message):
+        _SOLVERS[solver](g, part, spanning_tree_init(g), SolverConfig())
+
+
+@pytest.mark.parametrize("solver, mode", [("rotation", "spectral"), ("rotation", "block_diagonal"),
+                                          ("rotation", "tree"), ("translation", "spectral")])
+@pytest.mark.parametrize("oversampling", [-1.0, 0.0, float("nan"), float("inf")])
+def test_a_bad_oversampling_fails_before_any_factorization(monkeypatch, solver, mode, oversampling):
+    """Every mode checks the budget multiplier, the heuristic ones too, before a robot factors its interior."""
+    g, _ = _grid(3)
+    part, R0 = partition_contiguous(g, 3), spanning_tree_init(g)
+
+    def no_factor(*args):
+        raise AssertionError("factored before the oversampling check")
+
+    monkeypatch.setattr(dd, "spd_factor", no_factor)
+    monkeypatch.setattr(dd, "grounded_solver", no_factor)
+    extra = {"schur_mode": mode} if solver == "rotation" else {}
+    for epsilon in (0.0, 0.5):
+        with pytest.raises(ValueError, match=rf"^oversampling must be positive and finite, got {oversampling}$"):
+            _SOLVERS[solver](g, part, R0, SolverConfig(epsilon=epsilon), oversampling=oversampling, **extra)
