@@ -68,7 +68,8 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _load_poses(path: str, g: MeasurementGraph):
-    """The (rotations, translations) stored in a g2o file, which must be n x d for the graph g."""
+    """The (rotations, translations) stored in a g2o file: n finite rotations and positions in d dimensions for
+    the graph g."""
     poses = load_g2o(path)[1]
     if poses is None:
         raise GraphError(f"{path}: file has no complete vertex set")
@@ -76,6 +77,9 @@ def _load_poses(path: str, g: MeasurementGraph):
         g.check_rotations(poses[0])
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(poses[1]).all(axis=1))
+    if bad.size:
+        raise GraphError(f"{path}: vertex {bad[0]} has a non-finite position")
     return poses
 
 

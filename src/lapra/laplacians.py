@@ -368,7 +368,10 @@ def spd_factor(A: sp.spmatrix, what: str):
 
 
 def _require_feasible(B: np.ndarray) -> None:
-    """Raise NumericalError unless B's column sums are zero to 1e-8 max(1, ||B||): L X = B is infeasible otherwise."""
+    """Raise NumericalError unless B is finite and its column sums are zero to 1e-8 max(1, ||B||): L X = B is
+    infeasible otherwise."""
+    if not np.isfinite(B).all():
+        raise NumericalError("rhs has a non-finite entry")
     if np.linalg.norm(B.sum(axis=0)) > 1e-8 * max(1.0, np.linalg.norm(B)):
         raise NumericalError("rhs not orthogonal to the all-ones vector")
 
@@ -396,9 +399,8 @@ def grounded_solver(L: sp.spmatrix, what: str = "grounded solve"):
 
 def solve_grounded(L: sp.spmatrix, B: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of the singular system L X = B, whose column sums must be zero; see grounded_solver."""
-    solve = grounded_solver(L)
     _require_feasible(np.asarray(B, dtype=float))
-    return solve(B)
+    return grounded_solver(L)(B)
 
 
 def upper_triangle_nnz(A: sp.spmatrix) -> int:

@@ -121,22 +121,21 @@ def row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
 
 
-def stack_matmul(A: np.ndarray, B: np.ndarray, transpose_a: bool = False) -> np.ndarray:
-    """A @ B, or A^T @ B with transpose_a, for a (k, d, d) stack A and a (k, d, e) stack B, d <= 3.
+def stack_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for a (k, d, d) stack A and a (k, d, e) stack B, d <= 3.
 
-    numpy's matmul pays a fixed cost per matrix of a stack, which dominates such small products.
+    numpy's matmul pays a fixed cost per matrix of a stack, which dominates 2 x 2 and 3 x 1 products.
     Here each output entry is d multiply-adds over length-k entry planes, without fused multiply-adds,
     so it can differ from matmul's in the last bit. Returns a C-contiguous (k, d, e) array.
     """
     k, d, _ = A.shape
     e = B.shape[2]
     a, b = A.reshape(k, d * d).T, B.reshape(k, d * e).T
-    row, col = (1, d) if transpose_a else (d, 1)  # entry (r, s) of A or A^T is the plane a[r*row + s*col]
     out = np.empty((k, d, e))
     for r, c in np.ndindex(d, e):
-        acc = a[r * row] * b[c]
+        acc = a[r * d] * b[c]
         for s in range(1, d):
-            acc += a[r * row + s * col] * b[s * e + c]
+            acc += a[r * d + s] * b[s * e + c]
         out[:, r, c] = acc
     return out
 
@@ -179,9 +178,11 @@ def log_map_batch(R: np.ndarray) -> np.ndarray:
         _raise_near_pi(theta)
         return theta[:, None]
 
-    A = (R - np.swapaxes(R, 1, 2)) / 2.0
-    w = np.stack([A[:, 2, 1], A[:, 0, 2], A[:, 1, 0]], axis=1)  # sin(theta) * axis
-    cos_theta = (np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0
+    r = R.reshape(-1, 9).T  # entry planes: r[3 * row + col] is R[:, row, col]
+    w = np.empty((len(R), 3))  # sin(theta) * axis, the antisymmetric part of each R
+    for c, (hi, lo) in enumerate(((7, 5), (2, 6), (3, 1))):
+        w[:, c] = (r[hi] - r[lo]) / 2.0
+    cos_theta = (r[0] + r[4] + r[8] - 1.0) / 2.0
     sin_theta = row_norms(w)
     theta = np.arctan2(sin_theta, cos_theta)
     _raise_near_pi(theta)
@@ -261,6 +262,22 @@ _ORTHO_DRIFT_TOL = 1e-12
 _ROTATION_TOL = 1e-9  # largest orthonormality drift that validity checks accept
 
 
+def _off_group(R: np.ndarray) -> np.ndarray:
+    """Mask of the blocks of a (k, d, d) stack that are non-finite, further than 1e-9 from orthonormal, or
+    reflections. A non-finite entry makes the drift non-finite, which fails the drift test. The determinant
+    comes from entry planes; its sign is all that counts, and it is +-1 within round-off for every block that
+    passes the drift test."""
+    k, d, _ = R.shape
+    a = R.reshape(k, d * d).T
+    with np.errstate(invalid="ignore", over="ignore"):
+        if d == 2:
+            det = a[0] * a[3] - a[1] * a[2]
+        else:
+            det = (a[0] * (a[4] * a[8] - a[5] * a[7]) - a[1] * (a[3] * a[8] - a[5] * a[6])
+                   + a[2] * (a[3] * a[7] - a[4] * a[6]))
+        return ~(orthonormality_drift(R) <= _ROTATION_TOL) | (det < 0)
+
+
 @dataclass
 class RotationState:
     """A stack of n rotation estimates, one d x d matrix per vertex."""
@@ -295,9 +312,7 @@ class RotationState:
 
     def check_valid(self) -> None:
         """Raise naming the first block that is non-finite or off the rotation group."""
-        with np.errstate(invalid="ignore"):
-            bad = (~np.isfinite(self.mats).all(axis=(1, 2)) | (orthonormality_drift(self.mats) > _ROTATION_TOL)
-                   | (np.linalg.det(self.mats) < 0))
+        bad = _off_group(self.mats)
         if bad.any():
             raise NumericalError(f"matrix {np.argmax(bad)} is not a rotation within tol {_ROTATION_TOL}")
 

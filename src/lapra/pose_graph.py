@@ -19,8 +19,8 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from .manifold import (
     _ROTATION_TOL,
     RotationState,
+    _off_group,
     exp_map_batch,
-    orthonormality_drift,
     random_rotation,
     row_norms,
     tangent_dim,
@@ -100,9 +100,13 @@ class MeasurementGraph:
         return np.stack([self.I, self.J], axis=1)
 
     def check_rotations(self, R: RotationState) -> None:
-        """Raise GraphError unless R holds one d x d rotation per vertex of this graph."""
+        """Raise GraphError unless R holds one d x d rotation per vertex of this graph, each finite and on the
+        group by RotationState.check_valid's rule; the error names the first vertex that is not."""
         if (R.n, R.d) != (self.n, self.d):
             raise GraphError(f"{R.n} rotations in {R.d}D do not match the graph's {self.n} vertices in {self.d}D")
+        bad = np.flatnonzero(_off_group(R.mats))
+        if bad.size:
+            raise GraphError(f"vertex {bad[0]} rotation is non-finite or not a rotation within tol {_ROTATION_TOL}")
 
     def check_partition(self, partition: "Partition") -> None:
         """Raise GraphError unless partition assigns every vertex of this graph and its separators are the
@@ -131,8 +135,7 @@ class MeasurementGraph:
         R = self.R_tilde
         finite = (np.isfinite(R).all(axis=(1, 2)) & np.isfinite(self.t_tilde).all(axis=1)
                   & np.isfinite(self.kappa) & np.isfinite(self.tau))
-        with np.errstate(invalid="ignore"):  # a non-finite rotation gets its own message below
-            not_rotation = (orthonormality_drift(R) > _ROTATION_TOL) | (np.linalg.det(R) < 0)
+        not_rotation = _off_group(R)  # a non-finite rotation gets its own message below
         checks = [
             (I == J, lambda k: f"edge {k} is a self loop at vertex {I[k]}"),
             ((I < 0) | (I >= self.n) | (J < 0) | (J >= self.n),

@@ -27,7 +27,16 @@ from .laplacians import (
     solve_grounded,
     spd_factor,
 )
-from .manifold import NumericalError, RotationState, exp_map_batch, hat_batch, log_map_batch, row_norms, stack_matmul
+from .manifold import (
+    NumericalError,
+    RotationState,
+    _raise_near_pi,
+    exp_map_batch,
+    hat_batch,
+    log_map_batch,
+    row_norms,
+    stack_matmul,
+)
 from .metrics import gamma_factor
 from .pose_graph import MeasurementGraph, Partition, scatter_edge_rows
 
@@ -182,21 +191,28 @@ _ZERO_RESIDUAL = 1e-8
 def _edge_gradients(R_i, R_j, R_tilde, kind: Distance):
     """Costs and tangent-space gradients of m edges at once.
 
-    Takes (m, d, d) stacks and returns (rho(theta), g_i, g_j) with shapes
-    (m,), (m, p) and (m, p). Gradient rows vanish where the residual
-    angle is below 1e-8.
+    Takes (m, d, d) stacks, or in 2D their (m, 2) first columns (cos,
+    sin), which is all the planar residual needs. Returns (rho(theta),
+    g_i, g_j) with shapes (m,), (m, p) and (m, p). Gradient rows vanish
+    where the residual angle is below 1e-8.
     """
-    A = stack_matmul(R_i, R_tilde)
-    V = log_map_batch(stack_matmul(A, R_j, transpose_a=True))  # R_tilde^T R_i^T R_j
+    if R_tilde.shape[1] == 2:
+        (ci, si), (cj, sj), (ct, st) = ((M[:, :, 0] if M.ndim == 3 else M).T for M in (R_i, R_j, R_tilde))
+        x, y = ci * cj + si * sj, ci * sj - si * cj  # first column of R_i^T R_j
+        phi = np.arctan2(ct * y - st * x, ct * x + st * y)  # the angle of R_tilde^T R_i^T R_j
+        _raise_near_pi(phi)
+        theta = np.abs(phi)
+        g_i = np.where(theta >= _ZERO_RESIDUAL, -kind.rho_dot(theta) * np.sign(phi), 0.0)[:, None]
+        return kind.rho(theta), g_i, -g_i
+    A = R_i @ R_tilde
+    V = log_map_batch(np.swapaxes(A, 1, 2) @ R_j)  # R_tilde^T R_i^T R_j
     theta = row_norms(V)
     moving = theta >= _ZERO_RESIDUAL
     t = np.where(moving, theta, 1.0)
-    U = V / t[:, None]
     rd = np.where(moving, kind.rho_dot(t), 0.0)[:, None]
-    if V.shape[1] == 1:
-        return kind.rho(theta), -rd * U, rd * U
-    U = U[:, :, None]
-    return kind.rho(theta), -rd * stack_matmul(A, U)[:, :, 0], rd * stack_matmul(R_j, U)[:, :, 0]
+    # R_j = A Q and Q U = U, so R_j U = A U: one product gives both ends
+    g_j = rd * stack_matmul(A, (V / t[:, None])[:, :, None])[:, :, 0]
+    return kind.rho(theta), -g_j, g_j
 
 
 def edge_gradient(R_i, R_j, R_tilde, kind: Distance) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +269,8 @@ def edge_hessian(R_i, R_j, R_tilde, kind: Distance) -> np.ndarray:
 
 def _gradient_and_cost(g: MeasurementGraph, R: RotationState, kind: Distance) -> tuple[np.ndarray, float]:
     """Gradient right-hand side B and total cost."""
-    rho, g_i, g_j = _edge_gradients(np.take(R.mats, g.I, axis=0), np.take(R.mats, g.J, axis=0), g.R_tilde, kind)
+    M = R.mats[:, :, 0] if g.d == 2 else R.mats  # the planar residual needs first columns only
+    rho, g_i, g_j = _edge_gradients(np.take(M, g.I, axis=0), np.take(M, g.J, axis=0), g.R_tilde, kind)
     k = g.kappa[:, None]
     B = scatter_edge_rows(g.n, g.I, g.J, -(k * g_i), -(k * g_j))
     return B, float(np.sum(g.kappa * rho))
@@ -280,7 +297,8 @@ def laplacian_weights(g: MeasurementGraph, kind: Distance) -> WeightedGraph:
 
 
 def _apply_update(R: RotationState, V: np.ndarray) -> RotationState:
-    out = RotationState(stack_matmul(exp_map_batch(V), R.mats))
+    E = exp_map_batch(V)
+    out = RotationState(stack_matmul(E, R.mats) if R.d == 2 else E @ R.mats)
     out.renormalize()
     return out
 

@@ -30,7 +30,7 @@ from lapra.manifold import (
 )
 from lapra.metrics import rotation_rmse
 from lapra.pose_graph import GraphError, MeasurementGraph, Partition, scatter_edge_rows
-from lapra.rotation import CHORDAL, GEODESIC, _apply_update, _gradient_and_cost, edge_gradient
+from lapra.rotation import CHORDAL, GEODESIC, _apply_update, _edge_gradients, _gradient_and_cost, edge_gradient
 from lapra.translation import assemble_translation_rhs, translation_cost
 from test_properties import _assert_exp_matches_reference, _ref_log_map
 
@@ -231,6 +231,61 @@ def test_edge_gradient_is_the_single_edge_case(d):
             gi, gj = edge_gradient(R.mats[i], R.mats[j], g.R_tilde[k], kind)
             B, _ = _gradient_and_cost(one, R, kind)
             assert np.array_equal(B[i], -kappa * gi) and np.array_equal(B[j], -kappa * gj)
+
+
+@pytest.mark.parametrize("kind", [GEODESIC, CHORDAL], ids=lambda k: k.name)
+@pytest.mark.parametrize("seed", range(4))
+def test_3d_gradient_takes_both_ends_from_one_product(kind, seed):
+    """g_j = rd (R_i R_tilde) U equals the two-product form rd R_j U, since R_j = (R_i R_tilde) Q and Q U = U; the
+    residuals span every log_map_batch branch (below 1e-8, the series below 1e-4, generic, beyond 2.9 rad)."""
+    g, R = _random_problem(3, seed)
+    R_i, R_j = R.mats[g.I], R.mats[g.J]
+    V = np.array([_ref_log_map(Q) for Q in np.swapaxes(g.R_tilde, 1, 2) @ np.swapaxes(R_i, 1, 2) @ R_j])
+    theta = np.linalg.norm(V, axis=1)
+    assert (theta < 1e-8).any() and ((theta > 1e-8) & (theta < 1e-4)).any() and (theta >= 2.9).any()
+    moving = theta >= 1e-8
+    U = V / np.where(moving, theta, 1.0)[:, None]
+    rd = np.where(moving, kind.rho_dot(theta), 0.0)[:, None]
+    _, g_i, g_j = _edge_gradients(R_i, R_j, g.R_tilde, kind)
+    _close(g_j, rd * (R_j @ U[:, :, None])[:, :, 0])
+    _close(g_i, -rd * (R_i @ g.R_tilde @ U[:, :, None])[:, :, 0])
+    assert np.array_equal(g_i, -g_j)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("drift", [0.0, 1e-13])
+def test_planar_residual_from_first_columns_matches_the_full_logarithm(seed, drift):
+    """With the geodesic distance g_j is the residual angle phi of R_tilde^T R_i^T R_j, taken here from the first
+    columns alone; it matches the logarithm of the full product to 1e-12, also on blocks drifted off the group."""
+    g, R = _random_problem(2, seed)
+    rng = np.random.default_rng(seed)
+    R_i, R_j, R_tilde = (M + drift * rng.standard_normal(M.shape) for M in (R.mats[g.I], R.mats[g.J], g.R_tilde))
+    phi = np.array([_ref_log_map(Q)[0] for Q in np.swapaxes(R_tilde, 1, 2) @ np.swapaxes(R_i, 1, 2) @ R_j])
+    assert (np.abs(phi) < 1e-8).any() and (np.abs(phi) >= 2.9).any()
+    moving = np.abs(phi) >= 1e-8
+    for args in ((R_i, R_j, R_tilde), (R_i[:, :, 0], R_j[:, :, 0], R_tilde[:, :, 0])):  # stacks or first columns
+        rho, g_i, g_j = _edge_gradients(*args, GEODESIC)
+        assert g_j.shape == (g.m, 1) and np.array_equal(g_i, -g_j)
+        _close(g_j[:, 0], np.where(moving, phi, 0.0))
+        _close(rho, 0.5 * phi**2)
+        _, _, c_j = _edge_gradients(*args, CHORDAL)
+        _close(c_j[:, 0], np.where(moving, 2.0 * np.sin(phi), 0.0))
+
+
+def test_planar_residual_near_pi_raises_at_the_first_such_edge():
+    g, R = _random_problem(2, 0)
+    R_tilde = g.R_tilde.copy()
+    for k, angle in ((3, math.pi - 5e-7), (6, -(math.pi - 2e-7))):  # residual angle -angle at edges 3 and 6
+        R_tilde[k] = R.mats[g.I[k]].T @ R.mats[g.J[k]] @ exp_map(np.array([angle]))
+    g.R_tilde = R_tilde
+    Q = R_tilde[3].T @ R.mats[g.I[3]].T @ R.mats[g.J[3]]
+    with pytest.raises(NumericalError) as want:
+        _ref_log_map(Q)
+    for call in (lambda: _gradient_and_cost(g, R, GEODESIC),
+                 lambda: edge_gradient(R.mats[g.I[3]], R.mats[g.J[3]], R_tilde[3], CHORDAL)):
+        with pytest.raises(NumericalError) as got:
+            call()
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("p", [1, 3])

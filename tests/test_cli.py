@@ -623,6 +623,42 @@ def test_exit_code_on_poses_that_do_not_fit_the_graph(tmp_path, capsys, command,
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve-translation", "--rotations"),
+        ("solve-rotation", "--truth"),
+        ("solve-translation", "--truth"),
+        ("pipeline", "--reference"),
+    ],
+)
+@pytest.mark.parametrize("field, message", [(5, "vertex 4 rotation is non-finite or not a rotation within tol 1e-09"),
+                                            (3, "vertex 4 has a non-finite position")], ids=["rotation", "position"])
+def test_exit_code_on_non_finite_poses(tmp_path, capsys, monkeypatch, command, flag, field, message):
+    """A NaN quaternion or position field fails before any set-up, naming the file. Both used to run: the rotation
+    failed as "robot 0 interior solve residual nan" or a raw SVD error, and the position reported a NaN RMSE."""
+    graph, truth = _synth(tmp_path, side=3)
+    lines = open(truth).read().splitlines()
+    row = [k for k, line in enumerate(lines) if line.startswith("VERTEX_SE3:QUAT")][4]
+    fields = lines[row].split()
+    fields[field] = "nan"
+    lines[row] = " ".join(fields)
+    bad = str(tmp_path / "bad.g2o")
+    with open(bad, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+    def no_set_up(*args, **kwargs):
+        raise AssertionError("set up before the poses were checked")
+
+    monkeypatch.setattr(decomposition, "build_blocks", no_set_up)
+    rotations = ["--rotations", truth] if command == "solve-translation" and flag != "--rotations" else []
+    capsys.readouterr()
+    rc = main([command, "--input", graph, "--robots", "2", *rotations, flag, bad])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"lapra: error: {bad}: {message}\n"
+
+
 def test_synth_rejects_nan_noise(tmp_path, capsys):
     rc = main(["synth", "--side", "3", "--sigma-deg", "nan", "--out", str(tmp_path / "p")])
     assert rc == 2

@@ -399,6 +399,27 @@ def test_compressed_reduced_system_quality():
     assert rep.kernel_match
 
 
+@pytest.mark.parametrize("robots", [1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_split_solve_rejects_a_non_finite_rhs_before_any_solve(monkeypatch, robots, bad):
+    # a NaN row used to reach the interior solves and fail as "robot 0 interior solve residual nan"
+    rng = np.random.default_rng(11)
+    L, part = _instance(rng, n=40, m=robots)
+    blocks, server = build_blocks(L, part)
+    sparsified_schur(blocks, server)
+    B = _feasible_rhs(rng, L.shape[0])
+    B[0, 0] = bad
+
+    def no_solve(*args):
+        raise AssertionError("solved with a non-finite rhs")
+
+    for blk in blocks:
+        monkeypatch.setattr(blk, "interior_solve", no_solve)
+    monkeypatch.setattr(server, "reduced_solve", no_solve)
+    with pytest.raises(NumericalError, match=r"^rhs has a non-finite entry$"):
+        split_solve(blocks, server, B)
+
+
 def test_uniform_shift_in_separator_solution_propagates(monkeypatch):
     # L_aa 1 + L_ac 1 = 0, so each robot's coupling maps the all-ones
     # separator vector to -1: shifting the reduced solution by a constant

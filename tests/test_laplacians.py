@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lapra import laplacians
 from lapra.laplacians import (
     DEFAULT_OVERSAMPLING,
     WeightedGraph,
@@ -289,6 +290,21 @@ def test_solve_grounded_rejects_infeasible():
     g = _random_connected(rng, 10)
     B = np.ones((10, 1))  # constant rhs is orthogonal to nothing useful
     with pytest.raises(NumericalError):
+        solve_grounded(laplacian(g), B)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_grounded_rejects_a_non_finite_rhs_before_factoring(monkeypatch, bad):
+    # a NaN row used to pass the column-sum check (NaN > tol is false) and fail later as "grounded solve residual nan"
+    g = _random_connected(np.random.default_rng(15), 10)
+    B = np.zeros((10, 2))
+    B[3, 1] = bad
+
+    def no_factor(*args):
+        raise AssertionError("factored a non-finite rhs")
+
+    monkeypatch.setattr(laplacians, "spd_factor", no_factor)
+    with pytest.raises(NumericalError, match=r"^rhs has a non-finite entry$"):
         solve_grounded(laplacian(g), B)
 
 

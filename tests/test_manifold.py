@@ -179,16 +179,16 @@ def _stack(rng, k, shape, layout, scale=1.0):
 
 
 @settings(max_examples=200, deadline=None)
-@given(k=st.integers(0, 50), d=st.sampled_from([2, 3]), square=st.booleans(), transpose_a=st.booleans(),
+@given(k=st.integers(0, 50), d=st.sampled_from([2, 3]), square=st.booleans(),
        layouts=st.tuples(*[st.sampled_from(["contiguous", "swapaxes", "every-second"])] * 2),
        seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
-def test_stack_matmul_matches_matmul(k, d, square, transpose_a, layouts, seed, scale):
+def test_stack_matmul_matches_matmul(k, d, square, layouts, seed, scale):
     rng = np.random.default_rng(seed)
     e = d if square else 1
     A = _stack(rng, k, (d, d), layouts[0], scale)
     B = _stack(rng, k, (d, e), layouts[1])
-    out = stack_matmul(A, B, transpose_a=transpose_a)
-    ref = np.matmul(np.swapaxes(A, 1, 2) if transpose_a else A, B)
+    out = stack_matmul(A, B)
+    ref = np.matmul(A, B)
     assert out.shape == (k, d, e) and out.flags.c_contiguous
     entry_scale = np.abs(A).max(initial=0.0) * np.abs(B).max(initial=0.0)
     assert np.abs(out - ref).max(initial=0.0) <= 1e-14 * entry_scale
@@ -197,7 +197,7 @@ def test_stack_matmul_matches_matmul(k, d, square, transpose_a, layouts, seed, s
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_stack_matmul_of_no_matrices_is_empty(d, e):
-    out = stack_matmul(np.zeros((0, d, d)), np.zeros((0, d, e)), transpose_a=e == 1)
+    out = stack_matmul(np.zeros((0, d, d)), np.zeros((0, d, e)))
     assert out.shape == (0, d, e) and out.dtype == float
 
 

@@ -6,8 +6,9 @@ must converge rather than fail the feasibility check. A global rotation
 of the start is a symmetry of the problem and must move every iterate
 by that rotation alone. Partitions where every vertex is a separator and
 graphs that are one spanning tree must run through both stages. A bad
-config, a rotation set of the wrong size or a partition of another graph
-fails before any set-up, and a bad oversampling before any factorization.
+config, a rotation set of the wrong size or with a block off the group,
+or a partition of another graph fails before any set-up, and a bad
+oversampling before any factorization.
 """
 
 import dataclasses
@@ -194,6 +195,24 @@ def test_a_rotation_set_of_the_wrong_size_fails_before_any_set_up(monkeypatch, s
          "2D-in-3D": RotationState.identity(g.n, 2)}[size]
     _forbid_set_up(monkeypatch)
     with pytest.raises(GraphError, match=rf"^{R.n} rotations in {R.d}D do not match the graph's 64 vertices in 3D$"):
+        _SOLVERS[solver](g, partition_contiguous(g, 3), R, SolverConfig())
+
+
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("block", ["nan", "inf", "twice-identity", "reflection", "drifted"])
+def test_a_rotation_set_with_an_off_group_block_fails_before_any_set_up(monkeypatch, solver, d, block):
+    """A non-finite block, 2 I, a reflection or a block drifted by 1e-8 is a GraphError naming its vertex.
+
+    2 I used to run and report converged, and a NaN block failed only after set-up."""
+    g, _ = _grid(4, d=d)
+    R = spanning_tree_init(g)
+    R.mats[5] = {"nan": np.full((d, d), np.nan), "inf": np.diag([np.inf] + [1.0] * (d - 1)),
+                 "twice-identity": 2.0 * np.eye(d), "reflection": R.mats[5] @ np.diag([-1.0] + [1.0] * (d - 1)),
+                 "drifted": R.mats[5] + 1e-8}[block]
+    R.mats[9] = np.nan  # a later bad block is not the one named
+    _forbid_set_up(monkeypatch)
+    with pytest.raises(GraphError, match=r"^vertex 5 rotation is non-finite or not a rotation within tol 1e-09$"):
         _SOLVERS[solver](g, partition_contiguous(g, 3), R, SolverConfig())
 
 
