@@ -73,14 +73,20 @@ def _load_poses(path: str, g: MeasurementGraph):
     poses = load_g2o(path)[1]
     if poses is None:
         raise GraphError(f"{path}: file has no complete vertex set")
-    try:
-        g.check_rotations(poses[0])
-    except GraphError as exc:
-        raise GraphError(f"{path}: {exc}") from None
+    _checked_rotations(path, g, poses[0])
     bad = np.flatnonzero(~np.isfinite(poses[1]).all(axis=1))
     if bad.size:
         raise GraphError(f"{path}: vertex {bad[0]} has a non-finite position")
     return poses
+
+
+def _checked_rotations(path: str, g: MeasurementGraph, R):
+    """R after g.check_rotations(R), whose error names the file R was read from."""
+    try:
+        g.check_rotations(R)
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
+    return R
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -158,13 +164,13 @@ def _split_args(g, args):
     return partition_contiguous(g, args.robots), seed, configs
 
 
-def _rotation_source(g, poses, path):
-    """Rotation estimates for a translation-only solve: the --rotations file, else the input's vertices."""
-    if path is not None:
-        return _load_poses(path, g)[0]
+def _rotation_source(g, poses, args):
+    """Rotation estimates for a translation-only solve: the --rotations file, else the --input file's vertices."""
+    if args.rotations is not None:
+        return _load_poses(args.rotations, g)[0]
     if poses is None:
         raise GraphError("no rotation estimates: pass --rotations or a g2o file with vertices")
-    return poses[0]
+    return _checked_rotations(args.input, g, poses[0])
 
 
 def cmd_solve(args) -> int:
@@ -173,7 +179,7 @@ def cmd_solve(args) -> int:
     g, poses = load_g2o(args.input)
     if g.m == 0:
         raise GraphError(f"{args.input}: file has no measurement edges")
-    R = None if "rotation" in stages else _rotation_source(g, poses, args.rotations)
+    R = None if "rotation" in stages else _rotation_source(g, poses, args)
     truth = args.reference if "reference" in args else args.truth
     reference = None if truth is None else _load_poses(truth, g)
     partition, seed, configs = _split_args(g, args)

@@ -96,14 +96,15 @@ class CommsLedger:
 class RobotBlock:
     """One robot's share of the Laplacian system.
 
-    interior holds global vertex ids; L_ac maps interior rows to the
-    global separator ordering, and L_acT is its transpose for the solves.
-    Lcc_local is this robot's local-edge contribution to the separator
-    block, so that the per-robot pieces plus the cross-edge part add up
-    to the full reduced matrix, and adj_sep flags the separators its
-    interior actually touches. factor is spd_factor's solve for the
-    interior block L_aa, grounded_solver's when a single robot holds the
-    whole Laplacian, or np.zeros_like for an empty interior.
+    interior holds global vertex ids. The blocks are slices of the
+    Laplacian of the edges with both ends this robot's: L_aa on the
+    interior, L_ac from interior rows to the global separator ordering
+    (L_acT, its transpose, is for the solves) and Lcc_local on the
+    separators, so that the per-robot pieces plus the server's cross-edge
+    block add up to the full reduced matrix. adj_sep flags the separators
+    the interior touches. factor is spd_factor's solve for L_aa,
+    grounded_solver's when one robot holds the whole Laplacian, or
+    np.zeros_like for an empty interior.
 
     coupling is Z_a = L_aa⁻¹ L_ac[:, adj_sep], dense n_a × t_a for the
     t_a separators the interior touches. schur_contribution keeps it from
@@ -138,7 +139,7 @@ class RobotBlock:
 @dataclass
 class ServerState:
     separators: np.ndarray  # global ids, ascending
-    L_Gc: sp.csr_matrix  # cross-robot edges only
+    L_Gc: sp.csr_matrix  # the separator block of the cross-robot edges' Laplacian
     n: int  # size of the whole system
     S_tilde: sp.csr_matrix | None = None
     _solve: object | None = None
@@ -161,8 +162,10 @@ class ServerState:
 
 def build_blocks(L: sp.spmatrix, partition: Partition, epsilon: float = 0.0, seed: int = 0, mode: str = "spectral",
                  oversampling: float = DEFAULT_OVERSAMPLING) -> tuple[list[RobotBlock], ServerState]:
-    """Robot side of the one-time phase: slice a connected Laplacian into per-robot blocks plus server state.
+    """Robot side of the one-time phase: split a connected Laplacian into per-robot blocks plus server state.
 
+    An edge of L is held by the robot owning both its ends, or else by the
+    server; each holder's blocks are slices of its own edges' Laplacian.
     Robots are set up one after another, in two passes. Each factors its
     interior once, for every later solve; then each eliminates its interior
     and compresses the result as S_tilde for sparsified_schur to upload,
@@ -182,39 +185,24 @@ def build_blocks(L: sp.spmatrix, partition: Partition, epsilon: float = 0.0, see
     n = L.shape[0]
     if partition.owner.shape[0] != n:
         raise ValueError("partition size does not match matrix")
-    C = partition.separators
-    pos_in_C = np.full(n, -1, dtype=int)
-    pos_in_C[C] = np.arange(C.size)
-
+    C, owner = partition.separators, partition.owner
     g = graph_from_laplacian(L)
     u, v = g.edges.T
-    owner, is_sep = partition.owner, partition.is_separator
-    cross = owner[u] != owner[v]
-    nc = C.size
-    L_Gc = laplacian(WeightedGraph(nc, pos_in_C[g.edges[cross]], g.weights[cross]))
-
+    # held[h] is the Laplacian of holder h's edges: robot h's own, or, for the server h = m, the cross edges
+    holder = np.where(owner[u] == owner[v], owner[u], partition.m)
+    held = [laplacian(WeightedGraph(n, g.edges[holder == h], g.weights[holder == h])) for h in range(partition.m + 1)]
+    L_Gc = held[partition.m][C][:, C]
     if partition.m > 1:
-        detached = _detached(L, ~is_sep)
+        detached = _detached(L, ~partition.is_separator)
         if detached.size:
             a = owner[detached].min()
             raise NumericalError(f"robot {a} interior block is singular (a component touches no separator)")
     blocks = []
     for a in range(partition.m):
         F = partition.interiors[a]
-        L_F = L[F]
+        L_F = held[a][F]
         L_aa = sp.csc_matrix(L_F[:, F])
-        L_ac = sp.csr_matrix(L_F[:, C])
-        # local-edge Laplacian restricted to separator rows/cols; the
-        # diagonal sums the interleaved (u, v) endpoints in edge order
-        local = ~cross & (owner[u] == a)
-        ends, w = pos_in_C[g.edges[local].ravel()], np.repeat(g.weights[local], 2)
-        diag = np.bincount(ends[ends >= 0], weights=w[ends >= 0], minlength=nc)
-        both = local & is_sep[u] & is_sep[v]
-        pu, pv, w = pos_in_C[u[both]], pos_in_C[v[both]], g.weights[both]
-        rows = np.concatenate([pu, pv, np.arange(nc)])
-        cols = np.concatenate([pv, pu, np.arange(nc)])
-        Lcc_local = sp.csr_matrix((np.concatenate([-w, -w, diag]), (rows, cols)), shape=(nc, nc))
-        Lcc_local.eliminate_zeros()
+        L_ac = L_F[:, C]
         adj = np.asarray((abs(L_ac) > 0).sum(axis=0)).ravel() > 0
         if partition.m == 1:  # the only robot with no separator to ground against
             factor = grounded_solver(L_aa)
@@ -225,7 +213,7 @@ def build_blocks(L: sp.spmatrix, partition: Partition, epsilon: float = 0.0, see
                 interior=F,
                 L_ac=L_ac,
                 L_acT=sp.csr_matrix(L_ac.T),
-                Lcc_local=Lcc_local,
+                Lcc_local=held[a][C][:, C],
                 adj_sep=adj,
                 factor=factor,
             )

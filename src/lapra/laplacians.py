@@ -64,7 +64,7 @@ class WeightedGraph:
 
         Parallel and reversed pairs merge by summing their weights in
         input order. Raises ValueError for the first pair that is a self
-        loop, leaves 0..n-1 or has a non-positive weight.
+        loop, leaves 0..n-1, or has a non-positive or a NaN or +inf weight.
         """
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         w = np.asarray(weights, dtype=float)
@@ -73,6 +73,7 @@ class WeightedGraph:
             (a == b, lambda k: f"self loop at vertex {a[k]}"),
             ((a < 0) | (a >= n) | (b < 0) | (b >= n), lambda k: f"edge ({a[k]},{b[k]}) outside 0..{n - 1}"),
             (w <= 0, lambda k: f"edge ({a[k]},{b[k]}) has non-positive weight {w[k]}"),
+            (~np.isfinite(w), lambda k: f"edge ({a[k]},{b[k]}) has non-finite weight {w[k]}"),
         ]
         failed = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
         if failed.size:

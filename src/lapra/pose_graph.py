@@ -109,11 +109,14 @@ class MeasurementGraph:
             raise GraphError(f"vertex {bad[0]} rotation is non-finite or not a rotation within tol {_ROTATION_TOL}")
 
     def check_partition(self, partition: "Partition") -> None:
-        """Raise GraphError unless partition assigns every vertex of this graph and its separators are the
-        endpoints of this graph's cross-robot edges."""
+        """Raise GraphError unless partition assigns every vertex of this graph to a robot id of at least 0 and
+        its separators are the endpoints of this graph's cross-robot edges."""
         if partition.owner.shape != (self.n,):
             raise GraphError(f"a partition of {partition.owner.size} vertices does not match the graph's "
                              f"{self.n} vertices")
+        negative = np.flatnonzero(partition.owner < 0)
+        if negative.size:
+            raise GraphError(f"vertex {negative[0]} has negative robot id {partition.owner[negative[0]]}")
         if not np.array_equal(partition.is_separator, Partition.from_owner(partition.owner, self.pairs).is_separator):
             raise GraphError("the partition's separators are not the endpoints of the graph's cross-robot edges")
 

@@ -659,6 +659,30 @@ def test_exit_code_on_non_finite_poses(tmp_path, capsys, monkeypatch, command, f
     assert err == f"lapra: error: {bad}: {message}\n"
 
 
+def test_translation_names_the_input_file_for_a_bad_own_rotation(tmp_path, capsys, monkeypatch):
+    """Without --rotations, a NaN quaternion among the input file's own vertices fails before any set-up, naming
+    the --input file. It used to reach the solver's check and exit 2 without the path."""
+    graph, truth = _synth(tmp_path, side=3)
+    lines = open(truth).read().splitlines()
+    row = [k for k, line in enumerate(lines) if line.startswith("VERTEX_SE3:QUAT")][4]
+    fields = lines[row].split()
+    fields[5] = "nan"
+    lines[row] = " ".join(fields)
+    both = str(tmp_path / "both.g2o")
+    with open(both, "w") as fh:
+        fh.write("\n".join(lines) + "\n" + open(graph).read())
+
+    def no_set_up(*args, **kwargs):
+        raise AssertionError("set up before the rotations were checked")
+
+    monkeypatch.setattr(decomposition, "build_blocks", no_set_up)
+    capsys.readouterr()
+    rc = main(["solve-translation", "--input", both, "--robots", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"lapra: error: {both}: vertex 4 rotation is non-finite or not a rotation within tol 1e-09\n"
+
+
 def test_synth_rejects_nan_noise(tmp_path, capsys):
     rc = main(["synth", "--side", "3", "--sigma-deg", "nan", "--out", str(tmp_path / "p")])
     assert rc == 2

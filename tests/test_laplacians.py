@@ -45,6 +45,14 @@ def test_weighted_graph_rejects_bad_input():
         WeightedGraph.from_edge_list(3, [(0, 1)], [-1.0])
 
 
+@pytest.mark.parametrize("bad, message", [(float("nan"), "non-finite weight nan"), (float("inf"), "non-finite weight inf"),
+                                          (-float("inf"), "non-positive weight -inf"), (0.0, "non-positive weight 0.0")])
+def test_weighted_graph_names_the_first_edge_with_a_bad_weight(bad, message):
+    """NaN and +inf weights used to pass and merge into the graph; each raises naming its edge, as w <= 0 does."""
+    with pytest.raises(ValueError, match=rf"^edge \(2,1\) has {message}$"):
+        WeightedGraph.from_edge_list(3, [(0, 1), (2, 1), (0, 2)], [1.0, bad, float("nan")])
+
+
 def test_laplacian_structure():
     rng = np.random.default_rng(0)
     g = _random_connected(rng, 15)

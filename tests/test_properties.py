@@ -17,6 +17,7 @@ import os
 import re
 import tempfile
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,10 +182,11 @@ def _ref_split(L, partition):
     for a in range(partition.m):
         diag = np.zeros(nc)
         rr, cc, vv = [], [], []
+        for end in (0, 1):  # laplacian's order: edges where the vertex is the first endpoint, then the second
+            for edge in local_edges[a]:
+                if pos_in_C[edge[end]] >= 0:
+                    diag[pos_in_C[edge[end]]] += edge[2]
         for (u, v, w) in local_edges[a]:
-            for x in (u, v):
-                if pos_in_C[x] >= 0:
-                    diag[pos_in_C[x]] += w
             if pos_in_C[u] >= 0 and pos_in_C[v] >= 0:
                 rr += [pos_in_C[u], pos_in_C[v]]
                 cc += [pos_in_C[v], pos_in_C[u]]
@@ -1117,12 +1119,21 @@ def test_graph_from_laplacian_matches_coo_loop(entries, tol):
 @given(split_cases())
 def test_build_blocks_split_matches_coo_loop(case):
     L, part = case
-    blocks, server = dd.build_blocks(L, part)
+    with (mock.patch.object(dd, "spd_factor", wraps=dd.spd_factor) as spd,
+          mock.patch.object(dd, "grounded_solver", wraps=dd.grounded_solver) as grounded):
+        blocks, server = dd.build_blocks(L, part)
     L_Gc, Lccs = _ref_split(L, part)
     _assert_same_csr(server.L_Gc, L_Gc)
     for blk, Lcc in zip(blocks, Lccs):
         _assert_same_csr(blk.Lcc_local, Lcc)
     assert len(Lccs) == (0 if part.m == 1 else len(blocks))
+    # a robot's own edges give back the global L's interior rows bit for bit
+    C, factored = part.separators, (grounded if part.m == 1 else spd).call_args_list
+    assert [call.args[0].shape[0] for call in factored] == [F.size for F in part.interiors if F.size]
+    for blk, call in zip([blk for blk in blocks if blk.interior.size], factored):
+        _assert_same_csr(call.args[0], sp.csc_matrix(L[blk.interior][:, blk.interior]))
+    for blk in blocks:
+        _assert_same_csr(blk.L_ac, sp.csr_matrix(L[blk.interior][:, C]))
 
 
 @FEW

@@ -7,8 +7,9 @@ of the start is a symmetry of the problem and must move every iterate
 by that rotation alone. Partitions where every vertex is a separator and
 graphs that are one spanning tree must run through both stages. A bad
 config, a rotation set of the wrong size or with a block off the group,
-or a partition of another graph fails before any set-up, and a bad
-oversampling before any factorization.
+a partition of another graph or with a negative robot id, or a
+non-finite edge weight fails before any set-up, and a bad oversampling
+before any factorization.
 """
 
 import dataclasses
@@ -237,6 +238,31 @@ def test_a_partition_of_another_graph_fails_before_any_set_up(monkeypatch, solve
     _forbid_set_up(monkeypatch)
     with pytest.raises(GraphError, match=message):
         _SOLVERS[solver](g, part, spanning_tree_init(g), SolverConfig())
+
+
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+@pytest.mark.parametrize("negative, first", [([0, 1, 2], 0), ([22, 7], 7)], ids=["first-three", "two-later"])
+def test_a_negative_robot_id_fails_before_any_set_up(monkeypatch, solver, negative, first):
+    """A vertex owned by robot -1 is a GraphError naming the first such vertex. With vertices 0-2 at -1, the split
+    solvers used to fail in numpy's bincount, and Newton reported converged with no robot metering those vertices."""
+    g, _ = generate_grid(SyntheticSpec(side=3, sigma_rot=0.05, seed=1))
+    owner = np.repeat([0, 1, 2], 9)
+    owner[negative] = -1
+    _forbid_set_up(monkeypatch)
+    with pytest.raises(GraphError, match=rf"^vertex {first} has negative robot id -1$"):
+        _SOLVERS[solver](g, Partition.from_owner(owner, g.pairs), spanning_tree_init(g), SolverConfig())
+
+
+@pytest.mark.parametrize("solver, weight", [("rotation", "kappa"), ("translation", "tau")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_weight_fails_before_any_set_up(monkeypatch, solver, weight, value):
+    """A NaN or +inf kappa (rotation) or tau (translation) is a ValueError naming its edge, raised while the
+    Laplacian is assembled. Both used to pass assembly and fail as "robot 0 interior solve: singular factor"."""
+    g, _ = _grid(3)
+    getattr(g, weight)[[4, 9]] = value
+    _forbid_set_up(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^edge \({g.I[4]},{g.J[4]}\) has non-finite weight {value}$"):
+        _SOLVERS[solver](g, partition_contiguous(g, 3), spanning_tree_init(g), SolverConfig())
 
 
 @pytest.mark.parametrize("solver, mode", [("rotation", "spectral"), ("rotation", "block_diagonal"),
