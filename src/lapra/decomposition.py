@@ -96,10 +96,11 @@ class CommsLedger:
 class RobotBlock:
     """One robot's share of the Laplacian system.
 
-    interior holds global vertex ids. The blocks are slices of the
-    Laplacian of the edges with both ends this robot's: L_aa on the
-    interior, L_ac from interior rows to the global separator ordering
-    (L_acT, its transpose, is for the solves) and Lcc_local on the
+    interior holds global vertex ids. The blocks are range slices of the
+    Laplacian of the edges with both ends this robot's, over its interior
+    and then every separator in the global order: L_aa on the interior,
+    L_ac from interior rows to the separators (L_acT, its transpose and
+    the separator rows' slice, is for the solves) and Lcc_local on the
     separators, so that the per-robot pieces plus the server's cross-edge
     block add up to the full reduced matrix. adj_sep flags the separators
     the interior touches. factor is spd_factor's solve for L_aa,
@@ -165,18 +166,21 @@ def build_blocks(L: sp.spmatrix, partition: Partition, epsilon: float = 0.0, see
     """Robot side of the one-time phase: split a connected Laplacian into per-robot blocks plus server state.
 
     An edge of L is held by the robot owning both its ends, or else by the
-    server; each holder's blocks are slices of its own edges' Laplacian.
-    Robots are set up one after another, in two passes. Each factors its
-    interior once, for every later solve; then each eliminates its interior
-    and compresses the result as S_tilde for sparsified_schur to upload,
-    following `mode`: spectral sampling at quality epsilon, robot a drawing
-    from the a-th generator spawned from np.random.default_rng(seed), or one
-    of the heuristic patterns. The defaults keep the exact elimination. With
-    a single robot the interior is every vertex and there are no separators,
+    server; each holder's blocks are range slices of its own edges'
+    Laplacian in its own numbering (see RobotBlock). Robots are set up one
+    after another, in two passes. Each factors its interior once, for
+    every later solve; then each eliminates its interior and compresses
+    the result as S_tilde for sparsified_schur to upload, following
+    `mode`: spectral sampling at quality epsilon, robot a drawing from the
+    a-th generator spawned from np.random.default_rng(seed), or one of the
+    heuristic patterns. The defaults keep the exact elimination. With a
+    single robot the interior is every vertex and there are no separators,
     so its block is the whole singular Laplacian and takes a grounded
-    factorization; with several robots every interior component must touch a
-    separator. An unknown mode, or an oversampling outside (0, inf) in any
-    mode, raises ValueError before any robot factors.
+    factorization; with several robots every interior component must touch
+    a separator. An unknown mode, an oversampling outside (0, inf) in any
+    mode, a vertex with a negative robot id, or a cross-robot edge with an
+    endpoint outside the separators raises ValueError before any robot
+    factors.
     """
     if mode not in SCHUR_MODES:
         raise ValueError(f"mode must be one of {SCHUR_MODES}")
@@ -185,42 +189,53 @@ def build_blocks(L: sp.spmatrix, partition: Partition, epsilon: float = 0.0, see
     n = L.shape[0]
     if partition.owner.shape[0] != n:
         raise ValueError("partition size does not match matrix")
-    C, owner = partition.separators, partition.owner
+    C, owner, m, is_sep = partition.separators, partition.owner, partition.m, partition.is_separator
+    negative = np.flatnonzero(owner < 0)
+    if negative.size:
+        raise ValueError(f"vertex {negative[0]} has negative robot id {owner[negative[0]]}")
     g = graph_from_laplacian(L)
     u, v = g.edges.T
-    # held[h] is the Laplacian of holder h's edges: robot h's own, or, for the server h = m, the cross edges
-    holder = np.where(owner[u] == owner[v], owner[u], partition.m)
-    held = [laplacian(WeightedGraph(n, g.edges[holder == h], g.weights[holder == h])) for h in range(partition.m + 1)]
-    L_Gc = held[partition.m][C][:, C]
-    if partition.m > 1:
-        detached = _detached(L, ~partition.is_separator)
+    holder = np.where(owner[u] == owner[v], owner[u], m)  # robot h's own edges, or the server's (h = m) cross edges
+    stray = np.flatnonzero((holder == m) & ~(is_sep[u] & is_sep[v]))
+    if stray.size:
+        raise ValueError(f"cross-robot edge ({u[stray[0]]},{v[stray[0]]}) has an endpoint that is not a separator")
+    if m > 1:
+        detached = _detached(g, ~is_sep)
         if detached.size:
             a = owner[detached].min()
             raise NumericalError(f"robot {a} interior block is singular (a component touches no separator)")
+    order = np.argsort(holder, kind="stable")  # each holder's edges, in L's order
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(holder, minlength=m + 1))])
+    pos = np.empty(n, dtype=np.intp)  # a vertex's place in its robot's interior, or in C
+    pos[C] = np.arange(C.size)
+    for F in partition.interiors:
+        pos[F] = np.arange(F.size)
+
+    def held(h: int, k: int) -> sp.csr_matrix:
+        """Laplacian of holder h's edges over its k interior vertices, then C, in L's edge orientation:
+        a diagonal entry of up to 8 edges then sums in L's order."""
+        mine = order[bounds[h]:bounds[h + 1]]
+        edges = g.edges[mine]
+        return laplacian(WeightedGraph(k + C.size, pos[edges] + k * is_sep[edges], g.weights[mine]))
+
+    L_Gc = held(m, 0)
     blocks = []
-    for a in range(partition.m):
-        F = partition.interiors[a]
-        L_F = held[a][F]
-        L_aa = sp.csc_matrix(L_F[:, F])
-        L_ac = L_F[:, C]
-        adj = np.asarray((abs(L_ac) > 0).sum(axis=0)).ravel() > 0
-        if partition.m == 1:  # the only robot with no separator to ground against
+    for a, F in enumerate(partition.interiors):
+        k = F.size
+        L_a = held(a, k)
+        L_aa, L_ac = L_a[:k, :k], L_a[:k, k:]
+        L_aa = sp.csc_matrix((L_aa.data, L_aa.indices, L_aa.indptr), shape=L_aa.shape)  # symmetric, so CSR = CSC
+        adj = np.zeros(C.size, dtype=bool)
+        adj[L_ac.indices] = True
+        if m == 1:  # the only robot with no separator to ground against
             factor = grounded_solver(L_aa)
         else:
-            factor = spd_factor(L_aa, f"robot {a} interior solve") if F.size > 0 else np.zeros_like
-        blocks.append(
-            RobotBlock(
-                interior=F,
-                L_ac=L_ac,
-                L_acT=sp.csr_matrix(L_ac.T),
-                Lcc_local=held[a][C][:, C],
-                adj_sep=adj,
-                factor=factor,
-            )
-        )
+            factor = spd_factor(L_aa, f"robot {a} interior solve") if k > 0 else np.zeros_like
+        blocks.append(RobotBlock(interior=F, L_ac=L_ac, L_acT=L_a[k:, :k], Lcc_local=L_a[k:, k:], adj_sep=adj,
+                                 factor=factor))
     # every interior is factored before any is eliminated: interleaving the two
     # raised a rotation-planar solve's peak RSS by about 3 MB
-    for blk, robot_rng in zip(blocks, np.random.default_rng(seed).spawn(partition.m)):
+    for blk, robot_rng in zip(blocks, np.random.default_rng(seed).spawn(m)):
         S = blk.schur_contribution()
         blk.S_tilde = (sparsify(S, epsilon, robot_rng, oversampling=oversampling) if mode == "spectral"
                        else heuristic_sparsify(S, mode))

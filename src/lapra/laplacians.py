@@ -79,7 +79,9 @@ class WeightedGraph:
         if failed.size:
             k = failed[0]
             raise ValueError(next(msg for mask, msg in checks if mask[k])(k))
-        keys, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        rising = np.all(keys[1:] > keys[:-1])  # as a Laplacian's upper triangle gives them: no np.unique needed
+        keys, slot = (keys, np.arange(keys.size)) if rising else np.unique(keys, return_inverse=True)
         ws = np.bincount(slot, weights=w, minlength=keys.size).astype(float, copy=False)  # int if empty
         return cls(n=n, edges=np.stack([keys // n, keys % n], axis=1), weights=ws)
 
@@ -95,19 +97,33 @@ def laplacian(g: WeightedGraph) -> sp.csr_matrix:
     return L
 
 
+def _csr_rows(A: sp.csr_matrix) -> np.ndarray:
+    """The row of each entry A stores, in storage order."""
+    return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+
+
+def _upper_entries(L: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, value) of every entry L stores above its diagonal, explicit zeros and duplicates included,
+    in CSR order."""
+    L = sp.csr_matrix(L)
+    row = _csr_rows(L)
+    above = L.indices > row
+    return row[above], L.indices[above], L.data[above]
+
+
 def graph_from_laplacian(L: sp.spmatrix, tol: float = 0.0) -> WeightedGraph:
     """Recover the weighted graph underlying a Laplacian-structured matrix.
 
     This is the one place edges come out of a Laplacian. Off-diagonal
     entries with magnitude at or below tol (relative to the largest
     entry) are treated as round-off and dropped; a genuinely positive
-    off-diagonal raises, naming the first in COO order of the upper
+    off-diagonal raises, naming the first in CSR order of the upper
     triangle.
     """
-    C = sp.coo_matrix(sp.triu(L, k=1))
-    scale = max(abs(C.data).max(), 1.0) if C.nnz else 1.0
-    keep = ~(np.abs(C.data) <= tol * scale)
-    a, b, v = C.row[keep], C.col[keep], C.data[keep]
+    a, b, v = _upper_entries(L)
+    scale = max(abs(v).max(), 1.0) if v.size else 1.0
+    keep = ~(np.abs(v) <= tol * scale)
+    a, b, v = a[keep], b[keep], v[keep]
     positive = np.flatnonzero(v > 0)
     if positive.size:
         k = positive[0]
@@ -128,18 +144,19 @@ def schur_update(solve, L_fc: sp.spmatrix, L_cc: sp.spmatrix) -> sp.csr_matrix:
     1e-14 times the largest magnitude (at least 1) are dropped.
     """
     L_fc, L_cc = sp.csr_matrix(L_fc), sp.csr_matrix(L_cc)
-    fc, cc = L_fc.tocoo(), L_cc.tocoo()
-    touched = np.unique(fc.col[fc.data != 0])
+    touched = np.unique(L_fc.indices[L_fc.data != 0])
     L_adj = L_fc[:, touched]
     block = L_cc[touched][:, touched].toarray() - L_adj.T @ solve(L_adj.toarray())
     block = (block + block.T) / 2.0
-    in_block = np.isin(np.arange(L_cc.shape[0]), touched)
-    rest = ~(in_block[cc.row] & in_block[cc.col])
-    thr = 1e-14 * max(1.0, np.abs(block).max(initial=0.0), np.abs(cc.data[rest]).max(initial=0.0))
+    in_block = np.zeros(L_cc.shape[0], dtype=bool)
+    in_block[touched] = True
+    cc_row, cc_col, cc_data = _csr_rows(L_cc), L_cc.indices, L_cc.data
+    rest = ~(in_block[cc_row] & in_block[cc_col])
+    thr = 1e-14 * max(1.0, np.abs(block).max(initial=0.0), np.abs(cc_data[rest]).max(initial=0.0))
     r, c = np.nonzero(np.abs(block) >= thr)
-    rest &= np.abs(cc.data) >= thr
-    rows, cols = np.concatenate([touched[r], cc.row[rest]]), np.concatenate([touched[c], cc.col[rest]])
-    return sp.csr_matrix((np.concatenate([block[r, c], cc.data[rest]]), (rows, cols)), shape=L_cc.shape)
+    rest &= np.abs(cc_data) >= thr
+    rows, cols = np.concatenate([touched[r], cc_row[rest]]), np.concatenate([touched[c], cc_col[rest]])
+    return sp.csr_matrix((np.concatenate([block[r, c], cc_data[rest]]), (rows, cols)), shape=L_cc.shape)
 
 
 def schur_complement(L: sp.spmatrix, eliminate: np.ndarray) -> sp.csr_matrix:
@@ -199,8 +216,18 @@ def effective_resistances(L: sp.spmatrix, pairs: np.ndarray, *, labels: np.ndarr
 
 
 def _component_labels_of(L: sp.spmatrix) -> np.ndarray:
-    # the upper triangle only, as graph_from_laplacian reads it: a lower entry whose mirror is zero is no edge
-    return csgraph.connected_components(sp.triu(L, k=1) != 0, directed=False)[1]
+    # the upper triangle only, as graph_from_laplacian reads it: a lower entry whose mirror is zero is no edge,
+    # and neither are stored entries that sum to zero
+    L = sp.csr_matrix(L, copy=True)
+    L.sum_duplicates()
+    a, b, v = _upper_entries(L)
+    return _edge_labels(L.shape[0], a[v != 0], b[v != 0])
+
+
+def _edge_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Component labels of the graph on 0..n-1 with edges (rows[k], cols[k])."""
+    A = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    return csgraph.connected_components(A, directed=False)[1]
 
 
 def _require_oversampling(oversampling: float) -> None:
@@ -334,13 +361,14 @@ def heuristic_sparsify(S: sp.spmatrix, mode: str) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=S.shape)
 
 
-def _detached(L: sp.spmatrix, inside: np.ndarray) -> np.ndarray:
+def _detached(L, inside: np.ndarray) -> np.ndarray:
     """The vertices of mask `inside` whose component in L's graph touches no vertex outside it.
 
-    Any such vertex makes L's inside block singular, yet round-off can leave its last pivot tiny
+    L is a Laplacian or its graph as a WeightedGraph, such as graph_from_laplacian returns. Any
+    such vertex makes L's inside block singular, yet round-off can leave its last pivot tiny
     rather than zero, so neither the factor nor the residual check of its solves would fail.
     """
-    labels = _component_labels_of(L)
+    labels = _edge_labels(L.n, *L.edges.T) if isinstance(L, WeightedGraph) else _component_labels_of(L)
     touches_outside = np.bincount(labels[~inside], minlength=labels.size) > 0
     return np.flatnonzero(inside & ~touches_outside[labels])
 
@@ -356,7 +384,7 @@ def spd_factor(A: sp.spmatrix, what: str):
         lu = spla.splu(A, **SPD_SUPERLU)
     except RuntimeError as exc:
         raise NumericalError(f"{what}: singular factor: {exc}") from exc
-    norm_A = spla.norm(A)
+    norm_A = np.linalg.norm(A.data)  # splu has summed any duplicates in place
 
     def solve(B: np.ndarray) -> np.ndarray:
         X = lu.solve(B)
@@ -405,8 +433,7 @@ def solve_grounded(L: sp.spmatrix, B: np.ndarray) -> np.ndarray:
 
 
 def upper_triangle_nnz(A: sp.spmatrix) -> int:
-    """Number of structurally nonzero entries on or above the diagonal."""
-    A = sp.csr_matrix(A).copy()
-    A.eliminate_zeros()
-    return int(sp.triu(A, k=0).nnz)
+    """Number of stored nonzero entries on or above the diagonal."""
+    A = sp.csr_matrix(A)
+    return int(np.count_nonzero((A.indices >= _csr_rows(A)) & (A.data != 0)))
 

@@ -403,11 +403,13 @@ def newton_solve(
     "schur"), counting upper-triangle entries above 1e-12 times the
     block's largest magnitude (at least 1). A partition without
     separators uploads nothing. The dense second-order baseline;
-    config.epsilon, seed and project_horizontal do not apply.
+    config.epsilon, seed and project_horizontal do not apply. The weights
+    are checked as the split solvers check them, before the first step.
     """
     g.check_partition(partition)
     g.check_rotations(R0)
     kind = distance_by_name(config.distance)
+    laplacian_weights(g, kind)  # a NaN, inf or non-positive kappa raises here, naming its edge
     ledger = dd.CommsLedger()
 
     def step(R, _):

@@ -19,6 +19,7 @@ import pytest
 
 from lapra import decomposition as dd
 from lapra import rotation
+from lapra.laplacians import laplacian
 from lapra.manifold import RotationState, exp_map_batch, random_rotation
 from lapra.pose_graph import (
     GraphError,
@@ -29,7 +30,7 @@ from lapra.pose_graph import (
     spanning_tree_init,
 )
 from lapra.rotation import SolverConfig, collaborative_solve, newton_solve
-from lapra.translation import collaborative_translation_solve
+from lapra.translation import collaborative_translation_solve, translation_weights
 
 
 def _grid(side, d=3, sigma_deg=5.0, edge_prob=0.3, seed=0):
@@ -263,6 +264,60 @@ def test_a_non_finite_weight_fails_before_any_set_up(monkeypatch, solver, weight
     _forbid_set_up(monkeypatch)
     with pytest.raises(ValueError, match=rf"^edge \({g.I[4]},{g.J[4]}\) has non-finite weight {value}$"):
         _SOLVERS[solver](g, partition_contiguous(g, 3), spanning_tree_init(g), SolverConfig())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_newton_rejects_a_non_finite_kappa_before_hessian_assembly(monkeypatch, value):
+    """Newton checks the weights as the split solvers do. It used to assemble the Hessian first and fail in
+    scipy with "array must not contain infs or NaNs"."""
+    g, _ = _grid(3)
+    g.kappa[[4, 9]] = value
+
+    def no_assembly(*args):
+        raise AssertionError("assembled the Hessian before the weights were checked")
+
+    monkeypatch.setattr(rotation, "assemble_full_hessian", no_assembly)
+    with pytest.raises(ValueError, match=rf"^edge \({g.I[4]},{g.J[4]}\) has non-finite weight {value}$"):
+        newton_solve(g, partition_contiguous(g, 3), spanning_tree_init(g), SolverConfig())
+
+
+@pytest.mark.parametrize("negative, first", [([0, 1, 2], 0), ([22, 7], 7)], ids=["first-three", "two-later"])
+def test_build_blocks_rejects_a_negative_robot_id_before_any_factorization(monkeypatch, negative, first):
+    """build_blocks, and so split_setup, names the first vertex owned by robot -1. It used to leave vertices 0-2
+    in no block, and a split solve of a feasible rhs then missed the translation Laplacian by 6.76."""
+    g, _ = generate_grid(SyntheticSpec(side=3, sigma_rot=0.05, seed=1))
+    owner = np.repeat([0, 1, 2], 9)
+    owner[negative] = -1
+    part = Partition.from_owner(owner, g.pairs)
+    L = laplacian(translation_weights(g))
+
+    def no_factor(*args):
+        raise AssertionError("factored before the robot ids were checked")
+
+    monkeypatch.setattr(dd, "spd_factor", no_factor)
+    monkeypatch.setattr(dd, "grounded_solver", no_factor)
+    message = rf"^vertex {first} has negative robot id -1$"
+    with pytest.raises(ValueError, match=message):
+        dd.build_blocks(L, part)
+    with pytest.raises(ValueError, match=message):
+        dd.split_setup(L, part, 0.5, 0, "spectral", 1.0, np.zeros(part.m, dtype=int))
+
+
+def test_build_blocks_rejects_a_partition_of_another_graph_before_any_factorization(monkeypatch):
+    """Separators taken from another graph's edges leave a cross edge of L with an interior endpoint, which no
+    holder's index space places. build_blocks used to drop that edge's terms, and a split solve of a feasible
+    rhs then missed L by 16.9."""
+    g, _ = _grid(3)
+    other, _ = _grid(3, seed=1)
+    part = Partition.from_owner(partition_contiguous(g, 3).owner, other.pairs)
+
+    def no_factor(*args):
+        raise AssertionError("factored before the separators were checked")
+
+    monkeypatch.setattr(dd, "spd_factor", no_factor)
+    monkeypatch.setattr(dd, "grounded_solver", no_factor)
+    with pytest.raises(ValueError, match=r"^cross-robot edge \(\d+,\d+\) has an endpoint that is not a separator$"):
+        dd.build_blocks(laplacian(translation_weights(g)), part)
 
 
 @pytest.mark.parametrize("solver, mode", [("rotation", "spectral"), ("rotation", "block_diagonal"),
